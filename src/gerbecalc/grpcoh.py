@@ -3,18 +3,19 @@
 Computed through the integer-coefficient shift H^n(Z, U(1)) = H^{n+1}(Z; Z)
 (trivial action; for a finite group the exponential sequence identifies
 the U(1) cohomology with the integral cohomology one degree up, since the
-real cohomology vanishes).  The bar resolution with normalized cochains
-keeps the matrices small, and torsion is read off the Smith invariant
-factors of the relevant coboundary matrix.
+real cohomology vanishes).  For Z = Z/d_1 x ... x Z/d_m the cochains come
+from the tensor product of the 2-periodic resolutions of the cyclic
+factors (Brown, *Cohomology of Groups*, GTM 87, I.6 and V.1): degree k has
+rank C(k+m-1, m-1) and the coboundaries have entries 0 and +-d_i.  Torsion
+is read off the Smith invariant factors of the relevant coboundary matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
-from .intlinalg import invariant_factors_sparse, smith_normal_form
+from .intlinalg import smith_normal_form
 from .rootsys import build_root_system
 
 
@@ -63,58 +64,46 @@ class FiniteAbelianGroup:
         return " x ".join(f"Z/{d}" for d in self.orders)
 
 
-def _bar_coboundary_entries(group, k):
-    """Sparse integer matrix of d: C^k -> C^{k+1}, normalized bar cochains.
+def _compositions(k, m):
+    """All (k_1, ..., k_m) with every k_i >= 0 and sum k, in lexicographic order."""
+    return [c for c in product(range(k + 1), repeat=m) if sum(c) == k]
 
-    Basis of C^k: k-tuples of non-identity elements.  Returns
-    (entries dict {(row, col): value}, n_rows, n_cols).
+
+def _coboundary(orders, k):
+    """Integer matrix of delta: C^k -> C^{k+1} (rows indexed by C^{k+1}).
+
+    C^* is Hom(P, Z) for P the tensor product of the 2-periodic
+    resolutions of the cyclic factors Z/d_i, so C^k has one generator per
+    composition (k_1, ..., k_m) of k.  delta raises one k_i by one, with
+    coefficient 0 for k_i even (dual of t - 1) and d_i for k_i odd (dual
+    of the norm element), times the Koszul sign (-1)^(k_1 + ... + k_{i-1}).
     """
-    e = group.identity
-    nonid = [g for g in group.elements() if g != e]
-    src = list(product(nonid, repeat=k))
-    dst = list(product(nonid, repeat=k + 1))
-    src_idx = {t: i for i, t in enumerate(src)}
-    entries = {}
-
-    def bump(r, t, sign):
-        if any(g == e for g in t):
-            return  # normalized cochains vanish on identity arguments
-        c = src_idx[t]
-        key = (r, c)
-        entries[key] = entries.get(key, 0) + sign
-        if entries[key] == 0:
-            del entries[key]
-
-    for r, gs in enumerate(dst):
-        bump(r, gs[1:], 1)
-        for i in range(k):
-            merged = gs[:i] + (group.add(gs[i], gs[i + 1]),) + gs[i + 2 :]
-            bump(r, merged, (-1) ** (i + 1))
-        bump(r, gs[:-1], (-1) ** (k + 1))
-    return entries, len(dst), len(src)
-
-
-@lru_cache(maxsize=None)
-def _cohomology_cached(orders, n, max_order, max_degree):
-    group = FiniteAbelianGroup(orders)
-    if n < 1:
-        raise GroupCohomologyError("degree must be >= 1")
-    if group.order > max_order or n > max_degree:
-        raise ResourceBoundError(
-            f"bar-resolution size |Z|^{n + 2} = {group.order ** (n + 2)} exceeds "
-            f"the configured bound (|Z| <= {max_order}, n <= {max_degree})"
-        )
-    # H^n(Z, U(1)) = torsion of H^{n+1}(Z; Z) = invariant factors > 1 of
-    # the bar coboundary C^n -> C^{n+1}
-    entries, m, ncols = _bar_coboundary_entries(group, n)
-    facs = invariant_factors_sparse(entries, m, ncols)
-    return tuple(f for f in facs if f > 1)
+    src = _compositions(k, len(orders))
+    dst = {c: r for r, c in enumerate(_compositions(k + 1, len(orders)))}
+    mat = [[0] * len(src) for _ in dst]
+    for col, comp in enumerate(src):
+        sign = 1
+        for i, (ki, d) in enumerate(zip(comp, orders)):
+            if ki % 2:
+                mat[dst[comp[:i] + (ki + 1,) + comp[i + 1 :]]][col] = sign * d
+                sign = -sign
+    return mat
 
 
 def group_cohomology_U1(group: FiniteAbelianGroup, n: int,
                         max_order: int = 16, max_degree: int = 3):
     """Invariant factors of H^n(Z, U(1)) (empty tuple = trivial group)."""
-    return _cohomology_cached(group.orders, n, max_order, max_degree)
+    if n < 1:
+        raise GroupCohomologyError("degree must be >= 1")
+    if group.order > max_order or n > max_degree:
+        raise ResourceBoundError(
+            f"group of order {group.order} in degree {n} exceeds the configured "
+            f"bound (|Z| <= {max_order}, n <= {max_degree})"
+        )
+    # H^n(Z, U(1)) = torsion of H^{n+1}(Z; Z) = invariant factors > 1 of
+    # the coboundary C^n -> C^{n+1}
+    d, _, _ = smith_normal_form(_coboundary(group.orders, n))
+    return tuple(f for f in d if f > 1)
 
 
 def center_of(family: str, rank: int) -> FiniteAbelianGroup:

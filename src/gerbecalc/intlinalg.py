@@ -1,6 +1,10 @@
 """Exact integer and rational linear algebra: Smith normal form, integer
 and rational linear solves, and cohomology of integer cochain complexes.
 
+One dense Smith-form kernel, :func:`smith_normal_form`, serves every
+integer caller: invariant factors, cochain cohomology, obstruction
+classes and group cohomology all read its diagonal or its transforms.
+
 All matrices are lists of lists of Python ints (arbitrary precision) or
 ``fractions.Fraction``.  Nothing here touches floating point.
 """
@@ -50,53 +54,56 @@ def smith_normal_form(mat):
         for row in v:
             row[i], row[j] = row[j], row[i]
 
-    t = 0
     limit = min(m, n)
-    while t < limit:
-        # find a pivot of minimal absolute value in the remaining block
-        piv = None
-        best = None
-        for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                x = row[j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear column t
-            done = True
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:  # remainder became new, smaller pivot
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        done = False
-            if done:
-                break
-        if a[t][t] < 0:
-            for k in range(t, n):
-                a[t][k] = -a[t][k]
-            for k in range(m):
-                u[t][k] = -u[t][k]
-        t += 1
 
+    def eliminate(t):
+        """Diagonalize the block from diagonal position t onward."""
+        while t < limit:
+            # find a pivot of minimal absolute value in the remaining block
+            piv = None
+            best = None
+            for i in range(t, m):
+                row = a[i]
+                for j in range(t, n):
+                    x = row[j]
+                    if x != 0 and (best is None or abs(x) < best):
+                        best = abs(x)
+                        piv = (i, j)
+                        if best == 1:
+                            break
+                if best == 1:
+                    break
+            if piv is None:
+                break
+            swap_rows(t, piv[0])
+            swap_cols(t, piv[1])
+            while True:
+                # clear column t
+                done = True
+                for i in range(t + 1, m):
+                    if a[i][t] != 0:
+                        q = a[i][t] // a[t][t]
+                        row_op(i, t, q)
+                        if a[i][t] != 0:  # remainder became new, smaller pivot
+                            swap_rows(t, i)
+                            done = False
+                for j in range(t + 1, n):
+                    if a[t][j] != 0:
+                        q = a[t][j] // a[t][t]
+                        col_op(j, t, q)
+                        if a[t][j] != 0:
+                            swap_cols(t, j)
+                            done = False
+                if done:
+                    break
+            if a[t][t] < 0:
+                for k in range(t, n):
+                    a[t][k] = -a[t][k]
+                for k in range(m):
+                    u[t][k] = -u[t][k]
+            t += 1
+
+    eliminate(0)
     # enforce divisibility d_i | d_{i+1}
     t = 0
     while t < limit - 1:
@@ -106,7 +113,7 @@ def smith_normal_form(mat):
                 row[t] += row[t + 1]
             for row in v:
                 row[t] += row[t + 1]
-            _redo_from(a, u, v, t, m, n)
+            eliminate(t)
             t = 0
             continue
         t += 1
@@ -115,212 +122,10 @@ def smith_normal_form(mat):
     return d, u, v
 
 
-def _redo_from(a, u, v, t0, m, n):
-    """Re-run elimination from diagonal position t0 (helper for SNF)."""
-
-    def row_op(i, j, q):
-        for k in range(n):
-            a[i][k] -= q * a[j][k]
-        for k in range(m):
-            u[i][k] -= q * u[j][k]
-
-    def col_op(i, j, q):
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    t = t0
-    limit = min(m, n)
-    while t < limit:
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
-            break
-        if piv[0] != t:
-            a[t], a[piv[0]] = a[piv[0]], a[t]
-            u[t], u[piv[0]] = u[piv[0]], u[t]
-        if piv[1] != t:
-            for row in a:
-                row[t], row[piv[1]] = row[piv[1]], row[t]
-            for row in v:
-                row[t], row[piv[1]] = row[piv[1]], row[t]
-        while True:
-            done = True
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
-                        done = False
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        for row in v:
-                            row[t], row[j] = row[j], row[t]
-                        done = False
-            if done:
-                break
-        if a[t][t] < 0:
-            for k in range(t, n):
-                a[t][k] = -a[t][k]
-            for k in range(m):
-                u[t][k] = -u[t][k]
-        t += 1
-
-
 def invariant_factors(mat):
-    """Diagonal of the Smith form, without transform tracking.
-
-    Sparse-friendly: uses dict-of-dict storage and prefers unit pivots,
-    which keeps bar-resolution matrices from filling in.
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    rows = {}
-    cols = {}
-    for i, row in enumerate(mat):
-        for j, x in enumerate(row):
-            if x:
-                rows.setdefault(i, {})[j] = x
-                cols.setdefault(j, set()).add(i)
-    return _invariant_factors_sparse(rows, cols, m, n)
-
-
-def invariant_factors_sparse(entries, m, n):
-    """Same as :func:`invariant_factors` for {(i, j): value} input."""
-    rows = {}
-    cols = {}
-    for (i, j), x in entries.items():
-        if x:
-            rows.setdefault(i, {})[j] = x
-            cols.setdefault(j, set()).add(i)
-    return _invariant_factors_sparse(rows, cols, m, n)
-
-
-def _invariant_factors_sparse(rows, cols, m, n):
-    # buckets of row indices keyed by current row length: pivots are taken
-    # from the shortest rows, which keeps fill-in and search cost down
-    buckets = {}
-    for i in [i for i, row in rows.items() if not row]:
-        del rows[i]
-    for i, row in rows.items():
-        buckets.setdefault(len(row), set()).add(i)
-
-    def set_entry(i, j, v):
-        row = rows.get(i)
-        len0 = len(row) if row is not None else 0
-        if v:
-            if row is None:
-                row = rows[i] = {}
-            if j not in row:
-                cols.setdefault(j, set()).add(i)
-            row[j] = v
-        else:
-            if row is None or j not in row:
-                return
-            del row[j]
-            cols[j].discard(i)
-        len1 = len(rows.get(i, ()))
-        if len1 != len0:
-            if len0:
-                s = buckets.get(len0)
-                if s is not None:
-                    s.discard(i)
-                    if not s:
-                        del buckets[len0]
-            if len1:
-                buckets.setdefault(len1, set()).add(i)
-            else:
-                del rows[i]
-
-    factors = []
-    while rows:
-        # pivot: prefer a unit entry in a shortest row, in a thin column
-        lmin = min(buckets)
-        best = None
-        scanned = 0
-        for i in buckets[lmin]:
-            for j, v in rows[i].items():
-                score = (abs(v) != 1, len(cols.get(j, ())), abs(v))
-                if best is None or score < best[0]:
-                    best = (score, i, j)
-            scanned += 1
-            if scanned >= 64 and not best[0][0]:
-                break
-        _, pi, pj = best
-        pval = rows[pi][pj]
-        while True:
-            # clear column pj
-            moved = False
-            for i in [i for i in cols.get(pj, ()) if i != pi]:
-                v = rows.get(i, {}).get(pj, 0)
-                if not v:
-                    continue
-                q = v // pval
-                if q:
-                    for j, x in list(rows[pi].items()):
-                        set_entry(i, j, rows.get(i, {}).get(j, 0) - q * x)
-                r = rows.get(i, {}).get(pj, 0)
-                if r:
-                    pi, pval = i, r  # smaller remainder becomes the pivot
-                    moved = True
-                    break
-            if moved:
-                continue
-            # column is clean; clear the pivot row by column operations,
-            # which now only touch the pivot row itself
-            moved = False
-            for j, v in list(rows[pi].items()):
-                if j == pj:
-                    continue
-                r = v - (v // pval) * pval
-                set_entry(pi, j, r)
-                if r:
-                    pj, pval = j, r
-                    moved = True
-                    break
-            if not moved:
-                break
-        factors.append(abs(pval))
-        s = buckets.get(len(rows[pi]))
-        if s is not None:
-            s.discard(pi)
-            if not s:
-                del buckets[len(rows[pi])]
-        del rows[pi]
-        cols.get(pj, set()).discard(pi)
-        if not cols.get(pj):
-            cols.pop(pj, None)
-
-    # enforce divisibility by repeated gcd/lcm passes on the multiset
-    factors = [f for f in factors if f != 0]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                if b % a != 0:
-                    from math import gcd
-
-                    g = gcd(a, b)
-                    factors[i], factors[j] = g, a * b // g
-                    changed = True
-        factors.sort()
-    return factors
+    """Nonzero diagonal of the Smith normal form, in divisibility order."""
+    d, _, _ = smith_normal_form(mat)
+    return [x for x in d if x != 0]
 
 
 def rational_rank(mat):

@@ -10,6 +10,29 @@ Conventions:
 * omega(V1, V2) = kappa * <(A - 1)X1, (A + 1)X2> with A = Ad_{h^{-1}},
   which equals kappa * <X1, (Ad_h - Ad_{h^{-1}})X2> and therefore only
   depends on the tangents, not on the representatives X_i.
+
+Both identities below hold with sign +1 and no further scale; omega is the
+conjugacy-class 2-form of Meinrenken (math/0209194) in these conventions.
+H is kappa * <theta_1, [theta_2, theta_3]> on tangents, theta = g^{-1} dg,
+and d is the alternating-sum (Cartan) exterior derivative.
+
+* d omega = iota^* H.  The fundamental fields X#(g) = X g - g X span the
+  tangent space of the class; the fields are G-equivariant with
+  [X#, Y#] = -[X, Y]#, and omega is invariant.  Write M = Ad_g - Ad_{g^{-1}}
+  (antisymmetric for < , >).  The Cartan formula then gives
+  d omega(X#, Y#, Z#) = -kappa * sum_cyclic <[X, Y], M Z>.  With
+  theta(X#) = (A - 1)X, A = Ad_{g^{-1}}, expanding
+  kappa * <(A - 1)X, [(A - 1)Y, (A - 1)Z]> by ad-invariance gives the same
+  cyclic sum.
+* p1^*H - p2^*H = d varpi on biconjugacy classes (level 1).  Put
+  mu(g1, g2) = g1 g2^{-1}.  The Polyakov-Wiegmann identity for this
+  product, with inversion pulling H back to -H, reads
+  mu^*H = p1^*H - p2^*H + kappa * d cross, where
+  cross(u, v) = <theta(u_1), theta(v_2)> - <theta(v_1), theta(u_2)>.
+  mu maps a biconjugacy class into one conjugacy class, so mu^*H =
+  d(mu^*omega) by the first identity, and varpi = mu^*omega - kappa * cross.
+
+Acceptance criterion 6 checks both identities by finite differences.
 """
 
 from __future__ import annotations
@@ -22,12 +45,6 @@ from scipy.linalg import expm, expm_frechet
 from ..rootsys import build_root_system
 from .core import LieNumError, check_group, inner
 from .forms import _project_algebra, eval_H
-
-# Sign and cross-term scale fixed by the exterior-derivative identities
-# d omega = (pullback of H) and p1*H - p2*H = d varpi; see the pinning
-# experiment in scripts/pin_form_constants.py.
-OMEGA_SIGN = 1.0
-VARPI_CROSS = 1.0
 
 
 def alcove_projection(g, tol: float = 1e-8):
@@ -94,7 +111,7 @@ def omega_lambda(h, x1, x2, kappa: float, gram_scale: float = 1.0,
     a2 = hinv @ np.asarray(x2) @ h
     # explicit antisymmetrization: exact zero on equal arguments
     pairing = 0.5 * (inner(a1 - x1, a2 + x2) - inner(a2 - x2, a1 + x1))
-    return OMEGA_SIGN * kappa * gram_scale * pairing
+    return kappa * gram_scale * pairing
 
 
 @dataclass(frozen=True)
@@ -212,8 +229,9 @@ def varpi(g1, g2, pair_a, pair_b, level: int, kappa: float,
     ``pair_a`` and ``pair_b`` are tangent pairs (dg1, dg2) at (g1, g2) lying
     along the class.  varpi = level * (mu*omega - cross), where mu(g1, g2)
     = g1 g2^{-1}, omega is the conjugacy-class 2-form at mu(g1, g2), and
-    cross = VARPI_CROSS * kappa * (<theta(V1), theta(W2)> - <theta(V2),
-    theta(W1)>)/... with theta the Maurer-Cartan pairing on each factor.
+    cross = kappa * (<theta(V1), theta(W2)> - <theta(V2), theta(W1)>) for
+    V = pair_a, W = pair_b, with theta = g^{-1} dg on each factor (the
+    module docstring derives this form).
     """
     g1 = check_group(g1, 1e-8)
     g2 = check_group(g2, 1e-8)
@@ -241,7 +259,7 @@ def varpi(g1, g2, pair_a, pair_b, level: int, kappa: float,
     cross = inner(theta(g1, va1), theta(g2, vb2)) - inner(
         theta(g1, vb1), theta(g2, va2)
     )
-    return level * (mu_omega - VARPI_CROSS * kappa * cross)
+    return level * (mu_omega - kappa * cross)
 
 
 def _omega_on_tangents(h, v1, v2, kappa, min_gap: float = 1e-6) -> float:

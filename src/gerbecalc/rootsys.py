@@ -261,10 +261,11 @@ class RootSubsystem:
     roots: frozenset
 
     def __post_init__(self):
+        all_roots = set(self.root_system.roots)
         for r in self.roots:
             if tuple(-x for x in r) not in self.roots:
                 raise RootSystemError("subsystem not closed under negation")
-            if r not in set(self.root_system.roots):
+            if r not in all_roots:
                 raise RootSystemError("subsystem element is not a root")
 
 

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,25 @@ def test_snf_diagonalizes_with_unimodular_transforms(mat):
     for a, b in zip(nz, nz[1:]):
         assert b % a == 0
         assert a > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices)
+def test_snf_matches_determinantal_divisors(mat):
+    # d_k = D_k / D_{k-1}, D_k the gcd of the k x k minors (D_0 = 1); an
+    # oracle for the diagonal that shares no code with the elimination
+    d, _, _ = smith_normal_form(mat)
+    m, n = len(mat), len(mat[0])
+    prev = 1
+    expect = []
+    for k in range(1, min(m, n) + 1):
+        dk = 0
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                dk = gcd(dk, int(det([[mat[i][j] for j in cols] for i in rows])))
+        expect.append(dk // prev if dk else 0)
+        prev = dk or prev
+    assert d == expect
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,6 +8,7 @@ import pytest
 
 from gerbecalc.rootsys import (
     Alcove,
+    RootSubsystem,
     RootSystemError,
     alcove,
     build_root_system,
@@ -270,6 +271,18 @@ def test_face_centralizer_antitone():
         if prev is not None:
             assert cur <= prev
         prev = cur
+
+
+def test_root_subsystem_validation():
+    rs = build_root_system("A", 2)
+    r = rs.roots[0]
+    neg = tuple(-x for x in r)
+    assert RootSubsystem(rs, frozenset({r, neg})).roots == {r, neg}
+    with pytest.raises(RootSystemError, match="negation"):
+        RootSubsystem(rs, frozenset({r}))
+    twice = tuple(2 * x for x in r)
+    with pytest.raises(RootSystemError, match="not a root"):
+        RootSubsystem(rs, frozenset({twice, tuple(-x for x in twice)}))
 
 
 def test_parse_type():
