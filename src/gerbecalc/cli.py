@@ -135,7 +135,7 @@ def cmd_deligne_dd(args, report):
 
     report.add_input(args.cochain)
     c = cochain_from_json(load_json(args.cochain))
-    cls = dd_class(c.nerve, c.components[0])
+    cls = dd_class(c.nerve, c.component(0))
     report.results["class coordinates"] = [str(x) for x in cls.coords]
     report.results["coordinate moduli"] = [str(m) for m in cls.moduli]
     report.results["is zero"] = cls.is_zero

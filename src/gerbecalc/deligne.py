@@ -1,32 +1,57 @@
-"""Discrete Cech-Deligne cochains over a cover nerve.
+"""Discrete Cech-Deligne cochains over a cover nerve, and their total
+differential as one assembled integer operator.
 
 A degree-p cochain at truncation level n has components c_0, ..., c_min(p,n):
 c_0 assigns a U(1) value (stored additively, in turns) to each (p+1)-index
 face; c_k for k >= 1 assigns a real simplicial k-cochain to each
 (p-k+1)-index face.  In pure-nerve mode every value is a single number
 (a constant-coefficient cochain) and the spatial differential d vanishes
-identically; in geometric mode values are dicts over the k-simplices of
-an underlying :class:`~gerbecalc.nerve.CoveredComplex` whose chart sets
-contain the face.
+identically.  In geometric mode values live on the k-simplices of an
+underlying :class:`~gerbecalc.nerve.CoveredComplex` whose chart sets
+contain the face; a U(1) value may be given as one number per face (a
+constant function, broadcast to the face's vertices), a form value must be
+given per simplex.
 
-The total differential is D(c)_k = delta(c_k) + (-1)^(p-k+1) d(c_{k-1}),
-with d = dlog (branch wrapped into (-1/2, 1/2]) when it eats the U(1)
-layer.  For the two truncation levels this specializes to
-D(g, A) = (delta g, delta A - dlog g) in degree 1 and
-D(g, A, B) = (delta g, delta A + dlog g, delta B - dA) in degree 2; the
-sign flip between the two is pure degree parity, the same rule produces
-both.
+**Layout.**  A :class:`Layout` fixes, once per (nerve, complex, degree,
+level), the order of the slots of a cochain: component by component, the
+faces in sorted order and, in geometric mode, each face's simplices in the
+complex's order; pure-nerve mode has one slot per face.  A
+:class:`DeligneCochain` stores one flat value vector over its layout, an
+``array('d')`` for geometric floats and a list otherwise, so exact
+``Fraction`` values keep their type.  ``components`` is a dict view derived
+from the vector.  Layouts are cached on the complex (geometric mode) or the
+nerve (pure-nerve mode) they describe.
+
+**Operator.**  The total differential is
+D(c)_k = delta(c_k) + (-1)^(p-k+1) d(c_{k-1}), with d = dlog (branch
+wrapped into (-1/2, 1/2]) when it eats the U(1) layer.  For the two
+truncation levels this specializes to D(g, A) = (delta g, delta A - dlog g)
+in degree 1 and D(g, A, B) = (delta g, delta A + dlog g, delta B - dA) in
+degree 2; the sign flip between the two is pure degree parity, the same
+rule produces both.  :class:`DeligneOperator` assembles D from a layout to
+the next degree's once, as an integer CSR matrix (row pointers, columns,
+signs +-1).  It is linear except for the branch wrap, which is applied only
+to the output of the U(1)->1-form block; the wrap only adds integers, which
+the mod-1 tests absorb, so D_{p+1} D_p = 0 holds as an exact integer
+product of the assembled matrices (``tests/test_deligne_operator.py``).
+All rows of one output component have the same width, the delta entries
+followed by the d entries, and a matvec sums them in the order of the
+per-face definition, so it is bit-identical to it; the test module keeps
+that definition as its oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import repeat
+from operator import add, gt, neg, sub
 
 from .intlinalg import matvec, smith_normal_form, solve_rational
-from .nerve import ComplexError, CoverNerve, CoveredComplex, perm_sign
+from .nerve import CoverNerve, CoveredComplex, cached, perm_sign
 
 
 class DeligneError(ValueError):
@@ -54,118 +79,378 @@ def _is_integer(x, tol):
     return abs(_wrap_half(x)) <= tol
 
 
-@dataclass(frozen=True)
-class DeligneCochain:
-    """Cech-Deligne cochain of total degree ``degree`` at level ``level``.
+def _face_domain(cc: CoveredComplex, face, k):
+    """k-simplices of the complex carried by every chart in ``face``."""
+    return cc.face_domains(k).get(tuple(face), ())
 
-    ``components[k]`` maps each face of size degree - k + 1 to its value:
-    a number in pure-nerve mode, or (geometric mode) a dict keyed by the
-    k-simplices of ``complex`` carrying all the face's charts.  The c_0
-    layer may also be realized as a per-vertex dict of turn values, which
-    is what dlog differentiates.
+
+# -- layouts ---------------------------------------------------------------
+
+
+class Layout:
+    """Slot order of the cochains of one (nerve, complex, degree, level).
+
+    ``faces[k]`` lists the faces of component k in sorted order and
+    ``starts[k][i]`` is the first slot of ``faces[k][i]`` (with a closing
+    entry), counted over the whole vector.  ``simplices[slot]`` is the
+    simplex of each slot in geometric mode, None in pure-nerve mode.
     """
 
-    nerve: CoverNerve
-    degree: int
-    level: int
-    components: tuple  # tuple of dicts, components[k]: face -> value
-    complex: CoveredComplex | None = None
-
-    def __post_init__(self):
-        if self.level not in (1, 2):
+    def __init__(self, nerve: CoverNerve, complex, degree: int, level: int):
+        if level not in (1, 2):
             raise DeligneError("truncation level must be 1 or 2")
-        if self.degree < 0:
+        if degree < 0:
             raise DeligneError("degree must be >= 0")
-        if len(self.components) != self.n_components:
+        self.nerve, self.complex = nerve, complex
+        self.degree, self.level = degree, level
+        self.faces, self.starts = [], []
+        simplices = []
+        slot = 0
+        for k in range(min(degree, level) + 1):
+            faces = nerve.faces_of_size(degree - k + 1)
+            starts = [slot]
+            if complex is None:
+                slot += len(faces)
+                starts = list(range(starts[0], slot + 1))
+            else:
+                domains = complex.face_domains(k)
+                for face in faces:
+                    dom = domains.get(face, ())
+                    simplices.extend(dom)
+                    slot += len(dom)
+                    starts.append(slot)
+            self.faces.append(faces)
+            self.starts.append(starts)
+        self.size = slot
+        self.simplices = tuple(simplices) if complex is not None else None
+
+    @property
+    def n_components(self):
+        return len(self.faces)
+
+    def bounds(self, k):
+        """First and past-the-end slot of component k."""
+        return self.starts[k][0], self.starts[k][-1]
+
+    def slots(self):
+        """(k, face, simplex) for every slot, in order."""
+        for k, faces in enumerate(self.faces):
+            starts = self.starts[k]
+            for i, face in enumerate(faces):
+                for slot in range(starts[i], starts[i + 1]):
+                    yield k, face, (
+                        self.simplices[slot] if self.complex is not None else None
+                    )
+
+    @cached_property
+    def slot_index(self):
+        return {key: slot for slot, key in enumerate(self.slots())}
+
+    def slot(self, k, face, simplex=None):
+        try:
+            return self.slot_index[(k, face, simplex)]
+        except KeyError:
+            where = f" on {simplex}" if simplex is not None else ""
+            raise DeligneError(f"no slot for component {k} at face {face}{where}")
+
+    def pack(self, components):
+        """Flat value vector of per-face component dicts (validated)."""
+        if len(components) != self.n_components:
             raise DeligneError(
-                f"expected {self.n_components} components, got {len(self.components)}"
+                f"expected {self.n_components} components, got {len(components)}"
             )
-        for k, comp in enumerate(self.components):
+        cc = self.complex
+        vals = []
+        for k, comp in enumerate(components):
             size = self.degree - k + 1
-            faces = set(self.nerve.faces_of_size(size))
-            if set(comp) != faces:
+            if not isinstance(comp, dict) or comp.keys() != self.nerve.face_set(size):
                 raise DeligneError(
                     f"component {k} must be defined on exactly the "
                     f"{size}-index faces"
                 )
-        # normalize the U(1) layer into [0, 1)
-        c0 = self.components[0]
-        fixed = {}
-        for face, val in c0.items():
-            if isinstance(val, dict):
-                fixed[face] = {s: _mod1(x) for s, x in val.items()}
-            else:
-                fixed[face] = _mod1(val)
-        object.__setattr__(
-            self, "components", (fixed,) + tuple(self.components[1:])
+            domains = cc.face_domains(k) if cc is not None else None
+            for face in self.faces[k]:
+                val = comp[face]
+                if cc is None:
+                    if isinstance(val, dict):
+                        raise DeligneError(
+                            f"component {k} at face {face}: per-simplex values "
+                            "need a complex"
+                        )
+                    vals.append(val)
+                elif isinstance(val, dict):
+                    try:
+                        vals.extend([val[s] for s in domains.get(face, ())])
+                    except KeyError as exc:
+                        raise DeligneError(
+                            f"component {k} at face {face} has no value on "
+                            f"simplex {exc.args[0]}"
+                        ) from None
+                elif k == 0:
+                    # a constant U(1) function: the same turn at every vertex
+                    vals.extend([val] * len(domains.get(face, ())))
+                else:
+                    raise DeligneError(
+                        f"component {k} at face {face}: a {k}-form needs one "
+                        f"value per {k}-simplex, not a single number"
+                    )
+        if cc is not None and Fraction not in set(map(type, vals)):
+            return array("d", vals)
+        return vals
+
+    def unpack(self, values, k):
+        """Component k of a value vector as a dict face -> value."""
+        lo, hi = self.bounds(k)
+        if self.complex is None:
+            return dict(zip(self.faces[k], values[lo:hi]))
+        starts, simps = self.starts[k], self.simplices
+        return {
+            face: dict(zip(simps[starts[i] : starts[i + 1]], values[starts[i] : starts[i + 1]]))
+            for i, face in enumerate(self.faces[k])
+        }
+
+    @cached_property
+    def differential(self) -> DeligneOperator:
+        return DeligneOperator(
+            self, cochain_layout(self.nerve, self.complex, self.degree + 1, self.level)
         )
+
+
+def cochain_layout(nerve, complex, degree, level) -> Layout:
+    """The layout of (nerve, complex, degree, level), cached on its owner:
+    the complex in geometric mode (keyed by the nerve), else the nerve."""
+    if complex is None:
+        return cached(nerve, ("deligne layout", degree, level),
+                      lambda: Layout(nerve, None, degree, level))
+    return cached(complex, ("deligne layout", nerve, degree, level),
+                  lambda: Layout(nerve, complex, degree, level))
+
+
+# -- the assembled differential --------------------------------------------
+
+
+def _d_terms(s):
+    """(face, coefficient) of the simplicial coboundary on a k-simplex, in
+    the order the per-face definition sums them: d f(u, v) = f(v) - f(u),
+    d w(a, b, c) = w(a, b) + w(b, c) - w(a, c)."""
+    if len(s) == 2:
+        return (((s[1],), 1), ((s[0],), -1))
+    if len(s) == 3:
+        return ((s[0:2], 1), (s[1:3], 1), ((s[0], s[2]), -1))
+    raise DeligneError(f"unsupported form degree {len(s) - 1}")
+
+
+def _fractional_parts(xs):
+    """[x - floor(x) for x in xs], each as ``_mod1`` computes it."""
+    xs = list(xs)
+    return list(map(sub, xs, map(math.floor, xs)))
+
+
+def _wrap_floats(xs):
+    """``_wrap_half`` of each float: y - 1 exactly where y > 1/2."""
+    ys = _fractional_parts(xs)
+    return map(sub, ys, map(gt, ys, repeat(0.5)))
+
+
+class DeligneOperator:
+    """D from ``source`` to ``target`` as an integer CSR matrix.
+
+    Row r of the matrix is target slot r; ``cols[indptr[r]:indptr[r+1]]``
+    are source slots and ``signs`` their coefficients (+-1).  Each row
+    lists its delta entries first and then its d entries.  ``blocks[k]``
+    describes the rows of target component k:
+    (first row, past-the-end row, delta entries per row, d entries per row,
+    sign of the d term, whether d eats the U(1) layer and is wrapped).
+    The stored signs of a wrapped block include the d sign; the matrix is
+    the linear part of D.
+    """
+
+    def __init__(self, source: Layout, target: Layout):
+        self.target = target
+        p, n = source.degree, source.level
+        geometric = source.complex is not None
+        index = source.slot_index
+        indptr, cols, signs = array("l", [0]), array("l"), array("b")
+        blocks = []
+        for k in range(target.n_components):
+            n_delta = p - k + 2 if k <= min(p, n) else 0
+            n_d = k + 1 if geometric and k >= 1 else 0
+            d_sign = (-1) ** (p - k + 1)
+            r0 = len(indptr) - 1
+            for i, face in enumerate(target.faces[k]):
+                subfaces = [face[:j] + face[j + 1 :] for j in range(n_delta)]
+                for r in range(target.starts[k][i], target.starts[k][i + 1]):
+                    s = target.simplices[r] if geometric else None
+                    try:
+                        for j, subface in enumerate(subfaces):
+                            cols.append(index[(k, subface, s)])
+                            signs.append((-1) ** j)
+                        if n_d:
+                            for b, coeff in _d_terms(s):
+                                cols.append(index[(k - 1, face, b)])
+                                signs.append(d_sign * coeff)
+                    except KeyError as exc:
+                        raise DeligneError(
+                            f"chart membership not monotone: no slot {exc.args[0]}"
+                        ) from None
+                    indptr.append(len(cols))
+            # two d entries per row: d eats the U(1) layer (k = 1)
+            blocks.append((r0, len(indptr) - 1, n_delta, n_d, d_sign, n_d == 2))
+        self.indptr, self.cols, self.signs = indptr, cols, signs
+        self.blocks = tuple(blocks)
+
+    def apply(self, x):
+        """D applied to a value vector of the source layout."""
+        floats = isinstance(x, array)
+        out = array("d") if floats else []
+        get = x.__getitem__
+        indptr, cols, signs = self.indptr, self.cols, self.signs
+        for r0, r1, n_delta, n_d, d_sign, wrap in self.blocks:
+            if r0 == r1:
+                continue
+            e0, e1 = indptr[r0], indptr[r1]
+            width = n_delta + n_d
+            if width == 0:  # pure-nerve top layer: d vanishes on constants
+                out.extend([Fraction(0)] * (r1 - r0))
+                continue
+
+            def column(j):
+                return map(get, cols[e0 + j : e1 : width])
+
+            def fold(first, last, flip):
+                # sum entries first..last-1 term by term, signs times flip
+                acc = column(first)
+                if signs[e0 + first] * flip < 0:
+                    acc = map(neg, acc)
+                for j in range(first + 1, last):
+                    acc = map(add if signs[e0 + j] * flip > 0 else sub, acc, column(j))
+                return acc
+
+            total = fold(0, n_delta, 1) if n_delta else None
+            if n_d:
+                if wrap:
+                    term = fold(n_delta, width, d_sign)
+                    term = _wrap_floats(term) if floats else map(_wrap_half, term)
+                    if total is None:
+                        total = term if d_sign > 0 else map(neg, term)
+                    else:
+                        total = map(add if d_sign > 0 else sub, total, term)
+                else:
+                    term = fold(n_delta, width, 1)
+                    total = term if total is None else map(add, total, term)
+            out.extend(total)
+        return out
+
+
+# -- cochains --------------------------------------------------------------
+
+
+def _normalize_u1(layout, values):
+    """Reduce the U(1) layer of a value vector into [0, 1), in place."""
+    lo, hi = layout.bounds(0)
+    if isinstance(values, array):
+        values[lo:hi] = array("d", _fractional_parts(values[lo:hi]))
+    else:
+        values[lo:hi] = [_mod1(x) for x in values[lo:hi]]
+    return values
+
+
+class DeligneCochain:
+    """Cech-Deligne cochain of total degree ``degree`` at level ``level``.
+
+    Built from ``components``: ``components[k]`` maps each face of size
+    degree - k + 1 to its value, a number in pure-nerve mode or (geometric
+    mode) a dict keyed by the k-simplices of ``complex`` carrying all the
+    face's charts.  A number is also accepted for the U(1) layer in
+    geometric mode.  The cochain keeps only its layout and the flat value
+    vector ``values``; the U(1) layer is reduced into [0, 1).
+    """
+
+    __slots__ = ("layout", "values")
+
+    def __init__(self, nerve, degree, level, components, complex=None):
+        layout = cochain_layout(nerve, complex, degree, level)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "values", _normalize_u1(layout, layout.pack(components)))
+
+    @classmethod
+    def packed(cls, layout: Layout, values):
+        """Cochain over ``layout`` owning the vector ``values`` (no checks)."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "layout", layout)
+        object.__setattr__(c, "values", _normalize_u1(layout, values))
+        return c
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DeligneCochain is immutable")
+
+    nerve = property(lambda self: self.layout.nerve)
+    complex = property(lambda self: self.layout.complex)
+    degree = property(lambda self: self.layout.degree)
+    level = property(lambda self: self.layout.level)
 
     @property
     def n_components(self):
-        return min(self.degree, self.level) + 1
+        return self.layout.n_components
+
+    @property
+    def components(self):
+        """Per-face dicts, derived from the value vector on each access."""
+        return tuple(self.component(k) for k in range(self.n_components))
 
     def component(self, k):
-        return self.components[k]
+        return self.layout.unpack(self.values, k)
+
+    def value(self, k, face, simplex=None):
+        """Value of component k at a sorted face (and simplex)."""
+        return self.values[self.layout.slot(k, face, simplex)]
 
     def is_pure_nerve(self):
         return self.complex is None
 
+    def __eq__(self, other):
+        if not isinstance(other, DeligneCochain):
+            return NotImplemented
+        return (
+            (self.degree, self.level) == (other.degree, other.level)
+            and self.nerve == other.nerve
+            and self.complex == other.complex
+            and list(self.values) == list(other.values)
+        )
 
-# -- value algebra (scalars or simplex dicts) ------------------------------
+    __hash__ = None
 
-
-def _vzero_like(val):
-    if isinstance(val, dict):
-        return {k: 0 for k in val}
-    return 0
-
-
-def _vadd(a, b):
-    if isinstance(a, dict) or isinstance(b, dict):
-        if not isinstance(a, dict):
-            a = {k: a for k in b}
-        if not isinstance(b, dict):
-            b = {k: b for k in a}
-        return {k: a[k] + b[k] for k in a.keys() & b.keys()}
-    return a + b
-
-
-def _vscale(s, a):
-    if isinstance(a, dict):
-        return {k: s * x for k, x in a.items()}
-    return s * a
+    def __repr__(self):
+        mode = "pure-nerve" if self.complex is None else "geometric"
+        return (
+            f"DeligneCochain(degree={self.degree}, level={self.level}, "
+            f"{mode}, {len(self.values)} values)"
+        )
 
 
-def _vmaxabs(a):
-    if isinstance(a, dict):
-        return max((abs(x) for x in a.values()), default=0)
-    return abs(a)
-
-
-def cochain_add(c1: DeligneCochain, c2: DeligneCochain) -> DeligneCochain:
+def _check_compatible(c1, c2):
     if c1.nerve is not c2.nerve and c1.nerve != c2.nerve:
         raise DeligneError("cochains live over different nerves")
     if (c1.degree, c1.level) != (c2.degree, c2.level):
         raise DeligneError("cochain degree/level mismatch")
-    comps = tuple(
-        {f: _vadd(a[f], b[f]) for f in a}
-        for a, b in zip(c1.components, c2.components)
-    )
-    return DeligneCochain(
-        nerve=c1.nerve,
-        degree=c1.degree,
-        level=c1.level,
-        components=comps,
-        complex=c1.complex or c2.complex,
-    )
+    if c1.complex is not c2.complex and c1.complex != c2.complex:
+        raise DeligneError("cochains live over different complexes")
+
+
+def cochain_add(c1: DeligneCochain, c2: DeligneCochain) -> DeligneCochain:
+    _check_compatible(c1, c2)
+    if isinstance(c1.values, array) and isinstance(c2.values, array):
+        values = array("d", map(add, c1.values, c2.values))
+    else:
+        values = list(map(add, c1.values, c2.values))
+    return DeligneCochain.packed(c1.layout, values)
 
 
 def cochain_scale(s, c: DeligneCochain) -> DeligneCochain:
-    comps = tuple({f: _vscale(s, v) for f, v in comp.items()} for comp in c.components)
-    return DeligneCochain(
-        nerve=c.nerve, degree=c.degree, level=c.level, components=comps,
-        complex=c.complex,
-    )
+    values = [s * x for x in c.values]
+    if isinstance(c.values, array):
+        values = array("d", values)
+    return DeligneCochain.packed(c.layout, values)
 
 
 def cochain_neg(c: DeligneCochain) -> DeligneCochain:
@@ -177,117 +462,20 @@ def cochain_sub(c1, c2):
 
 
 def zero_cochain(nerve, degree, level, complex=None) -> DeligneCochain:
-    comps = []
-    for k in range(min(degree, level) + 1):
-        faces = nerve.faces_of_size(degree - k + 1)
-        comp = {}
-        for f in faces:
-            if complex is not None and k >= 1:
-                comp[f] = {s: 0 for s in _face_domain(complex, f, k)}
-            else:
-                comp[f] = Fraction(0) if complex is None else 0.0
-        comps.append(comp)
-    return DeligneCochain(
-        nerve=nerve, degree=degree, level=level, components=tuple(comps),
-        complex=complex,
-    )
-
-
-# -- geometric domains -----------------------------------------------------
-
-
-def _face_domain(cc: CoveredComplex, face, k):
-    """k-simplices of the complex carried by every chart in ``face``."""
-    cache = getattr(cc, "_domain_cache", None)
-    if cache is None:
-        cache = {}
-        cc._domain_cache = cache
-    key = (tuple(face), k)
-    if key not in cache:
-        if k == 0:
-            simps = [(v,) for v in cc.vertices]
-        elif k == 1:
-            simps = cc.edges
-        elif k == 2:
-            simps = cc.tri_keys
-        else:
-            simps = cc.tet_keys
-        fs = set(face)
-        cache[key] = tuple(s for s in simps if fs <= cc.charts_of(s))
-    return cache[key]
-
-
-def _space_d(cc: CoveredComplex, val, k_out, face):
-    """Simplicial coboundary of a (k_out-1)-form value, restricted to face.
-
-    For k_out = 1 the input is the U(1) layer: constants differentiate to
-    zero, per-vertex turn dicts differentiate to wrap(t(v) - t(u)).
-    """
-    dom = _face_domain(cc, face, k_out)
-    if not isinstance(val, dict):
-        return {s: 0 for s in dom}
-    if k_out == 1:
-        # U(1) layer realized per vertex (keys are singleton tuples)
-        return {(u, v): _wrap_half(val[(v,)] - val[(u,)]) for u, v in dom}
-    if k_out == 2:
-        out = {}
-        for a, b, c in dom:
-            out[(a, b, c)] = val[(a, b)] + val[(b, c)] - val[(a, c)]
-        return out
-    if k_out == 3:
-        out = {}
-        for tk in dom:
-            out[tk] = sum(
-                (-1) ** i * val[tuple(x for j, x in enumerate(tk) if j != i)]
-                for i in range(4)
-            )
-        return out
-    raise DeligneError(f"unsupported form degree {k_out}")
-
-
-def _restrict(cc, val, face, k):
-    if cc is None or not isinstance(val, dict):
-        return val
-    return {s: val[s] for s in _face_domain(cc, face, k)}
+    layout = cochain_layout(nerve, complex, degree, level)
+    if complex is None:
+        values = [Fraction(0)] * layout.size
+    else:
+        values = array("d", bytes(8 * layout.size))
+    return DeligneCochain.packed(layout, values)
 
 
 # -- differential ----------------------------------------------------------
 
 
 def deligne_differential(c: DeligneCochain) -> DeligneCochain:
-    p = c.degree
-    n = c.level
-    cc = c.complex
-    out = []
-    for k in range(min(p + 1, n) + 1):
-        faces = c.nerve.faces_of_size(p - k + 2)
-        comp = {}
-        for J in faces:
-            total = None
-            if k <= min(p, n):
-                src = c.components[k]
-                for j in range(len(J)):
-                    sub = J[:j] + J[j + 1 :]
-                    term = _vscale((-1) ** j, _restrict(cc, src[sub], J, k))
-                    total = term if total is None else _vadd(total, term)
-            if 1 <= k and k - 1 <= min(p, n):
-                prev = c.components[k - 1][J]
-                sign = (-1) ** (p - k + 1)
-                if cc is not None:
-                    term = _vscale(sign, _space_d(cc, prev, k, J))
-                    total = term if total is None else _vadd(total, term)
-                # pure-nerve mode: d vanishes on constants
-            if total is None:
-                total = (
-                    {s: 0 for s in _face_domain(cc, J, k)}
-                    if cc is not None and k >= 1
-                    else Fraction(0) if cc is None else 0.0
-                )
-            comp[J] = total
-        out.append(comp)
-    return DeligneCochain(
-        nerve=c.nerve, degree=p + 1, level=n, components=tuple(out), complex=cc
-    )
+    op = c.layout.differential
+    return DeligneCochain.packed(op.target, op.apply(c.values))
 
 
 def is_cocycle(c: DeligneCochain, tol=0) -> bool:
@@ -298,18 +486,17 @@ def is_cocycle(c: DeligneCochain, tol=0) -> bool:
     branch and exponentiate away); in pure-nerve mode they must vanish
     exactly up to tol.
     """
-    dc = deligne_differential(c)
-    for k, comp in enumerate(dc.components):
-        for val in comp.values():
-            entries = val.values() if isinstance(val, dict) else (val,)
-            for x in entries:
-                if k == 0 or c.complex is not None:
-                    if not _is_integer(x, tol):
-                        return False
-                else:
-                    if abs(x) > tol:
-                        return False
-    return True
+    op = c.layout.differential
+    dc = op.apply(c.values)
+    if isinstance(dc, array):
+        # |wrap(x)| is min(y, 1 - y) for the fractional part y of x
+        ys = _fractional_parts(dc)
+        return max(map(min, ys, map(sub, repeat(1.0), ys)), default=0.0) <= tol
+    # the U(1) layer comes first; in geometric mode every layer is mod 1
+    hi = op.target.bounds(0)[1] if c.complex is None else len(dc)
+    return all(_is_integer(x, tol) for x in dc[:hi]) and all(
+        abs(x) <= tol for x in dc[hi:]
+    )
 
 
 # -- nerve cohomology and the obstruction class ----------------------------
@@ -497,7 +684,7 @@ def solve_trivialization(c: DeligneCochain, tol=1e-9) -> TrivializationResult:
     if not c.is_pure_nerve():
         raise DeligneError("trivialization solving requires pure-nerve mode")
     nerve = c.nerve
-    g = c.components[0]
+    g = c.component(0)
     obstruction = dd_class(nerve, g)
     if not obstruction.is_zero:
         return TrivializationResult(
@@ -518,7 +705,7 @@ def solve_trivialization(c: DeligneCochain, tol=1e-9) -> TrivializationResult:
     for r, (i, j) in enumerate(pairs):
         mat[r][idx[(j,)]] += 1
         mat[r][idx[(i,)]] -= 1
-    a_comp = c.components[1]
+    a_comp = c.component(1)
     rhs = [Fraction(-a_comp[p]) for p in pairs]
     w = solve_rational(mat, rhs)
     if w is None:
@@ -532,7 +719,7 @@ def solve_trivialization(c: DeligneCochain, tol=1e-9) -> TrivializationResult:
         components=({p: h[p] for p in pairs}, dict(w_map)),
     )
     # rho is the common value of B_i + (dW)_i; dW = 0 on constants
-    b_comp = c.components[2]
+    b_comp = c.component(2)
     rho_vals = {f: b_comp[f] for f in singles}
     rho = rho_vals[singles[0]]
     if any(v != rho for v in rho_vals.values()):
@@ -545,17 +732,16 @@ def solve_trivialization(c: DeligneCochain, tol=1e-9) -> TrivializationResult:
 
 def trivialization_defect(c, result, tol=1e-9):
     """Max-norm of (0, 0, rho) - c - D(h, W); U(1) layer modulo 1."""
-    dt = deligne_differential(result.trivialization)
-    total = cochain_add(c, dt)
+    total = cochain_add(c, deligne_differential(result.trivialization))
+    layout, values = total.layout, total.values
     worst = 0
-    for k, comp in enumerate(total.components):
-        for f, val in comp.items():
+    for k in range(total.n_components):
+        lo, hi = layout.bounds(k)
+        for x in values[lo:hi]:
             if k == total.n_components - 1:
-                val = _vadd(val, _vscale(-1, result.rho))
-            entries = val.values() if isinstance(val, dict) else (val,)
-            for x in entries:
-                err = abs(_wrap_half(x)) if k == 0 else abs(x)
-                worst = max(worst, err)
+                x = x + (-1) * result.rho
+            err = abs(_wrap_half(x)) if k == 0 else abs(x)
+            worst = max(worst, err)
     return worst
 
 
@@ -625,7 +811,7 @@ def pullback_cochain(c: DeligneCochain, index_map, simplex_map=None):
         # val lives over the image face; transport back to the source face
         if isinstance(val, dict):
             if inv_vertex is None:
-                return {s: _vscale(sign, x) for s, x in val.items()}
+                return {s: sign * x for s, x in val.items()}
             out = {}
             for s, x in val.items():
                 src = tuple(inv_vertex[v] for v in s)

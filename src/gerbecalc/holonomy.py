@@ -13,7 +13,13 @@ The local formula folds three layers over the surface:
 
 With this ordering the gauge variation telescopes away: the edge terms
 absorb the per-triangle boundary of the 1-form shift, and the corner
-terms around each vertex fan cancel in a closed cycle.
+terms around each vertex fan cancel in a closed cycle.  For a fixed
+chart assignment S is h.c for an integer vector h over the slots of the
+degree-2 cochain layout, so the telescoping is the exact integer identity
+h.D_1 = 0 with the assembled differential of :mod:`gerbecalc.deligne`
+(whose dlog wrap only adds integers, absorbed by exp(2pi i S));
+``tests/test_holonomy.py::test_gauge_invariance_is_exact`` checks it, as
+``tests/test_deligne_operator.py`` checks D_{p+1} D_p = 0.
 
 The result is exp(2pi i S).  The formula is pinned by its invariances
 (gauge shifts, chart reassignment, trivial-gerbe reduction) rather than
@@ -24,11 +30,19 @@ determinism.
 from __future__ import annotations
 
 import cmath
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .deligne import DeligneCochain, DeligneError, is_cocycle, perm_sign
-from .nerve import ComplexError, CoveredComplex
+from .deligne import (
+    DeligneCochain,
+    DeligneError,
+    _face_domain,
+    cochain_layout,
+    is_cocycle,
+    perm_sign,
+)
+from .nerve import CoveredComplex, cached
 
 
 class HolonomyError(ValueError):
@@ -69,23 +83,11 @@ def random_assignment(cc: CoveredComplex, rng) -> ChartAssignment:
     return ChartAssignment(triangle_chart=tri, vertex_chart=vert)
 
 
-def _eval_on(val, simplex):
-    """Value of a (possibly constant) simplicial cochain on a simplex."""
-    if isinstance(val, dict):
-        return val[simplex]
-    return val
-
-
-def _alternating(comp, indices, simplex=None):
-    """Component value on an index tuple via the alternating extension."""
+def _alternating(c, k, indices, simplex):
+    """Component k on an index tuple via the alternating extension."""
     if len(set(indices)) != len(indices):
         return 0
-    face = tuple(sorted(indices))
-    sign = perm_sign(indices)
-    val = comp[face]
-    if isinstance(val, dict):
-        val = val[simplex]
-    return sign * val
+    return perm_sign(indices) * c.value(k, tuple(sorted(indices)), simplex)
 
 
 def holonomy_exponent(cc: CoveredComplex, c: DeligneCochain, asg: ChartAssignment):
@@ -98,12 +100,11 @@ def holonomy_exponent(cc: CoveredComplex, c: DeligneCochain, asg: ChartAssignmen
     if (c.degree, c.level) != (2, 2):
         raise DeligneError("holonomy needs a degree-2, level-2 cochain")
     asg.validate(cc, c.nerve)
-    g_comp, a_comp, b_comp = c.components
     total = 0
     # values are stored on canonical (sorted) simplices; the surface
     # integral weights each by the orientation of its mesh triangle
     for t in cc.tri_keys:
-        total += cc.tri_sign[t] * _eval_on(b_comp[(asg.triangle_chart[t],)], t)
+        total += cc.tri_sign[t] * c.value(2, (asg.triangle_chart[t],), t)
     for e, inc in cc.edge_tris.items():
         (t1, s1), (t2, s2) = inc
         t_plus = t1 if s1 > 0 else t2
@@ -111,11 +112,11 @@ def holonomy_exponent(cc: CoveredComplex, c: DeligneCochain, asg: ChartAssignmen
         i_minus = asg.triangle_chart[t_minus]
         i_plus = asg.triangle_chart[t_plus]
         if i_minus != i_plus:
-            total += _alternating(a_comp, (i_plus, i_minus), e)
+            total += _alternating(c, 1, (i_plus, i_minus), e)
         tail, head = e
         for w, eps in ((head, 1), (tail, -1)):
             total += eps * _alternating(
-                g_comp, (i_plus, i_minus, asg.vertex_chart[w]), (w,)
+                c, 0, (i_plus, i_minus, asg.vertex_chart[w]), (w,)
             )
     return total
 
@@ -131,26 +132,21 @@ def surface_holonomy(cc, c, asg) -> complex:
 
 
 def restrict_to_boundary(ball: CoveredComplex, c: DeligneCochain):
-    """Restrict a geometric degree-2 cochain to the boundary surface."""
-    boundary = ball.boundary_surface()
-    nerve_b = boundary.nerve()
-    from .deligne import _face_domain
+    """Restrict a geometric degree-2 cochain to the boundary surface.
 
-    comps = []
-    for k, comp in enumerate(c.components):
-        new = {}
-        for f in nerve_b.faces_of_size(2 - k + 1):
-            val = comp[f]
-            if isinstance(val, dict):
-                new[f] = {s: val[s] for s in _face_domain(boundary, f, k)}
-            else:
-                new[f] = val
-        comps.append(new)
-    cb = DeligneCochain(
-        nerve=nerve_b, degree=2, level=2, components=tuple(comps),
-        complex=boundary,
+    The boundary surface, its nerve and the slot map from the cochain's
+    layout are built once per ball and cached on it.
+    """
+    boundary = cached(ball, "boundary surface", ball.boundary_surface)
+    layout = cochain_layout(boundary.nerve(), boundary, 2, 2)
+    picks = cached(
+        ball, ("boundary slots", c.layout),
+        lambda: array("l", [c.layout.slot(*key) for key in layout.slots()]),
     )
-    return boundary, cb
+    values = c.values
+    restricted = array("d") if isinstance(values, array) else []
+    restricted.extend(map(values.__getitem__, picks))
+    return boundary, DeligneCochain.packed(layout, restricted)
 
 
 def stokes_check(
@@ -169,14 +165,11 @@ def stokes_check(
     """
     if ball.dim != 3:
         raise HolonomyError("stokes_check needs a 3-complex")
-    from .deligne import _face_domain
-
-    b_comp = c.components[2]
-    for (i,), val in b_comp.items():
-        for tet in _face_domain(ball, (i,), 3):
+    for face in c.nerve.faces_of_size(1):
+        for tet in _face_domain(ball, face, 3):
             db = sum(
                 (-1) ** j
-                * _eval_on(val, tuple(x for m, x in enumerate(tet) if m != j))
+                * c.value(2, face, tuple(x for m, x in enumerate(tet) if m != j))
                 for j in range(4)
             )
             if abs(db - H[tet]) > exactness_tol:

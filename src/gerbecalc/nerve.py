@@ -38,10 +38,26 @@ def perm_sign(seq):
     return sign
 
 
+def cached(owner, key, build):
+    """Value cached on a nerve or complex under ``key``, built once.
+
+    The cache lives and dies with its owner; a complex drops it whenever
+    its chart table is reassigned.
+    """
+    memo = owner._memo
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = build()
+        return value
+
+
 @dataclass(frozen=True)
 class CoverNerve:
     indices: tuple
     faces: frozenset  # of sorted tuples, subset-closed
+    # derived tables (faces by size, Deligne layouts), built on first use
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = set(self.indices)
@@ -50,16 +66,33 @@ class CoverNerve:
                 raise ComplexError(f"face not sorted: {f}")
             if not set(f) <= idx:
                 raise ComplexError(f"face uses unknown indices: {f}")
-            for k in range(1, len(f)):
-                for sub in combinations(f, k):
+            # codimension-1 subfaces suffice: by induction on size, every
+            # subset of f is then reached through faces that were checked
+            if len(f) > 1:
+                for j in range(len(f)):
+                    sub = f[:j] + f[j + 1 :]
                     if sub not in self.faces:
                         raise ComplexError(f"faces not subset-closed at {sub}")
         for i in self.indices:
             if (i,) not in self.faces:
                 raise ComplexError(f"missing singleton face ({i},)")
 
+    def _by_size(self):
+        def build():
+            groups = {}
+            for f in self.faces:
+                groups.setdefault(len(f), []).append(f)
+            return {k: tuple(sorted(fs)) for k, fs in groups.items()}
+
+        return cached(self, "faces by size", build)
+
     def faces_of_size(self, k):
-        return sorted(f for f in self.faces if len(f) == k)
+        """The k-index faces in sorted order (a shared tuple)."""
+        return self._by_size().get(k, ())
+
+    def face_set(self, k):
+        """The k-index faces as a frozenset."""
+        return cached(self, ("face set", k), lambda: frozenset(self.faces_of_size(k)))
 
     def is_face(self, subset):
         return tuple(sorted(subset)) in self.faces
@@ -100,6 +133,14 @@ class CoveredComplex:
     tetrahedra: list = field(default_factory=list)  # oriented 4-tuples
     charts: dict = field(default_factory=dict)  # simplex_key -> frozenset
     coords: dict = field(default_factory=dict)  # vertex -> tuple of floats
+    # tables derived from the chart table (face domains, nerve, Deligne
+    # layouts and operators); replaced whenever ``charts`` is reassigned
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        if name == "charts":
+            object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, name, value)
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -163,6 +204,28 @@ class CoveredComplex:
         except KeyError:
             raise ComplexError(f"simplex has no chart table entry: {key}")
 
+    def face_domains(self, k):
+        """Map each index set to the k-simplices carried by all its charts.
+
+        One pass files every k-simplex under each subset of its chart set,
+        so simplices keep their order within each domain.
+        """
+
+        def build():
+            if k == 0:
+                simplices = [(v,) for v in self.vertices]
+            else:
+                simplices = (self.edges, self.tri_keys, self.tet_keys)[k - 1]
+            domains = {}
+            for s in simplices:
+                charts = sorted(self.charts_of(s))
+                for size in range(1, len(charts) + 1):
+                    for face in combinations(charts, size):
+                        domains.setdefault(face, []).append(s)
+            return {face: tuple(simps) for face, simps in domains.items()}
+
+        return cached(self, ("face domains", k), build)
+
     # -- invariants --------------------------------------------------------
 
     def validate(self):
@@ -191,10 +254,14 @@ class CoveredComplex:
                         )
 
     def nerve(self):
-        """Nerve generated by the per-simplex chart sets."""
-        maximal = [tuple(sorted(self.charts_of(s))) for s in self.all_simplices()]
-        indices = sorted({i for f in maximal for i in f})
-        return make_nerve(indices, maximal)
+        """Nerve generated by the per-simplex chart sets (built once)."""
+
+        def build():
+            maximal = {tuple(sorted(self.charts_of(s))) for s in self.all_simplices()}
+            indices = sorted({i for f in maximal for i in f})
+            return make_nerve(indices, maximal)
+
+        return cached(self, "nerve", build)
 
     # -- coboundaries ------------------------------------------------------
 

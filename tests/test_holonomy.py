@@ -1,21 +1,29 @@
 """Holonomy invariances on the icosahedral sphere and discrete Stokes."""
 
 import cmath
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gerbecalc.holonomy
 from gerbecalc.deligne import (
     DeligneCochain,
     DeligneError,
     _face_domain,
     cochain_add,
+    cochain_layout,
     deligne_differential,
+    perm_sign,
     zero_cochain,
 )
 from gerbecalc.holonomy import (
     ChartAssignment,
     HolonomyError,
+    holonomy_exponent,
     random_assignment,
     restrict_to_boundary,
     stokes_check,
@@ -88,6 +96,54 @@ def test_gauge_invariance(sphere_setup):
     for _ in range(20):
         shifted = cochain_add(base, deligne_differential(random_gauge(nerve, cc, rng)))
         assert abs(surface_holonomy(cc, shifted, asg) - ref) < 1e-9
+
+
+def holonomy_vector(cc, layout, asg):
+    """Integer h with S = h.c over the slots of ``layout``, read off the
+    local formula term by term."""
+    h = {}
+
+    def add(k, indices, simplex, coeff):
+        if len(set(indices)) == len(indices):
+            slot = layout.slot(k, tuple(sorted(indices)), simplex)
+            h[slot] = h.get(slot, 0) + coeff * perm_sign(indices)
+
+    for t in cc.tri_keys:
+        add(2, (asg.triangle_chart[t],), t, cc.tri_sign[t])
+    for e, ((t1, s1), (t2, _)) in cc.edge_tris.items():
+        t_plus, t_minus = (t1, t2) if s1 > 0 else (t2, t1)
+        i_plus, i_minus = asg.triangle_chart[t_plus], asg.triangle_chart[t_minus]
+        if i_plus != i_minus:
+            add(1, (i_plus, i_minus), e, 1)
+        tail, head = e
+        for w, eps in ((head, 1), (tail, -1)):
+            add(0, (i_plus, i_minus, asg.vertex_chart[w]), (w,), eps)
+    return h
+
+
+def test_gauge_invariance_is_exact(sphere_setup):
+    # S = h.c, and h.D_1 = 0 as an integer product: every gauge shift
+    # D(h, W) moves S by an integer (the dlog wrap adds integers only)
+    cc, nerve, _ = sphere_setup
+    rng = random.Random(17)
+    layout = cochain_layout(nerve, cc, 2, 2)
+    d1 = cochain_layout(nerve, cc, 1, 2).differential
+    assert d1.target is layout
+    rho = {t: rng.uniform(-1, 1) for t in cc.tri_keys}
+    c = cochain_add(
+        trivial_gerbe(nerve, cc, rho),
+        deligne_differential(random_gauge(nerve, cc, rng)),
+    )
+    for _ in range(10):
+        asg = random_assignment(cc, rng)
+        h = holonomy_vector(cc, layout, asg)
+        s = sum(coeff * c.values[slot] for slot, coeff in h.items())
+        assert abs(s - holonomy_exponent(cc, c, asg)) < 1e-12
+        hd = {}
+        for row, coeff in h.items():
+            for e in range(d1.indptr[row], d1.indptr[row + 1]):
+                hd[d1.cols[e]] = hd.get(d1.cols[e], 0) + coeff * d1.signs[e]
+        assert hd and not any(hd.values())
 
 
 def test_assignment_independence(sphere_setup):
@@ -243,3 +299,28 @@ def test_stokes_rejects_non_primitive(ball_setup):
     asg = random_assignment(boundary, rng)
     with pytest.raises(HolonomyError):
         stokes_check(ball, c, H, asg)
+
+
+def test_boundary_is_built_once_per_ball(ball_setup):
+    ball, nerve = ball_setup
+    c, _ = ball_trivial_gerbe(ball, nerve, {t: 0.0 for t in ball.tri_keys})
+    boundary, cb = restrict_to_boundary(ball, c)
+    again, cb_again = restrict_to_boundary(ball, c)
+    assert again is boundary and cb_again.layout is cb.layout
+    assert boundary.nerve() is again.nerve()
+
+
+def test_holonomy_path_imports_no_numpy():
+    # the Deligne and holonomy layers stay pure Python: importing numpy
+    # alone adds about 14 MB to a process
+    src = Path(gerbecalc.holonomy.__file__).resolve().parents[1]
+    code = (
+        "import sys, gerbecalc.holonomy; "
+        "print([m for m in ('numpy', 'scipy') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -25,6 +25,33 @@ def test_nerve_subset_closure_enforced():
     nerve = make_nerve([0, 1, 2], [(0, 1, 2)])
     assert nerve.is_face((1, 0))
     assert nerve.dimension == 2
+    # validation checks codimension-1 subfaces only; a face missing two
+    # levels below a maximal face is still caught, through the middle level
+    full = make_nerve(range(4), [(0, 1, 2, 3)])
+    for missing in ((0, 1), (2,)):
+        with pytest.raises(ComplexError):
+            CoverNerve(indices=full.indices, faces=full.faces - {missing})
+
+
+def test_faces_of_size_is_cached_and_read_only():
+    nerve = simplex_nerve(5)
+    pairs = nerve.faces_of_size(2)
+    assert isinstance(pairs, tuple) and pairs is nerve.faces_of_size(2)
+    assert list(pairs) == sorted(f for f in nerve.faces if len(f) == 2)
+    assert nerve.face_set(2) == frozenset(pairs)
+    assert nerve.faces_of_size(7) == ()
+
+
+def test_chart_reassignment_drops_cached_tables():
+    cc = icosahedron()
+    nerve = cc.nerve()
+    assert cc.nerve() is nerve
+    assert cc.face_domains(0)[(0,)] == ((0,), (1,), (5,), (7,), (10,), (11,))
+    cc.charts = {s: frozenset({0}) for s in cc.all_simplices()}
+    assert cc.nerve().faces == frozenset({(0,)})
+    assert cc.face_domains(0) == {(0,): tuple((v,) for v in cc.vertices)}
+    vertex_star_cover(cc)
+    assert cc.nerve() == nerve
 
 
 def test_simplex_and_sphere_nerves():
