@@ -17,8 +17,6 @@ import random
 import sys
 import time
 
-import numpy as np
-
 
 class CliError(ValueError):
     pass
@@ -52,6 +50,14 @@ class RunReport:
              "ok": bool(ok)}
         )
         return ok
+
+    def add_checker_report(self, rep, tol):
+        """Copy a checker's (name, ok, residual, detail) rows into checks,
+        recording the detail of each failed row as "<name> worst at"."""
+        for name, ok, residual, detail in rep.checks:
+            self.add_check(name, float(residual), tol, ok=ok)
+            if detail and not ok:
+                self.results[f"{name} worst at"] = detail
 
     @property
     def ok(self):
@@ -174,10 +180,7 @@ def cmd_deligne_check_module(args, report):
     report.add_input(args.bundle)
     c, data = module_bundle_from_json(load_json(args.bundle))
     rep = check_module_data(c, data, tol=args.tol)
-    for name, ok, residual, detail in rep.checks:
-        report.add_check(name, float(residual), args.tol, ok=ok)
-        if detail and not ok:
-            report.results[f"{name} worst at"] = detail
+    report.add_checker_report(rep, args.tol)
     return report
 
 
@@ -188,10 +191,7 @@ def cmd_deligne_check_equivariant(args, report):
     report.add_input(args.bundle)
     act, xi, a, b = equivariant_bundle_from_json(load_json(args.bundle))
     rep = check_equivariant_data(act, xi, a, b, tol=args.tol)
-    for name, ok, residual, detail in rep.checks:
-        report.add_check(name, float(residual), args.tol, ok=ok)
-        if detail and not ok:
-            report.results[f"{name} worst at"] = detail
+    report.add_checker_report(rep, args.tol)
     return report
 
 
@@ -202,8 +202,7 @@ def cmd_deligne_check_jandl(args, report):
     report.add_input(args.bundle)
     invol, xi, a, phi = jandl_bundle_from_json(load_json(args.bundle))
     rep = check_jandl_data(invol, xi, a, phi, tol=args.tol)
-    for name, ok, residual, detail in rep.checks:
-        report.add_check(name, float(residual), args.tol, ok=ok)
+    report.add_checker_report(rep, args.tol)
     return report
 
 
@@ -268,6 +267,8 @@ def cmd_lienum_integrate_h(args, report):
 
 
 def cmd_lienum_verify_omega(args, report):
+    import numpy as np
+
     from .lienum import calibrate_H, exp_alcove, fd_exterior_derivative
     from .lienum.classes import ConjugacyChart
 
@@ -297,6 +298,8 @@ def cmd_lienum_verify_omega(args, report):
 
 
 def cmd_lienum_verify_varpi(args, report):
+    import numpy as np
+
     from .lienum import calibrate_H, eval_H, exp_alcove, fd_exterior_derivative, varpi
     from .lienum.classes import BiconjugacyChart
     from .lienum.core import random_group

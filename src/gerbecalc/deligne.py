@@ -46,11 +46,11 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 from operator import add, gt, neg, sub
 
-from .intlinalg import matvec, smith_normal_form, solve_rational
+from .intlinalg import cochain_cohomology, matvec, smith_normal_form, solve_rational
 from .nerve import CoverNerve, CoveredComplex, cached, perm_sign
 
 
@@ -502,18 +502,21 @@ def is_cocycle(c: DeligneCochain, tol=0) -> bool:
 # -- nerve cohomology and the obstruction class ----------------------------
 
 
-@lru_cache(maxsize=None)
 def _coboundary_matrix(nerve: CoverNerve, degree: int):
-    """Integer matrix of delta: C^degree -> C^(degree+1) on the nerve."""
-    src = nerve.faces_of_size(degree + 1)
-    dst = nerve.faces_of_size(degree + 2)
-    idx = {f: i for i, f in enumerate(src)}
-    mat = [[0] * len(src) for _ in dst]
-    for r, J in enumerate(dst):
-        for j in range(len(J)):
-            sub = J[:j] + J[j + 1 :]
-            mat[r][idx[sub]] += (-1) ** j
-    return src, dst, mat
+    """Integer matrix of delta: C^degree -> C^(degree+1), cached on the nerve."""
+
+    def build():
+        src = nerve.faces_of_size(degree + 1)
+        dst = nerve.faces_of_size(degree + 2)
+        idx = {f: i for i, f in enumerate(src)}
+        mat = [[0] * len(src) for _ in dst]
+        for r, J in enumerate(dst):
+            for j in range(len(J)):
+                sub = J[:j] + J[j + 1 :]
+                mat[r][idx[sub]] += (-1) ** j
+        return src, dst, mat
+
+    return cached(nerve, ("coboundary", degree), build)
 
 
 def cech_cohomology(nerve: CoverNerve, degree: int):
@@ -521,25 +524,18 @@ def cech_cohomology(nerve: CoverNerve, degree: int):
     if degree < 0:
         raise DeligneError("degree must be >= 0")
     n_k = len(nerve.faces_of_size(degree + 1))
-    if n_k == 0:
-        return 0, []
-    _, _, d_next = _coboundary_matrix(nerve, degree)
-    if degree == 0:
-        d_prev = []
-    else:
-        _, _, d_prev = _coboundary_matrix(nerve, degree - 1)
-    from .intlinalg import cochain_cohomology
-
-    return cochain_cohomology(d_prev, d_next, n_k)
+    d_prev = _coboundary_matrix(nerve, degree - 1)[2] if degree else []
+    return cochain_cohomology(d_prev, _coboundary_matrix(nerve, degree)[2], n_k)
 
 
-@lru_cache(maxsize=None)
 def _snf_of_coboundary(nerve: CoverNerve, degree: int):
-    src, dst, mat = _coboundary_matrix(nerve, degree)
-    if not dst or not src:
-        return src, dst, mat, None
-    d, u, v = smith_normal_form(mat)
-    return src, dst, mat, (d, u, v)
+    """The coboundary matrix with its Smith form (d, U, V), cached on the nerve."""
+
+    def build():
+        src, dst, mat = _coboundary_matrix(nerve, degree)
+        return src, dst, mat, (smith_normal_form(mat) if src and dst else None)
+
+    return cached(nerve, ("coboundary snf", degree), build)
 
 
 @dataclass(frozen=True)
@@ -698,13 +694,7 @@ def solve_trivialization(c: DeligneCochain, tol=1e-9) -> TrivializationResult:
         )
     # with D(h, W)_1 = delta(W) - dlog(h) and dlog = 0 on constants,
     # the form layer needs delta(W) = -A exactly
-    pairs = nerve.faces_of_size(2)
-    singles = nerve.faces_of_size(1)
-    idx = {f: i for i, f in enumerate(singles)}
-    mat = [[0] * len(singles) for _ in pairs]
-    for r, (i, j) in enumerate(pairs):
-        mat[r][idx[(j,)]] += 1
-        mat[r][idx[(i,)]] -= 1
+    singles, pairs, mat = _coboundary_matrix(nerve, 0)
     a_comp = c.component(1)
     rhs = [Fraction(-a_comp[p]) for p in pairs]
     w = solve_rational(mat, rhs)
@@ -713,20 +703,17 @@ def solve_trivialization(c: DeligneCochain, tol=1e-9) -> TrivializationResult:
             None, None, obstruction,
             "form layer has nonzero real class; no trivialization",
         )
-    w_map = {f: val for f, val in zip(singles, w)}
-    triv = DeligneCochain(
-        nerve=nerve, degree=1, level=2,
-        components=({p: h[p] for p in pairs}, dict(w_map)),
-    )
     # rho is the common value of B_i + (dW)_i; dW = 0 on constants
     b_comp = c.component(2)
-    rho_vals = {f: b_comp[f] for f in singles}
-    rho = rho_vals[singles[0]]
-    if any(v != rho for v in rho_vals.values()):
+    rho = b_comp[singles[0]]
+    if any(b_comp[f] != rho for f in singles):
         return TrivializationResult(
             None, None, obstruction,
             "curvature component is not globally constant",
         )
+    triv = DeligneCochain(
+        nerve=nerve, degree=1, level=2, components=(h, dict(zip(singles, w)))
+    )
     return TrivializationResult(triv, rho, None)
 
 

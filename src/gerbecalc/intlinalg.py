@@ -128,35 +128,6 @@ def invariant_factors(mat):
     return [x for x in d if x != 0]
 
 
-def rational_rank(mat):
-    """Rank over the rationals, by fraction-free style elimination."""
-    a = [[Fraction(x) for x in row] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    col = 0
-    for col in range(n):
-        piv = None
-        for i in range(rank, m):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pv = a[rank][col]
-        for i in range(rank + 1, m):
-            if a[i][col] != 0:
-                f = a[i][col] / pv
-                ai, ar = a[i], a[rank]
-                for j in range(col, n):
-                    ai[j] -= f * ar[j]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
 def solve_rational(mat, rhs):
     """Solve mat * x = rhs over the rationals; return x or None.
 
@@ -212,14 +183,11 @@ def cochain_cohomology(d_prev, d_next, n_k):
 
     ``d_prev`` maps C^{k-1} -> C^k and ``d_next`` maps C^k -> C^{k+1},
     given as integer matrices (rows indexed by target).  ``n_k`` is the
-    rank of C^k.  Returns (free_rank, [torsion coefficients > 1]).
+    rank of C^k.  Returns (free_rank, [torsion coefficients > 1]).  Both
+    ranks are counts of nonzero Smith-form diagonal entries, and the
+    torsion is the invariant factors of ``d_prev`` above 1.
     """
-    r_prev = rational_rank(d_prev) if d_prev and d_prev[0] else 0
-    r_next = rational_rank(d_next) if d_next and d_next[0] else 0
-    free = n_k - r_next - r_prev
-    if d_prev and d_prev[0]:
-        facs = invariant_factors(d_prev)
-    else:
-        facs = []
-    torsion = [f for f in facs if f > 1]
-    return free, torsion
+    facs = invariant_factors(d_prev) if d_prev and d_prev[0] else []
+    r_next = len(invariant_factors(d_next)) if d_next and d_next[0] else 0
+    free = n_k - r_next - len(facs)
+    return free, [f for f in facs if f > 1]

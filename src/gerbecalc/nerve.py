@@ -263,39 +263,6 @@ class CoveredComplex:
 
         return cached(self, "nerve", build)
 
-    # -- coboundaries ------------------------------------------------------
-
-    def d_vertex_cochain(self, f):
-        """Simplicial d of a 0-cochain (dict vertex -> value) on edges."""
-        return {(u, v): f[v] - f[u] for u, v in self.edges if u in f and v in f}
-
-    def d_edge_cochain(self, w, tri_keys=None):
-        """Simplicial d of a 1-cochain (dict edge -> value) on triangles."""
-        out = {}
-        for k in tri_keys if tri_keys is not None else self.tri_keys:
-            a, b, c = k
-            try:
-                out[k] = w[(a, b)] + w[(b, c)] - w[(a, c)]
-            except KeyError:
-                continue
-        return out
-
-    def d_tri_cochain(self, b, tet_keys=None):
-        """Simplicial d of a 2-cochain (dict tri_key -> value) on tets."""
-        out = {}
-        for tk in tet_keys if tet_keys is not None else self.tet_keys:
-            total = 0
-            ok = True
-            for i in range(4):
-                face = tuple(v for j, v in enumerate(tk) if j != i)
-                if face not in b:
-                    ok = False
-                    break
-                total += (-1) ** i * b[face]
-            if ok:
-                out[tk] = total
-        return out
-
     def boundary_surface(self):
         """Oriented boundary of a 3-complex as a new CoveredComplex."""
         if self.dim != 3:

@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .checkers import GerbeModuleData, GroupActionOnCover, InvolutionOnCover
 from .deligne import DeligneCochain
 from .holonomy import ChartAssignment
 from .nerve import ComplexError, CoverNerve, CoveredComplex, make_nerve, vertex_star_cover
+
+if TYPE_CHECKING:  # numpy (also behind checkers) is imported only on use
+    import numpy as np
+
+    from .checkers import GerbeModuleData
 
 
 class SerializationError(ValueError):
@@ -183,11 +186,15 @@ def assignment_from_json(doc: dict) -> ChartAssignment:
 
 
 def matrix_to_json(m) -> list:
+    import numpy as np
+
     m = np.asarray(m, dtype=complex)
     return [[[x.real, x.imag] for x in row] for row in m]
 
 
 def matrix_from_json(rows) -> np.ndarray:
+    import numpy as np
+
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
@@ -212,6 +219,8 @@ def module_bundle_to_json(c: DeligneCochain, data: GerbeModuleData) -> dict:
 
 
 def module_bundle_from_json(doc: dict):
+    from .checkers import GerbeModuleData
+
     try:
         c = cochain_from_json(doc["cochain"])
         data = GerbeModuleData(
@@ -236,6 +245,8 @@ def module_bundle_from_json(doc: dict):
 
 
 def equivariant_bundle_from_json(doc: dict):
+    from .checkers import GroupActionOnCover
+
     try:
         nerve = nerve_from_json(doc["nerve"])
         action_doc = doc["action"]
@@ -266,6 +277,8 @@ def equivariant_bundle_from_json(doc: dict):
 
 
 def jandl_bundle_from_json(doc: dict):
+    from .checkers import InvolutionOnCover
+
     try:
         nerve = nerve_from_json(doc["nerve"])
         invol = InvolutionOnCover(

@@ -17,7 +17,7 @@ from gerbecalc.deligne import (
     zero_cochain,
 )
 from gerbecalc.holonomy import random_assignment
-from gerbecalc.nerve import coned_ball, icosahedron, simplex_nerve
+from gerbecalc.nerve import coned_ball, icosahedron, simplex_nerve, sphere_nerve
 from gerbecalc.serialize import (
     assignment_from_json,
     assignment_to_json,
@@ -177,6 +177,48 @@ def test_deligne_check_fails_on_non_cocycle(capsys, tmp_path):
 
 def test_missing_file_is_error(capsys):
     assert run_cli(capsys, "deligne", "check", "/nonexistent.json")[0] == 2
+
+
+def test_checker_commands_report_failures(capsys, tmp_path):
+    # a swap of charts 0 and 1 with zero equivariant and involution data:
+    # a random coboundary xi is not invariant, so the first check of each
+    # checker fails; only the equivariant one names where
+    nerve = sphere_nerve()
+    ident = {str(i): i for i in nerve.indices}
+    swap = dict(ident, **{"0": 1, "1": 0})
+    xi = cochain_to_json(
+        deligne_differential(random_cochain(nerve, 1, 2, random.Random(11)))
+    )
+    zero = [cochain_to_json(zero_cochain(nerve, p, 2)) for p in (0, 1)]
+    equivariant = {
+        "nerve": nerve_to_json(nerve),
+        "action": {
+            "elements": [0, 1],
+            "identity": 0,
+            "mult": [
+                {"of": [g, h], "is": (g + h) % 2} for g in (0, 1) for h in (0, 1)
+            ],
+            "index_maps": {"0": ident, "1": swap},
+        },
+        "xi": xi,
+        "a": {g: zero[1] for g in ("0", "1")},
+        "b": {f"{g}|{h}": zero[0] for g in (0, 1) for h in (0, 1)},
+    }
+    jandl = {
+        "nerve": nerve_to_json(nerve), "involution": swap,
+        "xi": xi, "a": zero[1], "phi": zero[0],
+    }
+    for name, doc, worst_at in (
+        ("check-equivariant", equivariant, {"gerbe-shift worst at": "element 1"}),
+        ("check-jandl", jandl, {}),
+    ):
+        path = tmp_path / f"{name}.json"
+        dump_json(doc, path)
+        code, out, _ = run_cli(capsys, "--json", "deligne", name, str(path))
+        report = json.loads(out)
+        assert code == 1 and not report["checks"][0]["ok"]
+        assert all(c["ok"] for c in report["checks"][1:])
+        assert report["results"] == worst_at
 
 
 # -- holonomy subcommands --------------------------------------------------

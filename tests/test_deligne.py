@@ -1,6 +1,8 @@
 """Cech-Deligne engine: differential, cocycles, obstruction class, solver."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -128,6 +130,28 @@ def test_cech_cohomology_reference_values():
     susp = suspension_nerve()
     assert cech_cohomology(susp, 3) == (0, [2])
     assert cech_cohomology(susp, 2) == (0, [])
+    # Euler characteristic: the alternating sum of the free ranks equals
+    # the alternating count of faces, which the ranks are not computed from
+    for nerve, chi in ((simplex_nerve(5), 1), (sph, 2), (susp, 1)):
+        degrees = range(nerve.dimension + 1)
+        faces = sum((-1) ** k * len(nerve.faces_of_size(k + 1)) for k in degrees)
+        free = sum((-1) ** k * cech_cohomology(nerve, k)[0] for k in degrees)
+        assert free == faces == chi
+
+
+def test_nerve_outlives_no_reference():
+    # coboundaries and their Smith forms are cached on the nerve itself,
+    # so they die with it
+    refs = []
+    for n in range(4, 9):
+        nerve = simplex_nerve(n)
+        dd_class(nerve, random_u1_cocycle(nerve, random.Random(n)))
+        assert solve_trivialization(zero_cochain(nerve, 2, 2)).ok
+        cech_cohomology(nerve, 2)
+        refs.append(weakref.ref(nerve))
+    del nerve
+    gc.collect()
+    assert [r() for r in refs] == [None] * 5
 
 
 def torsion_u1_cocycle():

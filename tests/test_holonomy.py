@@ -311,11 +311,12 @@ def test_boundary_is_built_once_per_ball(ball_setup):
 
 
 def test_holonomy_path_imports_no_numpy():
-    # the Deligne and holonomy layers stay pure Python: importing numpy
-    # alone adds about 14 MB to a process
+    # the Deligne and holonomy layers, and the CLI and serialization that
+    # front them, stay pure Python: importing numpy alone adds about 14 MB
+    # to a process
     src = Path(gerbecalc.holonomy.__file__).resolve().parents[1]
     code = (
-        "import sys, gerbecalc.holonomy; "
+        "import sys, gerbecalc.holonomy, gerbecalc.cli, gerbecalc.serialize; "
         "print([m for m in ('numpy', 'scipy') if m in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=str(src))

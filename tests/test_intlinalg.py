@@ -11,7 +11,6 @@ from gerbecalc.intlinalg import (
     cochain_cohomology,
     invariant_factors,
     matvec,
-    rational_rank,
     smith_normal_form,
     solve_rational,
 )
@@ -103,13 +102,6 @@ def test_known_smith_forms():
     assert invariant_factors([[2, 4], [6, 8]]) == [2, 4]
     assert invariant_factors([[1]]) == [1]
     assert invariant_factors([[0]]) == []
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_matrices)
-def test_rational_rank_matches_pivot_count(mat):
-    d, _, _ = smith_normal_form(mat)
-    assert rational_rank(mat) == len([x for x in d if x != 0])
 
 
 def test_solve_rational_roundtrip():
