@@ -342,10 +342,11 @@ def cmd_lienum_verify_varpi(args, report):
 def cmd_lienum_wzw(args, report):
     from .lienum import (
         BallQuadrature,
-        amplitude_ratio,
+        check_shared_boundary,
         northern_extension,
         pullback_H_integral,
         southern_extension,
+        term_amplitude,
     )
     from .serialize import format_unit_complex, load_json
 
@@ -359,7 +360,9 @@ def cmd_lienum_wzw(args, report):
     k = args.level
     qn = pullback_H_integral(northern_extension, quad)
     qs = pullback_H_integral(southern_extension, quad)
-    ratio = amplitude_ratio(northern_extension, southern_extension, k, quad)
+    # the ratio amplitude_ratio would return, from the two integrals above
+    check_shared_boundary(northern_extension, southern_extension, quad)
+    ratio = term_amplitude(qn, k) / term_amplitude(qs, k)
     m = round(qn - qs)
     report.results["topological term (north)"] = qn
     report.results["topological term (south)"] = qs

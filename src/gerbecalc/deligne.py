@@ -50,7 +50,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import add, gt, neg, sub
 
-from .intlinalg import cochain_cohomology, matvec, smith_normal_form, solve_rational
+from .intlinalg import matvec, smith_normal_form, solve_rational
 from .nerve import CoverNerve, CoveredComplex, cached, perm_sign
 
 
@@ -520,12 +520,21 @@ def _coboundary_matrix(nerve: CoverNerve, degree: int):
 
 
 def cech_cohomology(nerve: CoverNerve, degree: int):
-    """(free rank, torsion coefficients) of H^degree(nerve; Z)."""
+    """(free rank, torsion coefficients) of H^degree(nerve; Z).
+
+    Both ranks and the torsion are read off the Smith forms cached on the
+    nerve, as ``intlinalg.cochain_cohomology`` reads them off fresh ones.
+    """
     if degree < 0:
         raise DeligneError("degree must be >= 0")
-    n_k = len(nerve.faces_of_size(degree + 1))
-    d_prev = _coboundary_matrix(nerve, degree - 1)[2] if degree else []
-    return cochain_cohomology(d_prev, _coboundary_matrix(nerve, degree)[2], n_k)
+
+    def factors(p):
+        snf = _snf_of_coboundary(nerve, p)[3]
+        return [] if snf is None else [x for x in snf[0] if x != 0]
+
+    facs = factors(degree - 1) if degree else []
+    free = len(nerve.faces_of_size(degree + 1)) - len(factors(degree)) - len(facs)
+    return free, [f for f in facs if f > 1]
 
 
 def _snf_of_coboundary(nerve: CoverNerve, degree: int):

@@ -12,6 +12,7 @@ from .classes import (
     varpi,
 )
 from .core import (
+    MAX_QUAD_POINTS,
     AlgebraVector,
     ExpChart,
     GroupPoint,
@@ -39,11 +40,13 @@ from .forms import (
 from .wzw import (
     BallQuadrature,
     amplitude_ratio,
+    check_shared_boundary,
     constant_map,
     equatorial_boundary,
     northern_extension,
     pullback_H_integral,
     southern_extension,
+    term_amplitude,
     wzw_amplitude,
 )
 

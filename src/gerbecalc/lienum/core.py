@@ -15,13 +15,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
+from scipy.linalg import expm
 
 TOL_STRUCT = 1e-12
 
 
 class LieNumError(ValueError):
     pass
+
+
+# Most grid points or ball cells one quadrature may use.
+# Every quadrature is refused past it before it allocates anything.  It
+# admits the largest sizes in use, resolution 96 (884,736 points) and the
+# default ball (655,360 cells), and at about a microsecond per point it
+# caps one quadrature at a few seconds.
+MAX_QUAD_POINTS = 1 << 21
+
+
+def bound_work(count, unit, what):
+    """Raise LieNumError when ``what`` needs more than MAX_QUAD_POINTS."""
+    if count > MAX_QUAD_POINTS:
+        raise LieNumError(
+            f"{what} needs {count:,} {unit}, above the work bound of "
+            f"{MAX_QUAD_POINTS:,} (MAX_QUAD_POINTS)"
+        )
 
 
 def check_algebra(x, tol=1e-10):
@@ -135,12 +152,6 @@ class ExpChart:
 
     def point(self, params):
         return self.base @ expm(self.algebra(params))
-
-    def tangent_exact(self, params, dparams):
-        """dg in the chart direction, via the exact Frechet derivative."""
-        x = self.algebra(params)
-        dx = self.algebra(dparams)
-        return self.base @ expm_frechet(x, dx, compute_expm=False)
 
 
 # -- SU(2) <-> quaternion dictionary ---------------------------------------

@@ -1,6 +1,7 @@
 """Invariant differential forms on SU(n): the Maurer-Cartan form, the
 canonical bi-invariant 3-form H with its calibration, quadrature of H over
-SU(2), and a finite-difference exterior derivative for chart samplers.
+SU(2) (in bounded slices of the grid), and a finite-difference exterior
+derivative for chart samplers.
 
 Normalization: H evaluated on tangents (v1, v2, v3) at g is
 kappa * <theta(v1), [theta(v2), theta(v3)]>  with <X, Y> = -trace(XY);
@@ -20,6 +21,7 @@ from ..nerve import perm_sign
 from .core import (
     ExpChart,
     LieNumError,
+    bound_work,
     bracket,
     inner,
     pure_part,
@@ -101,39 +103,46 @@ def calibrate_H(gram_scale: float = 1.0) -> float:
     return 1.0 / (frame_value * 2.0 * np.pi**2)
 
 
-def su2_hypersphere(res: int):
-    """Midpoint grid on hyperspherical angles with analytic tangents.
+def integrate_H_SU2(resolution: int, kappa: float | None = None,
+                    gram_scale: float = 1.0) -> float:
+    """Midpoint quadrature of the calibrated H over SU(2); converges to 1.
 
-    Returns (points q, tangents (t_chi, t_theta, t_phi), cell volume) with
-    q = (cos chi, sin chi cos th, sin chi sin th cos ph, sin chi sin th sin ph),
-    chi, th in [0, pi], ph in [0, 2 pi]; arrays of shape (N, 4).
+    The grid is the midpoint grid on hyperspherical angles,
+    q = (cos chi, sin chi cos th, sin chi sin th cos ph, sin chi sin th sin ph)
+    with chi, th in [0, pi] and ph in [0, 2 pi], and H is taken on its
+    analytic coordinate tangents.  It is evaluated one chi value
+    (resolution^2 points) at a time, so memory beyond the resolution^3
+    densities stays constant; the densities are summed once.  A grid of
+    more than MAX_QUAD_POINTS points is refused before any allocation.
     """
+    if not isinstance(resolution, (int, np.integer)):
+        raise LieNumError("resolution must be an integer")
+    if resolution < 8:
+        raise LieNumError("resolution below 8 per angle is too coarse")
+    bound_work(resolution**3, "grid points",
+               f"integrate_H_SU2 at resolution {resolution}")
+    if kappa is None:
+        kappa = calibrate_H(gram_scale)
+    res = resolution
     chi = (np.arange(res) + 0.5) * np.pi / res
     th = (np.arange(res) + 0.5) * np.pi / res
     ph = (np.arange(res) + 0.5) * 2 * np.pi / res
-    C, T, P = np.meshgrid(chi, th, ph, indexing="ij")
-    c, t, p = C.ravel(), T.ravel(), P.ravel()
-    sc, cc, st, ct, sp, cp = np.sin(c), np.cos(c), np.sin(t), np.cos(t), np.sin(p), np.cos(p)
-    z = np.zeros_like(c)
-    q = np.stack([cc, sc * ct, sc * st * cp, sc * st * sp], axis=-1)
-    t_chi = np.stack([-sc, cc * ct, cc * st * cp, cc * st * sp], axis=-1)
-    t_th = np.stack([z, -sc * st, sc * ct * cp, sc * ct * sp], axis=-1)
-    t_ph = np.stack([z, z, -sc * st * sp, sc * st * cp], axis=-1)
+    T, P = np.meshgrid(th, ph, indexing="ij")
+    t, p = T.ravel(), P.ravel()
+    st, ct, sp, cp = np.sin(t), np.cos(t), np.sin(p), np.cos(p)
+    z = np.zeros_like(t)
+    n = len(t)
+    dens = np.empty(res * n)
+    for i, (sc, cc) in enumerate(zip(np.sin(chi), np.cos(chi))):
+        q = np.stack([np.full(n, cc), sc * ct, sc * st * cp, sc * st * sp], axis=-1)
+        t_chi = np.stack([np.full(n, -sc), cc * ct, cc * st * cp, cc * st * sp], axis=-1)
+        t_th = np.stack([z, -sc * st, sc * ct * cp, sc * ct * sp], axis=-1)
+        t_ph = np.stack([z, z, -sc * st * sp, sc * st * cp], axis=-1)
+        qbar = quat_conj(q)
+        us = [pure_part(quat_mul(qbar, v)) for v in (t_chi, t_th, t_ph)]
+        # H on the frame: kappa * 4 * det[u1 u2 u3] per point
+        dens[i * n:(i + 1) * n] = 4.0 * np.linalg.det(np.stack(us, axis=-2))
     cell = (np.pi / res) * (np.pi / res) * (2 * np.pi / res)
-    return q, (t_chi, t_th, t_ph), cell
-
-
-def integrate_H_SU2(resolution: int, kappa: float | None = None,
-                    gram_scale: float = 1.0) -> float:
-    """Midpoint quadrature of the calibrated H over SU(2); converges to 1."""
-    if resolution < 8:
-        raise LieNumError("resolution below 8 per angle is too coarse")
-    if kappa is None:
-        kappa = calibrate_H(gram_scale)
-    q, (t1, t2, t3), cell = su2_hypersphere(resolution)
-    u1, u2, u3 = (theta_su2(q, t) for t in (t1, t2, t3))
-    # H on the frame: kappa * 4 * det[u1 u2 u3] per point
-    dens = 4.0 * np.linalg.det(np.stack([u1, u2, u3], axis=-2))
     return float(kappa * gram_scale * np.sum(dens) * cell)
 
 

@@ -3,21 +3,25 @@ calibrated pullback of H over a triangulated solid ball, and the standard
 cap extensions used to test extension independence.
 
 A map Phi from the closed unit ball into SU(2) is supplied as a vectorized
-function from points of shape (N, 3) to unit quaternions of shape (N, 4);
-it must be defined on a small collar around the ball so central differences
-can be taken at the boundary.  The kinetic term is deliberately excluded:
-only exp(2 pi i k Q) with Q = integral of Phi*H is computed.
+function from points of shape (N, 3) to unit quaternions of shape (N, 4),
+acting row by row; it must be defined on a small collar around the ball so
+central differences can be taken at the boundary.  The quadrature calls it
+one radial layer of cells at a time, so memory beyond one density per cell
+stays constant, and a ball past MAX_QUAD_POINTS cells is refused before
+its mesh is built.  The kinetic term is deliberately excluded: only
+exp(2 pi i k Q) with Q = integral of Phi*H is computed.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..nerve import icosahedron, subdivide_sphere
-from .core import LieNumError, quat_conj, quat_mul
+from ..nerve import icosahedron_mesh, refine_sphere_mesh
+from .core import LieNumError, bound_work, quat_conj, quat_mul
 from .forms import calibrate_H
 
 FD_STEP_MAP = 1e-5
@@ -29,35 +33,43 @@ class BallQuadrature:
 
     Each cell is parameterized by x(r, s, t) = r (a + s (b - a) + t (c - a)),
     (s, t) in the unit triangle, r in a layer; the 3-form is sampled at the
-    cell center on the coordinate frame, with the unit-triangle area 1/2
-    as the (s, t) cell measure.
+    cell center on the coordinate frame (a + b + c) / 3, r (b - a),
+    r (c - a), with the unit-triangle area 1/2 as the (s, t) cell measure.
+    ``centers`` lists the cells layer by layer, ``radii`` holds the layer
+    mid-radii, and ``centroids`` and ``edges`` the per-triangle
+    (a + b + c) / 3 and (b - a, c - a).
     """
 
     subdivisions: int = 5
     layers: int = 32
 
     def __post_init__(self):
-        cc = icosahedron()
-        for _ in range(self.subdivisions):
-            cc = subdivide_sphere(cc)
-        tris = np.array(
-            [[cc.coords[v] for v in tri] for tri in cc.triangles]
-        )  # (T, 3, 3)
+        s, layers = self.subdivisions, self.layers
+        if not all(isinstance(v, (int, np.integer)) for v in (s, layers)) \
+                or s < 0 or layers < 1:
+            raise LieNumError(
+                "a ball quadrature needs integer subdivisions >= 0 and layers >= 1"
+            )
+        # the cells outnumber the 20 * 4**s mesh triangles, so bounding
+        # them bounds the mesh too; 4**s is formed only up to s = 32, far
+        # past the bound already, as a huge s would make the power slow
+        cells = 20 * 4**s * layers if s <= 32 else math.inf
+        bound_work(cells, "cells", f"a ball of {s} subdivisions and {layers} layers")
+        coords, triangles = icosahedron_mesh()
+        for _ in range(s):
+            coords, triangles = refine_sphere_mesh(coords, triangles)
+        tris = np.array([[coords[v] for v in tri] for tri in triangles])  # (T, 3, 3)
         a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
         centroid = (a + b + c) / 3.0
-        r_mid = (np.arange(self.layers) + 0.5) / self.layers
-        # cell centers and coordinate tangents, flattened over (layer, tri)
+        r_mid = (np.arange(layers) + 0.5) / layers
         centers = (r_mid[:, None, None] * centroid[None, :, :]).reshape(-1, 3)
-        t_r = np.broadcast_to(centroid[None], (self.layers,) + centroid.shape)
-        t_s = r_mid[:, None, None] * (b - a)[None]
-        t_t = r_mid[:, None, None] * (c - a)[None]
         object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "frame", tuple(
-            t.reshape(-1, 3) for t in (t_r, t_s, t_t)
-        ))
-        object.__setattr__(self, "weight", 0.5 / self.layers)
+        object.__setattr__(self, "radii", r_mid)
+        object.__setattr__(self, "centroids", centroid)
+        object.__setattr__(self, "edges", (b - a, c - a))
+        object.__setattr__(self, "weight", 0.5 / layers)
         object.__setattr__(self, "boundary_points", np.array(
-            [cc.coords[v] for v in sorted(cc.coords)]
+            [coords[v] for v in sorted(coords)]
         ))
 
 
@@ -70,30 +82,58 @@ def _check_unit_quaternions(q, what):
 
 def pullback_H_integral(phi, quad: BallQuadrature, kappa: float | None = None,
                         step: float = FD_STEP_MAP) -> float:
-    """Q = integral over the ball of the calibrated Phi*H."""
+    """Q = integral over the ball of the calibrated Phi*H.
+
+    One radial layer of cells is evaluated at a time; its densities go
+    into one vector over all cells, which is summed once.
+    """
     if kappa is None:
         kappa = calibrate_H()
-    x = quad.centers
-    q = np.asarray(phi(x), dtype=float)
-    _check_unit_quaternions(q, "the ball map")
-    qbar = quat_conj(q)
-    us = []
-    for w in quad.frame:
-        dq = (np.asarray(phi(x + step * w)) - np.asarray(phi(x - step * w))) / (2 * step)
-        us.append(quat_mul(qbar, dq)[:, 1:])  # theta of the pushed tangent
-    dens = 4.0 * np.linalg.det(np.stack(us, axis=-2))
+    n = len(quad.centroids)
+    ab, ac = quad.edges
+    dens = np.empty(len(quad.centers))
+    for layer, r in enumerate(quad.radii):
+        cells = slice(layer * n, (layer + 1) * n)
+        x = quad.centers[cells]
+        q = np.asarray(phi(x), dtype=float)
+        _check_unit_quaternions(q, "the ball map")
+        qbar = quat_conj(q)
+        us = []
+        for w in (quad.centroids, r * ab, r * ac):
+            dq = (np.asarray(phi(x + step * w)) - np.asarray(phi(x - step * w))) / (2 * step)
+            us.append(quat_mul(qbar, dq)[:, 1:])  # theta of the pushed tangent
+        dens[cells] = 4.0 * np.linalg.det(np.stack(us, axis=-2))
     return float(kappa * np.sum(dens) * quad.weight)
+
+
+def _check_level(level):
+    if level < 1 or int(level) != level:
+        raise LieNumError("level must be a positive integer")
+
+
+def term_amplitude(q: float, level: int) -> complex:
+    """exp(2 pi i k q) for a topological term q at level k."""
+    _check_level(level)
+    return cmath.exp(2j * cmath.pi * level * q)
 
 
 def wzw_amplitude(phi, level: int, quad: BallQuadrature | None = None,
                   kappa: float | None = None) -> complex:
     """exp(2 pi i k Q) for the topological term Q of the map phi."""
-    if level < 1 or int(level) != level:
-        raise LieNumError("level must be a positive integer")
+    _check_level(level)
     if quad is None:
         quad = BallQuadrature()
-    q = pullback_H_integral(phi, quad, kappa=kappa)
-    return cmath.exp(2j * cmath.pi * level * q)
+    return term_amplitude(pullback_H_integral(phi, quad, kappa=kappa), level)
+
+
+def check_shared_boundary(phi1, phi2, quad: BallQuadrature,
+                          boundary_tol: float = 1e-8) -> None:
+    """Raise unless the two maps agree on the boundary sphere of ``quad``."""
+    pts = quad.boundary_points
+    b1 = np.asarray(phi1(pts))
+    b2 = np.asarray(phi2(pts))
+    if np.max(np.abs(b1 - b2)) > boundary_tol:
+        raise LieNumError("extensions disagree on the boundary sphere")
 
 
 def amplitude_ratio(phi1, phi2, level: int, quad: BallQuadrature | None = None,
@@ -105,11 +145,7 @@ def amplitude_ratio(phi1, phi2, level: int, quad: BallQuadrature | None = None,
     """
     if quad is None:
         quad = BallQuadrature()
-    pts = quad.boundary_points
-    b1 = np.asarray(phi1(pts))
-    b2 = np.asarray(phi2(pts))
-    if np.max(np.abs(b1 - b2)) > boundary_tol:
-        raise LieNumError("extensions disagree on the boundary sphere")
+    check_shared_boundary(phi1, phi2, quad, boundary_tol)
     a1 = wzw_amplitude(phi1, level, quad)
     a2 = wzw_amplitude(phi2, level, quad)
     return a1 / a2

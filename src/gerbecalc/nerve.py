@@ -8,7 +8,8 @@ contain them; its nerve is generated by the per-simplex chart sets.
 
 Mesh fixtures (icosahedral spheres, their subdivisions, and coned solid
 balls) live here too, together with the vertex-star cover used by the
-holonomy tests.
+holonomy tests.  The sphere meshes also come chart-free, as plain
+(coords, triangles) pairs, for quadrature.
 """
 
 from __future__ import annotations
@@ -308,8 +309,9 @@ def vertex_star_cover(cc: CoveredComplex):
 # -- mesh fixtures --------------------------------------------------------
 
 
-def icosahedron():
-    """Oriented icosahedral sphere (12 vertices, 20 outward faces)."""
+def icosahedron_mesh():
+    """Icosahedral sphere as plain (coords, triangles): vertex -> unit point,
+    and 20 outward-oriented vertex triples."""
     phi = (1 + math.sqrt(5)) / 2
     raw = [
         (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
@@ -323,6 +325,12 @@ def icosahedron():
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
     ]
+    return coords, tris
+
+
+def icosahedron():
+    """Oriented icosahedral sphere (12 vertices, 20 outward faces)."""
+    coords, tris = icosahedron_mesh()
     cc = CoveredComplex(dim=2, triangles=tris, coords=coords)
     return vertex_star_cover(cc)
 
@@ -332,9 +340,10 @@ def _normalize(p):
     return tuple(x / n for x in p)
 
 
-def subdivide_sphere(cc: CoveredComplex):
-    """1-to-4 triangle split, midpoints reprojected to the unit sphere."""
-    coords = dict(cc.coords)
+def refine_sphere_mesh(coords, triangles):
+    """1-to-4 triangle split of a plain (coords, triangles) sphere mesh,
+    midpoints reprojected to the unit sphere; returns the new pair."""
+    coords = dict(coords)
     next_id = max(coords) + 1
     mid = {}
 
@@ -351,9 +360,15 @@ def subdivide_sphere(cc: CoveredComplex):
         return mid[key]
 
     tris = []
-    for a, b, c in cc.triangles:
+    for a, b, c in triangles:
         ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
         tris += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+    return coords, tris
+
+
+def subdivide_sphere(cc: CoveredComplex):
+    """1-to-4 triangle split, midpoints reprojected to the unit sphere."""
+    coords, tris = refine_sphere_mesh(cc.coords, cc.triangles)
     out = CoveredComplex(dim=2, triangles=tris, coords=coords)
     return vertex_star_cover(out)
 

@@ -113,14 +113,6 @@ class RootSystem:
     def dim(self):
         return len(self.simple_roots[0])
 
-    def gram(self):
-        """Inner-product matrix of the ambient space (a scaled identity)."""
-        d = self.dim
-        return [
-            [self.gram_scale if i == j else Fraction(0) for j in range(d)]
-            for i in range(d)
-        ]
-
     def inner(self, u, v):
         if len(u) != self.dim or len(v) != self.dim:
             raise RootSystemError("dimension mismatch with ambient space")

@@ -1,6 +1,7 @@
 """Gerbe-module, equivariant-structure, and involution-structure checkers."""
 
 import cmath
+import json
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from gerbecalc.deligne import (
     zero_cochain,
 )
 from gerbecalc.nerve import icosahedron, sphere_nerve
+from gerbecalc.serialize import module_bundle_from_json, module_bundle_to_json
 
 TWO_PI_I = 2j * np.pi
 
@@ -249,6 +251,25 @@ def test_module_line_bundle_passes(module_setup):
     cocycle, data = line_bundle_data(cc, nerve, rng)
     report = check_module_data(cocycle, data, tol=1e-9)
     assert report.ok, report.as_dict()
+
+
+def test_module_bundle_json_round_trip(module_setup):
+    cc, nerve = module_setup
+    cocycle, data = line_bundle_data(cc, nerve, random.Random(8))
+    doc = json.loads(json.dumps(module_bundle_to_json(cocycle, data)))
+    c2, data2 = module_bundle_from_json(doc)
+    assert c2.components == cocycle.components
+    assert (c2.degree, c2.level) == (cocycle.degree, cocycle.level)
+    assert data2.rank == data.rank and data2.omega == data.omega
+    for got, want in ((data2.transitions, data.transitions),
+                      (data2.connections, data.connections)):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].keys() == want[key].keys()
+            assert all(np.array_equal(got[key][k], want[key][k]) for k in want[key])
+    assert module_bundle_to_json(c2, data2) == doc
+    assert check_module_data(c2, data2, tol=1e-9).as_dict() == \
+        check_module_data(cocycle, data, tol=1e-9).as_dict()
 
 
 def test_module_identity_data_passes(module_setup):

@@ -16,6 +16,7 @@ from gerbecalc.deligne import (
     random_cochain,
     zero_cochain,
 )
+from gerbecalc import lienum
 from gerbecalc.holonomy import random_assignment
 from gerbecalc.nerve import coned_ball, icosahedron, simplex_nerve, sphere_nerve
 from gerbecalc.serialize import (
@@ -26,6 +27,7 @@ from gerbecalc.serialize import (
     complex_from_json,
     complex_to_json,
     dump_json,
+    format_unit_complex,
     matrix_from_json,
     matrix_to_json,
     nerve_from_json,
@@ -312,6 +314,40 @@ def test_holonomy_stokes_cli(capsys, tmp_path):
 def test_lienum_integrate_h(capsys):
     code, out, _ = run_cli(capsys, "lienum", "integrate-h", "--resolution", "16")
     assert code == 0 and "integral equals 1" in out
+
+
+def test_lienum_wzw_matches_library(capsys, tmp_path, monkeypatch):
+    spec = tmp_path / "ball.json"
+    dump_json({"subdivisions": 4, "layers": 8}, spec)
+    quad = lienum.BallQuadrature(subdivisions=4, layers=8)
+    north, south = lienum.northern_extension, lienum.southern_extension
+    expect = lienum.amplitude_ratio(north, south, 1, quad)
+    integral = lienum.wzw.pullback_H_integral
+    calls = []
+
+    def counted(phi, quad, **kw):
+        calls.append(phi)
+        return integral(phi, quad, **kw)
+
+    monkeypatch.setattr(lienum, "pullback_H_integral", counted)
+    monkeypatch.setattr(lienum.wzw, "pullback_H_integral", counted)
+    code, out, _ = run_cli(capsys, "--json", "lienum", "wzw", "--ball", str(spec))
+    results = json.loads(out)["results"]
+    assert code == 0 and calls == [north, south]  # one integral per extension
+    assert results["amplitude ratio"] == format_unit_complex(expect)
+    assert results["topological term (north)"] == integral(north, quad)
+    # the boundary agreement is still checked
+    monkeypatch.setattr(lienum, "southern_extension", lienum.constant_map)
+    code, _, err = run_cli(capsys, "lienum", "wzw", "--ball", str(spec))
+    assert code == 2 and "boundary" in err
+
+
+def test_lienum_oversized_requests_exit_2(capsys, tmp_path):
+    spec = tmp_path / "ball.json"
+    dump_json({"subdivisions": 12, "layers": 32}, spec)
+    for argv in (["integrate-h", "--resolution", "100000"], ["wzw", "--ball", str(spec)]):
+        code, out, err = run_cli(capsys, "--json", "lienum", *argv)
+        assert code == 2 and out == "" and "above the work bound of 2,097,152" in err
 
 
 def test_lienum_project_deterministic_json(capsys):

@@ -27,7 +27,8 @@ from gerbecalc.deligne import (
     trivialization_defect,
     zero_cochain,
 )
-from gerbecalc.intlinalg import matvec, solve_rational
+from gerbecalc import intlinalg
+from gerbecalc.intlinalg import cochain_cohomology, matvec, solve_rational
 from gerbecalc.nerve import icosahedron, make_nerve, simplex_nerve, sphere_nerve
 
 # minimal 6-vertex projective-plane triangulation, suspended by two apexes;
@@ -137,6 +138,28 @@ def test_cech_cohomology_reference_values():
         faces = sum((-1) ** k * len(nerve.faces_of_size(k + 1)) for k in degrees)
         free = sum((-1) ** k * cech_cohomology(nerve, k)[0] for k in degrees)
         assert free == faces == chi
+
+
+def test_cech_cohomology_reads_cached_smith_forms(monkeypatch):
+    from gerbecalc.deligne import _coboundary_matrix
+
+    nerves = (sphere_nerve(), simplex_nerve(5), suspension_nerve(), icosahedron().nerve())
+    for nerve in nerves:
+        for k in range(nerve.dimension + 2):
+            # the uncached path: fresh Smith forms of the raw matrices
+            d_prev = _coboundary_matrix(nerve, k - 1)[2] if k else []
+            n_k = len(nerve.faces_of_size(k + 1))
+            expect = cochain_cohomology(d_prev, _coboundary_matrix(nerve, k)[2], n_k)
+            assert cech_cohomology(nerve, k) == expect
+    # every form is now cached on its nerve: no call computes a new one
+    snf, calls = intlinalg.smith_normal_form, []
+    counted = lambda mat: calls.append(mat) or snf(mat)
+    monkeypatch.setattr("gerbecalc.deligne.smith_normal_form", counted)
+    monkeypatch.setattr("gerbecalc.intlinalg.smith_normal_form", counted)
+    for nerve in nerves:
+        for k in range(nerve.dimension + 2):
+            cech_cohomology(nerve, k)
+    assert calls == []
 
 
 def test_nerve_outlives_no_reference():

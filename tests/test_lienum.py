@@ -3,11 +3,13 @@ projection, conjugacy- and biconjugacy-class 2-forms, and WZW amplitudes."""
 
 import cmath
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gerbecalc.lienum import (
+    MAX_QUAD_POINTS,
     AlgebraVector,
     BallQuadrature,
     BiconjugacyChart,
@@ -33,6 +35,7 @@ from gerbecalc.lienum import (
     northern_extension,
     omega_lambda,
     pullback_H_integral,
+    quat_conj,
     quat_mul,
     quat_to_matrix,
     random_algebra,
@@ -43,6 +46,7 @@ from gerbecalc.lienum import (
     varpi,
     wzw_amplitude,
 )
+from gerbecalc.nerve import icosahedron, subdivide_sphere
 
 KAPPA = calibrate_H()
 
@@ -178,6 +182,8 @@ def test_integrate_H_SU2_converges_to_one():
     assert abs(v64 - 1.0) < abs(v32 - 1.0) / 3.5
     with pytest.raises(LieNumError):
         integrate_H_SU2(4)
+    with pytest.raises(LieNumError, match="integer"):
+        integrate_H_SU2(8.5)  # would size the grid as 9 angles of width pi/8.5
 
 
 def test_integrand_left_invariance():
@@ -434,6 +440,17 @@ def test_wzw_boundary_mismatch_rejected(coarse_quad):
         amplitude_ratio(northern_extension, rot, 1, coarse_quad)
 
 
+def test_ball_map_checked_on_every_layer(coarse_quad):
+    def off_sphere_in_outer_layer(x):
+        q = northern_extension(x)
+        return np.where(np.linalg.norm(x, axis=-1, keepdims=True) > 0.95, 1.01 * q, q)
+
+    with pytest.raises(LieNumError, match="does not land on unit quaternions"):
+        pullback_H_integral(off_sphere_in_outer_layer, coarse_quad)
+    with pytest.raises(LieNumError, match=r"must return an \(N, 4\) quaternion array"):
+        pullback_H_integral(lambda x: northern_extension(x)[:, 1:], coarse_quad)
+
+
 def test_boundary_map_is_shared(coarse_quad):
     pts = coarse_quad.boundary_points
     bn = northern_extension(pts)
@@ -441,3 +458,108 @@ def test_boundary_map_is_shared(coarse_quad):
     be = equatorial_boundary(pts)
     assert np.max(np.abs(bn - be)) < 1e-12
     assert np.max(np.abs(bs - be)) < 1e-12
+
+
+# -- whole-array quadratures, kept as oracles for the sliced ones -----------
+# These evaluate every grid point and ball cell at once; the library
+# evaluates them one slice at a time with the same float operations, so
+# the results must agree exactly.
+
+
+def whole_array_integrate_H_SU2(res):
+    chi = (np.arange(res) + 0.5) * np.pi / res
+    th = (np.arange(res) + 0.5) * np.pi / res
+    ph = (np.arange(res) + 0.5) * 2 * np.pi / res
+    C, T, P = np.meshgrid(chi, th, ph, indexing="ij")
+    c, t, p = C.ravel(), T.ravel(), P.ravel()
+    sc, cc, st, ct, sp, cp = np.sin(c), np.cos(c), np.sin(t), np.cos(t), np.sin(p), np.cos(p)
+    z = np.zeros_like(c)
+    q = np.stack([cc, sc * ct, sc * st * cp, sc * st * sp], axis=-1)
+    t_chi = np.stack([-sc, cc * ct, cc * st * cp, cc * st * sp], axis=-1)
+    t_th = np.stack([z, -sc * st, sc * ct * cp, sc * ct * sp], axis=-1)
+    t_ph = np.stack([z, z, -sc * st * sp, sc * st * cp], axis=-1)
+    cell = (np.pi / res) * (np.pi / res) * (2 * np.pi / res)
+    us = [theta_su2(q, v) for v in (t_chi, t_th, t_ph)]
+    dens = 4.0 * np.linalg.det(np.stack(us, axis=-2))
+    return float(KAPPA * np.sum(dens) * cell)
+
+
+def whole_array_ball(subdivisions, layers):
+    """(centers, frame, weight, boundary points) from the chart-covered mesh."""
+    cc = icosahedron()
+    for _ in range(subdivisions):
+        cc = subdivide_sphere(cc)
+    tris = np.array([[cc.coords[v] for v in tri] for tri in cc.triangles])
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    centroid = (a + b + c) / 3.0
+    r_mid = (np.arange(layers) + 0.5) / layers
+    centers = (r_mid[:, None, None] * centroid[None, :, :]).reshape(-1, 3)
+    t_r = np.broadcast_to(centroid[None], (layers,) + centroid.shape)
+    t_s = r_mid[:, None, None] * (b - a)[None]
+    t_t = r_mid[:, None, None] * (c - a)[None]
+    frame = tuple(t.reshape(-1, 3) for t in (t_r, t_s, t_t))
+    boundary = np.array([cc.coords[v] for v in sorted(cc.coords)])
+    return centers, frame, 0.5 / layers, boundary
+
+
+def whole_array_pullback(phi, ball, step=1e-5):
+    x, frame, weight, _ = ball
+    q = np.asarray(phi(x), dtype=float)
+    qbar = quat_conj(q)
+    us = []
+    for w in frame:
+        dq = (np.asarray(phi(x + step * w)) - np.asarray(phi(x - step * w))) / (2 * step)
+        us.append(quat_mul(qbar, dq)[:, 1:])
+    dens = 4.0 * np.linalg.det(np.stack(us, axis=-2))
+    return float(KAPPA * np.sum(dens) * weight)
+
+
+@pytest.mark.parametrize("res", [8, 17, 32])
+def test_sliced_su2_integral_matches_whole_array(res):
+    assert integrate_H_SU2(res) == whole_array_integrate_H_SU2(res)
+
+
+@pytest.mark.parametrize("subdivisions", [0, 1, 2, 3])
+def test_sliced_pullback_matches_whole_array(subdivisions):
+    for layers in (1, 7, 16):
+        quad = BallQuadrature(subdivisions=subdivisions, layers=layers)
+        ball = whole_array_ball(subdivisions, layers)
+        assert np.array_equal(quad.centers, ball[0])
+        assert np.array_equal(quad.boundary_points, ball[3])
+        assert quad.weight == ball[2]
+        for phi in (northern_extension, southern_extension, constant_map):
+            assert pullback_H_integral(phi, quad) == whole_array_pullback(phi, ball)
+
+
+def test_su2_integral_memory_is_constant_in_slices():
+    # the whole grid at resolution 64 took 76 MB; the densities are 2 MB
+    tracemalloc.start()
+    try:
+        integrate_H_SU2(64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_work_bound_refuses_before_allocating():
+    assert 96**3 <= MAX_QUAD_POINTS and 20 * 4**5 * 32 <= MAX_QUAD_POINTS
+    oversized = [
+        (lambda: integrate_H_SU2(10**5), "1,000,000,000,000,000 grid points"),
+        (lambda: BallQuadrature(subdivisions=12, layers=1), "335,544,320 cells"),
+        (lambda: BallQuadrature(subdivisions=10**9), "inf cells"),
+        (lambda: BallQuadrature(subdivisions=6), "2,621,440 cells"),
+        (lambda: BallQuadrature(layers=10**6), "20,480,000,000 cells"),
+    ]
+    tracemalloc.start()
+    try:
+        for build, needs in oversized:
+            with pytest.raises(LieNumError, match=f"needs {needs}, above the work bound"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    for subdivisions, layers in ((0, 0), (0, -3), (-1, 4), (2.5, 4), (2, 4.0)):
+        with pytest.raises(LieNumError, match="integer subdivisions >= 0 and layers >= 1"):
+            BallQuadrature(subdivisions=subdivisions, layers=layers)

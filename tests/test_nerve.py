@@ -1,5 +1,7 @@
 """Covered complexes: orientation closure, star covers, cached tables."""
 
+import math
+
 import pytest
 
 from gerbecalc.nerve import (
@@ -8,7 +10,9 @@ from gerbecalc.nerve import (
     CoveredComplex,
     coned_ball,
     icosahedron,
+    icosahedron_mesh,
     make_nerve,
+    refine_sphere_mesh,
     simplex_nerve,
     sphere_nerve,
     subdivide_sphere,
@@ -66,10 +70,38 @@ def test_icosahedron_is_closed_oriented_surface():
     assert v - e + f == 2
 
 
+def reference_refinement(coords, triangles):
+    """The 1-to-4 split as first written inside subdivide_sphere."""
+    coords = dict(coords)
+    next_id = max(coords) + 1
+    mid = {}
+    tris = []
+    for a, b, c in triangles:
+        ids = []
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (min(u, v), max(u, v))
+            if key not in mid:
+                p = tuple((x + y) / 2 for x, y in zip(coords[u], coords[v]))
+                n = math.sqrt(sum(x * x for x in p))
+                coords[next_id] = tuple(x / n for x in p)
+                mid[key] = next_id
+                next_id += 1
+            ids.append(mid[key])
+        ab, bc, ca = ids
+        tris += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+    return coords, tris
+
+
 def test_subdivision_preserves_closure_and_euler():
     mesh = icosahedron()
+    plain = icosahedron_mesh()
+    assert plain == (mesh.coords, mesh.triangles)
     for _ in range(2):
+        expect = reference_refinement(*plain)
         mesh = subdivide_sphere(mesh)
+        # the chart-free refinement makes the same vertices and triangles
+        plain = refine_sphere_mesh(*plain)
+        assert plain == (mesh.coords, mesh.triangles) == expect
         mesh.validate()
         v, e, f = len(mesh.vertices), len(mesh.edges), len(mesh.triangles)
         assert v - e + f == 2
