@@ -10,7 +10,7 @@ G, connection matrices Pi) are stored as genuine complex matrices.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,54 +22,34 @@ from .deligne import (
     cochain_neg,
     cochain_sub,
     deligne_differential,
-    is_cocycle,
     pullback_cochain,
 )
 from .nerve import CoverNerve
+from .report import Check, CheckReport
 
 
 class CheckerError(DeligneError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Per-equation verdicts with max residuals and first-failure details."""
-
-    checks: tuple  # tuple of (name, ok, max_residual, detail)
-
-    @property
-    def ok(self):
-        return all(entry[1] for entry in self.checks)
-
-    def residual(self, name):
-        for entry in self.checks:
-            if entry[0] == name:
-                return entry[2]
-        raise KeyError(name)
-
-    def as_dict(self):
-        return {
-            name: {"ok": ok, "max_residual": res, "detail": detail}
-            for name, ok, res, detail in self.checks
-        }
-
-
 def vanishing_residual(c: DeligneCochain) -> float:
-    """Max distance of a cochain from zero: the U(1) layer (and, in
-    geometric mode, the form layers, which inherit the dlog-branch integer
-    ambiguity) measured modulo 1, pure-nerve form layers measured plainly."""
+    """Max distance of a cochain from zero, in one pass over its values:
+    the U(1) layer (and, in geometric mode, the form layers, which inherit
+    the dlog-branch integer ambiguity) measured modulo 1, pure-nerve form
+    layers measured plainly."""
+    layout, values = c.layout, c.values
     worst = 0.0
-    for k, comp in enumerate(c.components):
-        for val in comp.values():
-            entries = val.values() if isinstance(val, dict) else (val,)
-            for x in entries:
-                if k == 0 or c.complex is not None:
-                    r = abs(x - round(x))
-                else:
-                    r = abs(x)
-                worst = max(worst, float(r))
+    for k in range(layout.n_components):
+        lo, hi = layout.bounds(k)
+        mod1 = k == 0 or c.complex is not None
+        for x in values[lo:hi]:
+            worst = max(worst, float(abs(x - round(x)) if mod1 else abs(x)))
     return worst
+
+
+def _worst_vanishing(name, tol, pairs):
+    """Check.worst over (cochain, where) pairs, by vanishing_residual."""
+    return Check.worst(name, tol, ((vanishing_residual(c), at) for c, at in pairs))
 
 
 # -- group actions on a cover ----------------------------------------------
@@ -147,45 +127,39 @@ def check_equivariant_data(act: GroupActionOnCover, xi: DeligneCochain,
             if (g, h) not in b:
                 raise CheckerError(f"missing degree-0 datum for pair ({g!r}, {h!r})")
 
-    checks = []
-    worst, detail = 0.0, None
-    for g in act.elements:
-        diff = cochain_sub(
-            deligne_differential(a[g]),
-            cochain_sub(act.pullback(g, xi), xi),
+    els, mult = act.elements, act.mult
+
+    def gerbe_shift(g):
+        return cochain_sub(
+            deligne_differential(a[g]), cochain_sub(act.pullback(g, xi), xi)
         )
-        r = vanishing_residual(diff)
-        if r > worst:
-            worst, detail = r, f"element {g!r}"
-    checks.append(("gerbe-shift", worst <= tol, worst, detail))
 
-    worst, detail = 0.0, None
-    for g in act.elements:
-        for h in act.elements:
-            da = cochain_add(
-                cochain_sub(act.pullback(g, a[h]), a[act.mult[(g, h)]]), a[g]
-            )
-            r = vanishing_residual(cochain_sub(deligne_differential(b[(g, h)]), da))
-            if r > worst:
-                worst, detail = r, f"pair ({g!r}, {h!r})"
-    checks.append(("cochain-shift", worst <= tol, worst, detail))
+    def cochain_shift(g, h):
+        da = cochain_add(cochain_sub(act.pullback(g, a[h]), a[mult[(g, h)]]), a[g])
+        return cochain_sub(deligne_differential(b[(g, h)]), da)
 
-    worst, detail = 0.0, None
-    for g in act.elements:
-        for h in act.elements:
-            for k in act.elements:
-                db = cochain_sub(
-                    cochain_add(
-                        cochain_sub(act.pullback(g, b[(h, k)]), b[(act.mult[(g, h)], k)]),
-                        b[(g, act.mult[(h, k)])],
-                    ),
-                    b[(g, h)],
-                )
-                r = vanishing_residual(db)
-                if r > worst:
-                    worst, detail = r, f"triple ({g!r}, {h!r}, {k!r})"
-    checks.append(("associativity", worst <= tol, worst, detail))
-    return CheckReport(checks=tuple(checks))
+    def associativity(g, h, k):
+        return cochain_sub(
+            cochain_add(
+                cochain_sub(act.pullback(g, b[(h, k)]), b[(mult[(g, h)], k)]),
+                b[(g, mult[(h, k)])],
+            ),
+            b[(g, h)],
+        )
+
+    return CheckReport(checks=(
+        _worst_vanishing("gerbe-shift", tol, (
+            (gerbe_shift(g), f"element {g!r}") for g in els
+        )),
+        _worst_vanishing("cochain-shift", tol, (
+            (cochain_shift(g, h), f"pair ({g!r}, {h!r})")
+            for g in els for h in els
+        )),
+        _worst_vanishing("associativity", tol, (
+            (associativity(g, h, k), f"triple ({g!r}, {h!r}, {k!r})")
+            for g in els for h in els for k in els
+        )),
+    ))
 
 
 # -- involutions and Jandl-type structures ---------------------------------
@@ -233,12 +207,10 @@ def check_jandl_data(invol: InvolutionOnCover, xi: DeligneCochain,
     )
     r1 = vanishing_residual(diff)
     r2 = vanishing_residual(cochain_add(invol.pullback(phi), phi))
-    return CheckReport(
-        checks=(
-            ("dualization", r1 <= tol, r1, None),
-            ("equivariance", r2 <= tol, r2, None),
-        )
-    )
+    return CheckReport(checks=(
+        Check("dualization", r1, tol, r1 <= tol),
+        Check("equivariance", r2, tol, r2 <= tol),
+    ))
 
 
 # -- gerbe-module (vector bundle) data -------------------------------------
@@ -300,76 +272,62 @@ def check_module_data(c: DeligneCochain, data: GerbeModuleData,
     cc = c.complex
     n = data.rank
     eye = np.eye(n)
-    g_comp, a_comp, b_comp = c.components
 
-    def g_at(face, v):
-        val = g_comp[face]
-        return val[(v,)] if isinstance(val, dict) else val
+    def cocycle():
+        for face in c.nerve.faces_of_size(3):
+            i, j, k = face
+            for (v,) in _face_domain(cc, face, 0):
+                m = (
+                    cmath.exp(TWO_PI_I * c.value(0, face, (v,)))
+                    * np.asarray(data.transitions[(i, k)][v])
+                    @ np.linalg.inv(data.transitions[(j, k)][v])
+                    @ np.linalg.inv(data.transitions[(i, j)][v])
+                )
+                yield float(np.max(np.abs(m - eye))), f"face {face}, vertex {v}"
 
-    checks = []
+    def connection():
+        for face in c.nerve.faces_of_size(2):
+            i, j = face
+            for e in _face_domain(cc, face, 1):
+                u, v = e
+                gu = np.asarray(data.transitions[face][u])
+                gu_inv = np.linalg.inv(gu)
+                gv = np.asarray(data.transitions[face][v])
+                dlog = _principal_log_unitary(gu_inv @ gv, f"edge {e} of face {face}")
+                resid = (
+                    TWO_PI_I * c.value(1, face, e) * eye
+                    + np.asarray(data.connections[j][e])
+                    - gu_inv @ np.asarray(data.connections[i][e]) @ gu
+                    + dlog
+                )
+                yield float(np.max(np.abs(resid))), f"face {face}, edge {e}"
 
-    worst, detail = 0.0, None
-    for face in c.nerve.faces_of_size(3):
-        i, j, k = face
-        for (v,) in _face_domain(cc, face, 0):
-            m = (
-                cmath.exp(TWO_PI_I * g_at(face, v))
-                * np.asarray(data.transitions[(i, k)][v])
-                @ np.linalg.inv(data.transitions[(j, k)][v])
-                @ np.linalg.inv(data.transitions[(i, j)][v])
-            )
-            r = float(np.max(np.abs(m - eye)))
-            if r > worst:
-                worst, detail = r, f"face {face}, vertex {v}"
-    checks.append(("cocycle", worst <= tol, worst, detail))
+    def curving():
+        for face in c.nerve.faces_of_size(1):
+            (i,) = face
+            pi = data.connections[i]
+            for t in _face_domain(cc, face, 2):
+                a_, b_, c_ = t
+                dpi = pi[(b_, c_)] - pi[(a_, c_)] + pi[(a_, b_)]
+                r = abs(
+                    data.omega[t]
+                    - c.value(2, face, t)
+                    - complex(np.trace(dpi)) / (TWO_PI_I * n)
+                )
+                yield float(r), f"chart {i}, triangle {t}"
 
-    worst, detail = 0.0, None
-    for face in c.nerve.faces_of_size(2):
-        i, j = face
-        for e in _face_domain(cc, face, 1):
-            u, v = e
-            gu = np.asarray(data.transitions[face][u])
-            gu_inv = np.linalg.inv(gu)
-            gv = np.asarray(data.transitions[face][v])
-            dlog = _principal_log_unitary(gu_inv @ gv, f"edge {e} of face {face}")
-            resid = (
-                TWO_PI_I * a_comp[face][e] * eye
-                + np.asarray(data.connections[j][e])
-                - gu_inv @ np.asarray(data.connections[i][e]) @ gu
-                + dlog
-            )
-            r = float(np.max(np.abs(resid)))
-            if r > worst:
-                worst, detail = r, f"face {face}, edge {e}"
-    checks.append(("connection", worst <= tol, worst, detail))
-
-    worst, detail = 0.0, None
-    for face in c.nerve.faces_of_size(1):
-        (i,) = face
-        pi = data.connections[i]
-        for t in _face_domain(cc, face, 2):
-            a_, b_, c_ = t
-            dpi = pi[(b_, c_)] - pi[(a_, c_)] + pi[(a_, b_)]
-            r = abs(
-                data.omega[t]
-                - b_comp[face][t]
-                - complex(np.trace(dpi)) / (TWO_PI_I * n)
-            )
-            if r > worst:
-                worst, detail = float(r), f"chart {i}, triangle {t}"
-    checks.append(("curving", worst <= tol, worst, detail))
-
-    worst, detail = 0.0, None
-    if cc.dim == 3:
+    def curvature():
+        if cc.dim != 3:
+            return
         for face in c.nerve.faces_of_size(1):
             for tk in _face_domain(cc, face, 3):
-                def d3(val):
-                    return sum(
-                        (-1) ** m * val[tuple(x for q, x in enumerate(tk) if q != m)]
-                        for m in range(4)
-                    )
-                r = abs(d3(data.omega) - d3(b_comp[face]))
-                if r > worst:
-                    worst, detail = float(r), f"chart {face[0]}, tet {tk}"
-    checks.append(("curvature", worst <= tol, worst, detail))
-    return CheckReport(checks=tuple(checks))
+                sides = list(enumerate(tk[:m] + tk[m + 1 :] for m in range(4)))
+                d_omega = sum((-1) ** m * data.omega[t] for m, t in sides)
+                d_b = sum((-1) ** m * c.value(2, face, t) for m, t in sides)
+                yield float(abs(d_omega - d_b)), f"chart {face[0]}, tet {tk}"
+
+    return CheckReport(checks=tuple(
+        Check.worst(name, tol, pairs())
+        for name, pairs in (("cocycle", cocycle), ("connection", connection),
+                            ("curving", curving), ("curvature", curvature))
+    ))

@@ -17,6 +17,8 @@ import random
 import sys
 import time
 
+from .report import Check
+
 
 class CliError(ValueError):
     pass
@@ -45,38 +47,37 @@ class RunReport:
     def add_check(self, name, residual, tol, ok=None):
         if ok is None:
             ok = residual <= tol
-        self.checks.append(
-            {"name": name, "residual": float(residual), "tol": float(tol),
-             "ok": bool(ok)}
-        )
+        self.checks.append(Check(name, float(residual), float(tol), bool(ok)))
         return ok
-
-    def add_checker_report(self, rep, tol):
-        """Copy a checker's (name, ok, residual, detail) rows into checks,
-        recording the detail of each failed row as "<name> worst at"."""
-        for name, ok, residual, detail in rep.checks:
-            self.add_check(name, float(residual), tol, ok=ok)
-            if detail and not ok:
-                self.results[f"{name} worst at"] = detail
 
     @property
     def ok(self):
-        return all(c["ok"] for c in self.checks)
+        return all(c.ok for c in self.checks)
 
     def emit(self, as_json):
+        """Print the report; each failed check with a location adds a
+        "<name> worst at" result."""
+        checks = [
+            {"name": c.name, "residual": float(c.residual), "tol": float(c.tol),
+             "ok": bool(c.ok)}
+            for c in self.checks
+        ]
+        results = self.results | {
+            f"{c.name} worst at": c.where for c in self.checks if c.where and not c.ok
+        }
         doc = {
             "command": self.command,
             "inputs": self.inputs,
-            "checks": self.checks,
-            "results": self.results,
+            "checks": checks,
+            "results": results,
             "ok": self.ok,
         }
         if as_json:
             print(json.dumps(doc, indent=2, sort_keys=True))
         else:
-            for key, val in self.results.items():
+            for key, val in results.items():
                 print(f"{key}: {val}")
-            for c in self.checks:
+            for c in checks:
                 verdict = "pass" if c["ok"] else "FAIL"
                 print(
                     f"[{verdict}] {c['name']}: residual {c['residual']:.3e}"
@@ -179,8 +180,7 @@ def cmd_deligne_check_module(args, report):
 
     report.add_input(args.bundle)
     c, data = module_bundle_from_json(load_json(args.bundle))
-    rep = check_module_data(c, data, tol=args.tol)
-    report.add_checker_report(rep, args.tol)
+    report.checks.extend(check_module_data(c, data, tol=args.tol).checks)
     return report
 
 
@@ -190,8 +190,7 @@ def cmd_deligne_check_equivariant(args, report):
 
     report.add_input(args.bundle)
     act, xi, a, b = equivariant_bundle_from_json(load_json(args.bundle))
-    rep = check_equivariant_data(act, xi, a, b, tol=args.tol)
-    report.add_checker_report(rep, args.tol)
+    report.checks.extend(check_equivariant_data(act, xi, a, b, tol=args.tol).checks)
     return report
 
 
@@ -201,8 +200,7 @@ def cmd_deligne_check_jandl(args, report):
 
     report.add_input(args.bundle)
     invol, xi, a, phi = jandl_bundle_from_json(load_json(args.bundle))
-    rep = check_jandl_data(invol, xi, a, phi, tol=args.tol)
-    report.add_checker_report(rep, args.tol)
+    report.checks.extend(check_jandl_data(invol, xi, a, phi, tol=args.tol).checks)
     return report
 
 
@@ -348,8 +346,10 @@ def cmd_lienum_wzw(args, report):
         southern_extension,
         term_amplitude,
     )
+    from .lienum.core import check_level
     from .serialize import format_unit_complex, load_json
 
+    check_level(args.level)
     spec = {}
     if args.ball is not None:
         report.add_input(args.ball)

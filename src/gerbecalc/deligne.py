@@ -20,7 +20,10 @@ complex's order; pure-nerve mode has one slot per face.  A
 ``array('d')`` for geometric floats and a list otherwise, so exact
 ``Fraction`` values keep their type.  ``components`` is a dict view derived
 from the vector.  Layouts are cached on the complex (geometric mode) or the
-nerve (pure-nerve mode) they describe.
+nerve (pure-nerve mode) they describe.  A pullback along a bijection of the
+nerve indices (and of the complex's vertices) moves each slot to another
+up to sign, so :func:`pullback_cochain` is one signed gather over the
+layout.
 
 **Operator.**  The total differential is
 D(c)_k = delta(c_k) + (-1)^(p-k+1) d(c_{k-1}), with d = dlog (branch
@@ -787,44 +790,34 @@ def inv_u1(g):
 
 
 def pullback_cochain(c: DeligneCochain, index_map, simplex_map=None):
-    """Pull back along a bijection of the nerve indices.
+    """Pull back along a bijection gamma of the nerve indices.
 
-    (gamma* c)_I = sign * c_{sorted(gamma(I))}, with the alternating sign
-    of the sorting permutation; geometric values are transported through
-    ``simplex_map`` (a vertex bijection of the complex) when given.
+    One signed gather over the layout: slot (k, face, s) of gamma* c takes
+    sign * c at (k, sorted(gamma(face)), s), the sign that of the sorting
+    permutation.  In geometric mode a vertex bijection sigma of the complex
+    (``simplex_map``) also moves the simplex to sorted(sigma(s)), with its
+    sorting sign.
     """
-    def move_face(face):
-        img = tuple(index_map[i] for i in face)
-        if len(set(img)) != len(img):
-            raise DeligneError("index map is not injective on a face")
-        return tuple(sorted(img)), perm_sign(img)
-
-    inv_vertex = (
-        {w: v for v, w in simplex_map.items()} if simplex_map is not None else None
-    )
-
-    def move_value(val, sign):
-        # val lives over the image face; transport back to the source face
-        if isinstance(val, dict):
-            if inv_vertex is None:
-                return {s: sign * x for s, x in val.items()}
-            out = {}
-            for s, x in val.items():
-                src = tuple(inv_vertex[v] for v in s)
-                out[tuple(sorted(src))] = sign * perm_sign(src) * x
-            return out
-        return sign * val
-
-    comps = []
-    for k, comp in enumerate(c.components):
-        new = {}
-        for face in comp:
-            img, sign = move_face(face)
+    layout, values = c.layout, c.values
+    vertex_map = simplex_map if c.complex is not None else None
+    out = []
+    for k, faces in enumerate(layout.faces):
+        starts = layout.starts[k]
+        for i, face in enumerate(faces):
+            img = tuple(index_map[j] for j in face)
+            if len(set(img)) != len(img):
+                raise DeligneError("index map is not injective on a face")
+            face_sign, img = perm_sign(img), tuple(sorted(img))
             if not c.nerve.is_face(img):
                 raise DeligneError(f"index map does not preserve face {face}")
-            new[face] = move_value(comp[img], sign)
-        comps.append(new)
-    return DeligneCochain(
-        nerve=c.nerve, degree=c.degree, level=c.level, components=tuple(comps),
-        complex=c.complex,
+            for slot in range(starts[i], starts[i + 1]):
+                s, sign = None, face_sign
+                if layout.complex is not None:
+                    s = layout.simplices[slot]
+                if vertex_map is not None:
+                    s = tuple(vertex_map[v] for v in s)
+                    s, sign = tuple(sorted(s)), sign * perm_sign(s)
+                out.append(sign * values[layout.slot(k, img, s)])
+    return DeligneCochain.packed(
+        layout, array("d", out) if isinstance(values, array) else out
     )

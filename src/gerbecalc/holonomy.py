@@ -94,7 +94,8 @@ def holonomy_exponent(cc: CoveredComplex, c: DeligneCochain, asg: ChartAssignmen
     """The sum S with surface holonomy exp(2pi i S)."""
     if cc.dim != 2:
         raise HolonomyError("holonomy needs a closed oriented surface")
-    cc.validate()
+    # once per chart table; the cochain and the assignment change per call
+    cached(cc, "validated", cc.validate)
     if not is_cocycle(c, tol=0 if c.is_pure_nerve() else 1e-9):
         raise DeligneError("holonomy input is not a cocycle")
     if (c.degree, c.level) != (2, 2):

@@ -43,7 +43,14 @@ import numpy as np
 from scipy.linalg import expm, expm_frechet
 
 from ..rootsys import build_root_system
-from .core import LieNumError, check_group, inner
+from .core import (
+    LieNumError,
+    algebra_from_coords,
+    check_group,
+    check_level,
+    inner,
+    su_basis,
+)
 from .forms import _project_algebra, eval_H
 
 
@@ -123,15 +130,10 @@ class ConjugacyChart:
 
     def __post_init__(self):
         object.__setattr__(self, "h0", check_group(self.h0, 1e-10))
-        from .core import su_basis
-
         object.__setattr__(self, "basis", su_basis(self.h0.shape[0]))
 
     def _y(self, params):
-        m = np.zeros_like(self.h0)
-        for c, b in zip(params, self.basis):
-            m = m + c * b
-        return m
+        return algebra_from_coords(params, self.basis)
 
     def point(self, params):
         k = expm(self._y(params))
@@ -180,16 +182,11 @@ class BiconjugacyChart:
     def __post_init__(self):
         object.__setattr__(self, "h1", check_group(self.h1, 1e-10))
         object.__setattr__(self, "h2", check_group(self.h2, 1e-10))
-        from .core import su_basis
-
         object.__setattr__(self, "basis", su_basis(2))
         object.__setattr__(self, "dim", 2 * len(self.basis))
 
     def _alg(self, coords):
-        m = np.zeros((2, 2), dtype=complex)
-        for c, b in zip(coords, self.basis):
-            m = m + c * b
-        return m
+        return algebra_from_coords(coords, self.basis)
 
     def split(self, params):
         params = np.asarray(params, dtype=float)
@@ -235,8 +232,7 @@ def varpi(g1, g2, pair_a, pair_b, level: int, kappa: float,
     """
     g1 = check_group(g1, 1e-8)
     g2 = check_group(g2, 1e-8)
-    if level < 1 or int(level) != level:
-        raise LieNumError("level must be a positive integer")
+    check_level(level)
     if membership_ref is not None:
         h1, h2 = membership_ref
         if not biconjugacy_membership(g1, g2, h1, h2, tol=tol):
@@ -271,8 +267,6 @@ def _omega_on_tangents(h, v1, v2, kappa, min_gap: float = 1e-6) -> float:
         raise LieNumError(
             f"degenerate class point: eigenvalue gap {gap:.3e} below {min_gap:.0e}"
         )
-    from .core import su_basis
-
     basis = su_basis(h.shape[0])
     # solve V = X h - h X for real coefficients of X in the su(n) basis
     cols_c = np.stack([np.ravel(b @ h - h @ b) for b in basis], axis=1)
@@ -282,10 +276,7 @@ def _omega_on_tangents(h, v1, v2, kappa, min_gap: float = 1e-6) -> float:
         vv = np.ravel(np.asarray(v, dtype=complex))
         rhs = np.concatenate([vv.real, vv.imag])
         sol, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
-        x = np.zeros_like(h)
-        for c, b in zip(sol, basis):
-            x = x + c * b
-        xs.append(x)
+        xs.append(algebra_from_coords(sol, basis))
         resid = np.linalg.norm(xs[-1] @ h - h @ xs[-1] - v)
         if resid > 1e-6 * max(1.0, np.linalg.norm(v)):
             raise LieNumError("tangent vector is not tangent to the conjugacy class")

@@ -41,6 +41,12 @@ def bound_work(count, unit, what):
         )
 
 
+def check_level(level):
+    """Raise LieNumError unless ``level`` is a positive integer."""
+    if level < 1 or int(level) != level:
+        raise LieNumError("level must be a positive integer")
+
+
 def check_algebra(x, tol=1e-10):
     x = np.asarray(x, dtype=complex)
     if np.linalg.norm(x + x.conj().T) > tol:

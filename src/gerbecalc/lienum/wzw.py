@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nerve import icosahedron_mesh, refine_sphere_mesh
-from .core import LieNumError, bound_work, quat_conj, quat_mul
+from .core import LieNumError, bound_work, check_level, quat_conj, quat_mul
 from .forms import calibrate_H
 
 FD_STEP_MAP = 1e-5
@@ -106,21 +106,16 @@ def pullback_H_integral(phi, quad: BallQuadrature, kappa: float | None = None,
     return float(kappa * np.sum(dens) * quad.weight)
 
 
-def _check_level(level):
-    if level < 1 or int(level) != level:
-        raise LieNumError("level must be a positive integer")
-
-
 def term_amplitude(q: float, level: int) -> complex:
     """exp(2 pi i k q) for a topological term q at level k."""
-    _check_level(level)
+    check_level(level)
     return cmath.exp(2j * cmath.pi * level * q)
 
 
 def wzw_amplitude(phi, level: int, quad: BallQuadrature | None = None,
                   kappa: float | None = None) -> complex:
     """exp(2 pi i k Q) for the topological term Q of the map phi."""
-    _check_level(level)
+    check_level(level)
     if quad is None:
         quad = BallQuadrature()
     return term_amplitude(pullback_H_integral(phi, quad, kappa=kappa), level)

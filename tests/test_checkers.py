@@ -20,18 +20,156 @@ from gerbecalc.checkers import (
 )
 from gerbecalc.deligne import (
     DeligneCochain,
+    DeligneError,
     _face_domain,
     cochain_add,
     cochain_neg,
     cochain_sub,
     deligne_differential,
+    perm_sign,
+    pullback_cochain,
     random_cochain,
     zero_cochain,
 )
-from gerbecalc.nerve import icosahedron, sphere_nerve
+from gerbecalc.nerve import icosahedron, simplex_nerve, sphere_nerve
+from gerbecalc.report import Check
 from gerbecalc.serialize import module_bundle_from_json, module_bundle_to_json
 
 TWO_PI_I = 2j * np.pi
+
+
+# -- pullback: the slot gather against the per-face definition -------------
+
+
+def dict_pullback(c, index_map, simplex_map=None):
+    """Oracle: the pullback face by face through the dict view,
+    (gamma* c)_I = sign * c_{sorted(gamma(I))}, geometric values moved back
+    through the inverse of the vertex map, then packed again."""
+    def move_face(face):
+        img = tuple(index_map[i] for i in face)
+        if len(set(img)) != len(img):
+            raise DeligneError("index map is not injective on a face")
+        return tuple(sorted(img)), perm_sign(img)
+
+    inv_vertex = (
+        {w: v for v, w in simplex_map.items()} if simplex_map is not None else None
+    )
+
+    def move_value(val, sign):
+        if isinstance(val, dict):
+            if inv_vertex is None:
+                return {s: sign * x for s, x in val.items()}
+            out = {}
+            for s, x in val.items():
+                src = tuple(inv_vertex[v] for v in s)
+                out[tuple(sorted(src))] = sign * perm_sign(src) * x
+            return out
+        return sign * val
+
+    comps = []
+    for comp in c.components:
+        new = {}
+        for face in comp:
+            img, sign = move_face(face)
+            if not c.nerve.is_face(img):
+                raise DeligneError(f"index map does not preserve face {face}")
+            new[face] = move_value(comp[img], sign)
+        comps.append(new)
+    return DeligneCochain(
+        nerve=c.nerve, degree=c.degree, level=c.level, components=tuple(comps),
+        complex=c.complex,
+    )
+
+
+def assert_same_cochain(got, want):
+    """Equal values of the same storage type; floats equal bit for bit."""
+    assert got.layout is want.layout
+    assert type(got.values) is type(want.values)
+    if isinstance(want.values, list):
+        assert got.values == want.values
+        assert list(map(type, got.values)) == list(map(type, want.values))
+    else:
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_pullback_gather_matches_dict_oracle_on_simplex_nerve():
+    nerve = simplex_nerve(5)
+    rng = random.Random(21)
+    maps = [
+        {i: i for i in range(5)},
+        {0: 2, 1: 0, 2: 4, 3: 1, 4: 3},
+        {0: 4, 1: 3, 2: 2, 3: 1, 4: 0},
+    ]
+    for degree in range(4):
+        for level in (1, 2):
+            c = random_cochain(nerve, degree, level, rng)
+            for perm in maps:
+                assert_same_cochain(pullback_cochain(c, perm), dict_pullback(c, perm))
+
+
+@pytest.mark.parametrize("index_map, message", [
+    ({0: 0, 1: 0, 2: 2, 3: 3, 4: 4}, "not injective"),
+    ({0: 0, 1: 1, 2: 2, 3: 3, 4: 9}, "does not preserve face"),
+])
+def test_pullback_gather_raises_where_the_oracle_does(index_map, message):
+    c = random_cochain(simplex_nerve(5), 2, 2, random.Random(22))
+    for pullback in (pullback_cochain, dict_pullback):
+        with pytest.raises(DeligneError, match=message):
+            pullback(c, index_map)
+
+
+def antipodal_involution(cc):
+    """The antipodal map of a centrally symmetric sphere, on its vertices
+    (which are also the chart indices of the vertex-star cover)."""
+    where = {tuple(round(x, 9) for x in p): v for v, p in cc.coords.items()}
+    return {v: where[tuple(round(-x, 9) for x in p)] for v, p in cc.coords.items()}
+
+
+def random_geometric_cochain(cc, nerve, degree, rng):
+    return DeligneCochain(
+        nerve=nerve, degree=degree, level=2, complex=cc,
+        components=tuple(
+            {
+                face: {s: rng.uniform(-2, 2) for s in _face_domain(cc, face, k)}
+                for face in nerve.faces_of_size(degree - k + 1)
+            }
+            for k in range(min(degree, 2) + 1)
+        ),
+    )
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_pullback_gather_along_the_antipodal_involution(degree):
+    cc = icosahedron()
+    nerve = cc.nerve()
+    antipode = antipodal_involution(cc)
+    assert sorted(antipode.values()) == sorted(cc.coords)
+    invol = InvolutionOnCover(nerve=nerve, index_map=antipode, vertex_map=antipode)
+    c = random_geometric_cochain(cc, nerve, degree, random.Random(23 + degree))
+    pulled = invol.pullback(c)
+    assert_same_cochain(pulled, dict_pullback(c, antipode, antipode))
+    # an involution: pulling back twice is the identity (mod 1)
+    assert vanishing_residual(cochain_sub(invol.pullback(pulled), c)) <= 1e-12
+    # the pullback is a cochain map
+    commutator = cochain_sub(
+        deligne_differential(pulled), invol.pullback(deligne_differential(c))
+    )
+    assert vanishing_residual(commutator) <= 1e-12
+
+
+# -- the check record -------------------------------------------------------
+
+
+def test_check_worst_keeps_the_first_largest_residual():
+    empty = Check.worst("empty", 0, [])
+    assert (empty.residual, empty.where, empty.ok) == (0.0, None, True)
+    tie = Check.worst("tie", 1.0, [(0.25, "a"), (0.5, "b"), (0.5, "c"), (0.125, "d")])
+    assert (tie.residual, tie.where) == (0.5, "b")
+    # ok compares exactly against a Fraction tolerance: the float 0.1 lies
+    # above 1/10
+    assert not Check.worst("tenth", Fraction(1, 10), [(0.1, "x")]).ok
+    assert Check.worst("below", Fraction(1, 10), [(0.05, "x")]).ok
+    assert Check.worst("equal", Fraction(1, 4), [(0.25, "x")]).ok
 
 
 # -- group actions ----------------------------------------------------------

@@ -342,6 +342,19 @@ def test_lienum_wzw_matches_library(capsys, tmp_path, monkeypatch):
     assert code == 2 and "boundary" in err
 
 
+def test_lienum_wzw_checks_the_level_before_any_work(capsys, monkeypatch):
+    built = []
+
+    def refuse(*args, **kw):
+        built.append(args)
+        raise AssertionError("the ball must not be built")
+
+    monkeypatch.setattr(lienum, "BallQuadrature", refuse)
+    code, out, err = run_cli(capsys, "--json", "lienum", "wzw", "--level", "0")
+    assert code == 2 and out == "" and built == []
+    assert err == "error: level must be a positive integer\n"
+
+
 def test_lienum_oversized_requests_exit_2(capsys, tmp_path):
     spec = tmp_path / "ball.json"
     dump_json({"subdivisions": 12, "layers": 32}, spec)

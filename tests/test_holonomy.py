@@ -212,6 +212,28 @@ def test_invalid_assignment_rejected(sphere_setup):
         surface_holonomy(cc, zero_cochain(nerve, 2, 2, complex=cc), bad)
 
 
+def test_complex_is_validated_once_per_chart_table(monkeypatch):
+    cc = icosahedron()
+    calls = []
+    validate = CoveredComplex.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(CoveredComplex, "validate", counted)
+    c = zero_cochain(cc.nerve(), 2, 2, complex=cc)
+    asg = random_assignment(cc, random.Random(12))
+    first = holonomy_exponent(cc, c, asg)
+    assert holonomy_exponent(cc, c, asg) == first
+    assert calls == [cc]
+    # a new chart table drops every cached table, the verdict included
+    cc.charts = dict(cc.charts)
+    c = zero_cochain(cc.nerve(), 2, 2, complex=cc)
+    assert holonomy_exponent(cc, c, asg) == first
+    assert calls == [cc, cc]
+
+
 # -- Stokes ---------------------------------------------------------------
 
 
