@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -36,13 +37,15 @@ def vanishing_residual(c: DeligneCochain) -> float:
     """Max distance of a cochain from zero, in one pass over its values:
     the U(1) layer (and, in geometric mode, the form layers, which inherit
     the dlog-branch integer ambiguity) measured modulo 1, pure-nerve form
-    layers measured plainly."""
+    layers measured plainly.  A NaN or infinite value is returned as is."""
     layout, values = c.layout, c.values
     worst = 0.0
     for k in range(layout.n_components):
         lo, hi = layout.bounds(k)
         mod1 = k == 0 or c.complex is not None
         for x in values[lo:hi]:
+            if isinstance(x, float) and not isfinite(x):
+                return abs(x)
             worst = max(worst, float(abs(x - round(x)) if mod1 else abs(x)))
     return worst
 
@@ -70,30 +73,35 @@ class GroupActionOnCover:
     def __post_init__(self):
         if self.identity not in self.elements:
             raise CheckerError("identity must be listed among the elements")
-        indices = tuple(self.nerve.indices)
+        tables = [("index", self.index_maps, set(self.nerve.indices))]
+        if self.vertex_maps is not None:  # bijections of the identity's set
+            own = self.vertex_maps.get(self.identity) or ()
+            tables.append(("vertex", self.vertex_maps, set(own)))
+        for what, maps, domain in tables:
+            for g in self.elements:
+                m = maps.get(g)
+                if m is None:
+                    raise CheckerError(f"no {what} map for element {g!r}")
+                if set(m) != domain or set(m.values()) != domain:
+                    raise CheckerError(f"{what} map of {g!r} is not a bijection")
+            if any(maps[self.identity][i] != i for i in domain):
+                raise CheckerError(f"the identity must fix every {what}")
+            for a in self.elements:
+                for b in self.elements:
+                    ab = self.mult.get((a, b))
+                    if ab not in self.elements:
+                        raise CheckerError(f"product of {a!r}, {b!r} missing")
+                    if any(maps[a][maps[b][i]] != maps[ab][i] for i in domain):
+                        raise CheckerError(
+                            f"{what} maps break the composition law on ({a!r}, {b!r})"
+                        )
         for g in self.elements:
-            m = self.index_maps.get(g)
-            if m is None:
-                raise CheckerError(f"no index map for element {g!r}")
-            if sorted(m) != sorted(indices) or sorted(m.values()) != sorted(indices):
-                raise CheckerError(f"index map of {g!r} is not a bijection")
+            m = self.index_maps[g]
             for face in self.nerve.faces:
                 img = tuple(sorted(m[i] for i in face))
                 if not self.nerve.is_face(img):
                     raise CheckerError(
                         f"element {g!r} does not preserve face {face}"
-                    )
-        if any(self.index_maps[self.identity][i] != i for i in indices):
-            raise CheckerError("identity element must act trivially")
-        for a in self.elements:
-            for b in self.elements:
-                ab = self.mult.get((a, b))
-                if ab not in self.elements:
-                    raise CheckerError(f"product of {a!r}, {b!r} missing")
-                ma, mb, mab = (self.index_maps[x] for x in (a, b, ab))
-                if any(ma[mb[i]] != mab[i] for i in indices):
-                    raise CheckerError(
-                        f"composition law fails on ({a!r}, {b!r})"
                     )
 
     def inverse(self, g):
@@ -181,9 +189,10 @@ class InvolutionOnCover:
             raise CheckerError("involution must be defined on all indices")
         if any(m[m[i]] != i for i in indices):
             raise CheckerError("index map is not an involution")
-        if self.vertex_map is not None and any(
-            self.vertex_map[self.vertex_map[v]] != v for v in self.vertex_map
-        ):
+        vm = self.vertex_map
+        if vm is not None and set(vm.values()) != set(vm):
+            raise CheckerError("vertex map is not a bijection")
+        if vm is not None and any(vm[vm[v]] != v for v in vm):
             raise CheckerError("vertex map is not an involution")
         for face in self.nerve.faces:
             img = tuple(sorted(m[i] for i in face))

@@ -817,7 +817,11 @@ def pullback_cochain(c: DeligneCochain, index_map, simplex_map=None):
                 if vertex_map is not None:
                     s = tuple(vertex_map[v] for v in s)
                     s, sign = tuple(sorted(s)), sign * perm_sign(s)
-                out.append(sign * values[layout.slot(k, img, s)])
+                src = layout.slot_index.get((k, img, s))
+                if src is None:
+                    raise DeligneError(f"vertex map disagrees with the index map:"
+                                       f" face {img} does not carry {s}")
+                out.append(sign * values[src])
     return DeligneCochain.packed(
         layout, array("d", out) if isinstance(values, array) else out
     )

@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
 
 from ..rootsys import build_root_system
 from .core import (
@@ -48,6 +47,7 @@ from .core import (
     algebra_from_coords,
     check_group,
     check_level,
+    expm_su,
     inner,
     su_basis,
 )
@@ -136,15 +136,13 @@ class ConjugacyChart:
         return algebra_from_coords(params, self.basis)
 
     def point(self, params):
-        k = expm(self._y(params))
+        k = expm_su(self._y(params))
         return k @ self.h0 @ k.conj().T
 
     def generator(self, params, direction):
         """X with dh = X h - h X along ``direction``: X = dk k^{-1}."""
-        y = self._y(params)
-        dy = self._y(direction)
-        k = expm(y)
-        return _project_algebra(expm_frechet(y, dy, compute_expm=False) @ k.conj().T)
+        k, dk = expm_su(self._y(params), self._y(direction))
+        return _project_algebra(dk @ k.conj().T)
 
     def tangent(self, params, direction):
         h = self.point(params)
@@ -195,16 +193,15 @@ class BiconjugacyChart:
 
     def point(self, params):
         x, y = self.split(params)
-        kl, kr = expm(x), expm(-y)
+        kl, kr = expm_su(x), expm_su(-y)
         return kl @ self.h1 @ kr, kl @ self.h2 @ kr
 
     def tangent(self, params, direction):
         """(dg1, dg2) along a chart direction, via Frechet derivatives."""
         x, y = self.split(params)
         dx, dy = self.split(direction)
-        kl, kr = expm(x), expm(-y)
-        dkl = expm_frechet(x, dx, compute_expm=False)
-        dkr = expm_frechet(-y, -dy, compute_expm=False)
+        kl, dkl = expm_su(x, dx)
+        kr, dkr = expm_su(-y, -dy)
         return (
             dkl @ self.h1 @ kr + kl @ self.h1 @ dkr,
             dkl @ self.h2 @ kr + kl @ self.h2 @ dkr,

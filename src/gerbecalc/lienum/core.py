@@ -7,7 +7,9 @@ Conventions fixed here and used throughout the subpackage:
 * SU(2) is identified with the unit quaternions via
   w + xi + yj + zk  <->  [[w + ix, y + iz], [-y + iz, w - ix]],
   under which su(2) corresponds to the pure quaternions, the bracket to
-  [u, v] = 2 u x v, and <.,.> to twice the Euclidean dot product.
+  [u, v] = 2 u x v, and <.,.> to twice the Euclidean dot product;
+* exp on su(n) and its Frechet derivative L(X, E) = d/dt exp(X + tE)|_0
+  come together from one eigendecomposition of -iX (``expm_su``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 TOL_STRUCT = 1e-12
 
@@ -137,8 +138,23 @@ def random_algebra(n, rng, scale=1.0):
     return algebra_from_coords(coords, basis)
 
 
+def expm_su(x, e=None):
+    """exp(X) for X in su(n); given E, the pair (exp(X), L(X, E)).  With
+    -iX = V diag(lam) V*, exp(X) = V diag(e^{i lam}) V* and (Daleckii-Krein)
+    L(X, E) = V (G o V*EV) V*, G_jk = e^{i(lam_j + lam_k)/2} sinc((lam_j -
+    lam_k)/2), a form that stays stable on repeated eigenvalues."""
+    lam, v = np.linalg.eigh(-1j * np.asarray(x))
+    vh = v.conj().T
+    g = (v * np.exp(1j * lam)) @ vh
+    if e is None:
+        return g
+    half_gap = np.subtract.outer(lam, lam) / 2  # np.sinc(t) = sin(pi t)/(pi t)
+    gram = np.exp(0.5j * np.add.outer(lam, lam)) * np.sinc(half_gap / np.pi)
+    return g, v @ (gram * (vh @ e @ v)) @ vh
+
+
 def random_group(n, rng, scale=1.0):
-    return expm(random_algebra(n, rng, scale))
+    return expm_su(random_algebra(n, rng, scale))
 
 
 @dataclass(frozen=True)
@@ -157,7 +173,7 @@ class ExpChart:
         return algebra_from_coords(params, self.basis)
 
     def point(self, params):
-        return self.base @ expm(self.algebra(params))
+        return self.base @ expm_su(self.algebra(params))
 
 
 # -- SU(2) <-> quaternion dictionary ---------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 from itertools import permutations
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
 
 from ..nerve import perm_sign
 from .core import (
@@ -23,6 +22,7 @@ from .core import (
     LieNumError,
     bound_work,
     bracket,
+    expm_su,
     inner,
     pure_part,
     quat_conj,
@@ -64,7 +64,8 @@ def maurer_cartan_exact(chart: ExpChart, params, direction):
     _check_inside(chart, params)
     x = chart.algebra(params)
     dx = chart.algebra(np.asarray(direction, dtype=float))
-    return _project_algebra(expm(-x) @ expm_frechet(x, dx, compute_expm=False))
+    g, dg = expm_su(x, dx)
+    return _project_algebra(g.conj().T @ dg)  # exp(-X) = exp(X)* on su(n)
 
 
 def theta_su2(q, vq):

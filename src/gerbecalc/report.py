@@ -8,6 +8,7 @@ this module, and a named tuple costs a tenth of a dataclass to define.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import isnan
 
 
 class Check(namedtuple("Check", "name residual tol ok where", defaults=(None,))):
@@ -19,10 +20,11 @@ class Check(namedtuple("Check", "name residual tol ok where", defaults=(None,)))
     @classmethod
     def worst(cls, name, tol, pairs):
         """The check over (residual, where) pairs: the largest residual and
-        the first place it occurs; 0.0 and None when there are no pairs."""
+        the first place it occurs; 0.0 and None when there are no pairs.
+        A NaN is worse than any number: the first NaN fails the check."""
         residual, where = 0.0, None
         for r, at in pairs:
-            if r > residual:
+            if r > residual or (isnan(r) and not isnan(residual)):
                 residual, where = r, at
         return cls(name, residual, tol, residual <= tol, where)
 

@@ -293,9 +293,13 @@ def jandl_bundle_from_json(doc: dict):
         raise SerializationError(f"bad involution bundle document: {exc}") from exc
 
 
+def _reject_constant(name):
+    raise SerializationError(f"non-finite number {name} in JSON input")
+
+
 def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def dump_json(doc, path):

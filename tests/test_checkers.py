@@ -2,6 +2,7 @@
 
 import cmath
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from gerbecalc.checkers import (
     check_module_data,
     vanishing_residual,
 )
+from gerbecalc.cli import main
 from gerbecalc.deligne import (
     DeligneCochain,
     DeligneError,
@@ -172,6 +174,21 @@ def test_check_worst_keeps_the_first_largest_residual():
     assert Check.worst("equal", Fraction(1, 4), [(0.25, "x")]).ok
 
 
+def test_a_nan_residual_fails_its_check():
+    nan = float("nan")
+    check = Check.worst("nan", 1.0, [(0.25, "a"), (nan, "b"), (0.5, "c"), (nan, "d")])
+    assert math.isnan(check.residual) and check.where == "b" and not check.ok
+    # vanishing_residual on a form layer (the U(1) layer cannot hold a NaN:
+    # reducing it mod 1 raises), measured plainly on the pure nerve and
+    # modulo 1 in geometric mode
+    cc = icosahedron()
+    for c in (zero_cochain(simplex_nerve(3), 1, 2),
+              zero_cochain(cc.nerve(), 1, 2, complex=cc)):
+        values = [float(x) for x in c.values]
+        values[c.layout.bounds(1)[0]] = nan
+        assert math.isnan(vanishing_residual(DeligneCochain.packed(c.layout, values)))
+
+
 # -- group actions ----------------------------------------------------------
 
 
@@ -206,6 +223,43 @@ def test_action_validation():
             mult={(a, b): (a + b) % 2 for a in (0, 1) for b in (0, 1)},
             index_maps={0: swapped, 1: bad_identity},  # identity acts nontrivially
         )
+
+
+def test_vertex_maps_validated():
+    cc = icosahedron()
+    nerve = cc.nerve()
+    antipode = antipodal_involution(cc)
+    ident = {v: v for v in cc.coords}
+    cycle = dict(ident)  # a 3-cycle: a bijection that is not an involution
+    cycle[0], cycle[1], cycle[2] = 1, 2, 0
+
+    def action(vertex_maps):
+        return GroupActionOnCover(
+            nerve=nerve, elements=(0, 1), identity=0,
+            mult={(a, b): (a + b) % 2 for a in (0, 1) for b in (0, 1)},
+            index_maps={0: {i: i for i in nerve.indices}, 1: antipode},
+            vertex_maps=vertex_maps,
+        )
+
+    for maps, message in (
+        ({0: ident}, "no vertex map for element 1"),
+        ({0: ident, 1: dict.fromkeys(ident, 0)}, "vertex map of 1 is not a bijection"),
+        ({0: ident, 1: {v: v for v in range(5)}}, "vertex map of 1 is not a bijection"),
+        ({0: antipode, 1: ident}, "the identity must fix every vertex"),
+        ({0: ident, 1: cycle}, r"vertex maps break the composition law on \(1, 1\)"),
+    ):
+        with pytest.raises(CheckerError, match=message):
+            action(maps)
+    c = random_geometric_cochain(cc, nerve, 1, random.Random(31))
+    good = action({0: ident, 1: antipode}).pullback(1, c)
+    assert_same_cochain(good, dict_pullback(c, antipode, antipode))
+    # identity vertex maps pass these checks, but disagree with the
+    # antipodal index map on every chart: the pullback names the vertex map
+    with pytest.raises(DeligneError, match="vertex map disagrees with the index map"):
+        action({0: ident, 1: ident}).pullback(1, c)
+    with pytest.raises(CheckerError, match="vertex map is not a bijection"):
+        InvolutionOnCover(nerve=nerve, index_map=antipode,
+                          vertex_map={**antipode, 0: -1})
 
 
 def test_equivariant_trivial_data_passes():
@@ -408,6 +462,27 @@ def test_module_bundle_json_round_trip(module_setup):
     assert module_bundle_to_json(c2, data2) == doc
     assert check_module_data(c2, data2, tol=1e-9).as_dict() == \
         check_module_data(cocycle, data, tol=1e-9).as_dict()
+
+
+def test_module_bundle_with_nan_omega_fails(module_setup, capsys, tmp_path):
+    cc, nerve = module_setup
+    cocycle, data = line_bundle_data(cc, nerve, random.Random(8))
+    nan_omega = {t: float("nan") for t in data.omega}
+    report = check_module_data(
+        cocycle, GerbeModuleData(data.rank, data.transitions, data.connections,
+                                 nan_omega),
+        tol=1e-9,
+    )
+    assert not report.ok and math.isnan(report.residual("curving"))
+    # the JSON loader refuses the non-finite numbers before any check
+    doc = module_bundle_to_json(cocycle, data)
+    doc["omega"] = {key: float("nan") for key in doc["omega"]}
+    path = tmp_path / "nan-bundle.json"
+    path.write_text(json.dumps(doc))
+    code = main(["--json", "deligne", "check-module", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: non-finite number NaN in JSON input\n"
 
 
 def test_module_identity_data_passes(module_setup):

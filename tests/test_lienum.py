@@ -2,12 +2,17 @@
 projection, conjugacy- and biconjugacy-class 2-forms, and WZW amplitudes."""
 
 import cmath
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gerbecalc.lienum
 from gerbecalc.lienum import (
     MAX_QUAD_POINTS,
     AlgebraVector,
@@ -46,6 +51,7 @@ from gerbecalc.lienum import (
     varpi,
     wzw_amplitude,
 )
+from gerbecalc.lienum.core import expm_su
 from gerbecalc.nerve import icosahedron, subdivide_sphere
 
 KAPPA = calibrate_H()
@@ -84,6 +90,73 @@ def test_quaternion_dictionary():
     assert abs(inner(mu, mu) - 2.0) < 1e-12
     assert abs(inner(mu, mv)) < 1e-12
     assert np.allclose(bracket(mu, mv), 2 * mw)  # [i, j] = 2k
+
+
+# -- the exponential and its Frechet derivative ------------------------------
+
+
+def kernel_cases():
+    """Random su(2)/su(3) pairs (X, E) at scales 0.1 to 3, then X = 0 and
+    the repeated spectrum diag(i, i, -2i)."""
+    rng = random.Random(9)
+    for n in (2, 3):
+        for scale in (0.1, 0.3, 1.0, 3.0):
+            for _ in range(25):
+                yield random_algebra(n, rng, scale), random_algebra(n, rng)
+    yield np.zeros((3, 3), dtype=complex), random_algebra(3, rng)
+    yield np.diag([1j, 1j, -2j]), random_algebra(3, rng)
+
+
+def test_expm_su_matches_scipy():
+    from scipy.linalg import expm, expm_frechet
+
+    for x, e in kernel_cases():
+        g, dg = expm_su(x, e)
+        assert np.array_equal(expm_su(x), g)
+        assert np.max(np.abs(g - expm(x))) < 1e-13
+        assert np.max(np.abs(dg - expm_frechet(x, e, compute_expm=False))) < 1e-13
+
+
+def test_expm_su_identities():
+    step = 1e-5
+    for x, e in kernel_cases():
+        g, dg = expm_su(x, e)
+        n = len(g)
+        assert np.max(np.abs(g @ expm_su(-x) - np.eye(n))) < 1e-13
+        assert abs(np.linalg.det(g) - 1) < 1e-13
+        central = (expm_su(x + step * e) - expm_su(x - step * e)) / (2 * step)
+        assert np.max(np.abs(dg - central)) < 1e-8
+    zero = np.zeros((3, 3), dtype=complex)
+    e = random_algebra(3, random.Random(10))
+    g, dg = expm_su(zero, e)
+    assert np.array_equal(g, np.eye(3)) and np.array_equal(dg, e)
+
+
+def run_python(code):
+    src = Path(gerbecalc.lienum.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout.strip()
+
+
+def test_lienum_imports_no_scipy():
+    assert run_python(
+        "import sys, gerbecalc.cli, gerbecalc.lienum; print('scipy' in sys.modules)"
+    ) == "False"
+
+
+def test_lienum_commands_run_without_scipy():
+    # with scipy unimportable, each command that takes an exponential
+    # still exits 0
+    assert run_python(
+        "import sys; sys.modules['scipy'] = None\n"
+        "from gerbecalc.cli import main\n"
+        "print([main(['--json', 'lienum', *argv]) for argv in ("
+        "['verify-omega', '--samples', '2'], ['verify-varpi', '--samples', '2'],"
+        " ['project', '--group', 'su3'])])"
+    ).splitlines()[-1] == "[0, 0, 0]"
 
 
 # -- Maurer-Cartan form -----------------------------------------------------
