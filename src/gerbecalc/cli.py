@@ -264,7 +264,14 @@ def cmd_lienum_integrate_h(args, report):
     return report
 
 
+def _check_samples(args):
+    # a check over no samples would pass while verifying nothing
+    if args.samples < 1:
+        raise CliError("--samples must be at least 1")
+
+
 def cmd_lienum_verify_omega(args, report):
+    _check_samples(args)
     import numpy as np
 
     from .lienum import calibrate_H, exp_alcove, fd_exterior_derivative
@@ -294,6 +301,7 @@ def cmd_lienum_verify_omega(args, report):
 
 
 def cmd_lienum_verify_varpi(args, report):
+    _check_samples(args)
     import numpy as np
 
     from .lienum import calibrate_H, eval_H, exp_alcove, fd_exterior_derivative, varpi

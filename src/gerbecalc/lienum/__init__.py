@@ -27,6 +27,7 @@ from .core import (
     random_algebra,
     random_group,
     su_basis,
+    theta_volume,
 )
 from .forms import (
     calibrate_H,

@@ -7,7 +7,8 @@ Conventions fixed here and used throughout the subpackage:
 * SU(2) is identified with the unit quaternions via
   w + xi + yj + zk  <->  [[w + ix, y + iz], [-y + iz, w - ix]],
   under which su(2) corresponds to the pure quaternions, the bracket to
-  [u, v] = 2 u x v, and <.,.> to twice the Euclidean dot product;
+  [u, v] = 2 u x v, and <.,.> to twice the Euclidean dot product, so
+  H on a frame is a triple product of pure quaternions (``theta_volume``);
 * exp on su(n) and its Frechet derivative L(X, E) = d/dt exp(X + tE)|_0
   come together from one eigendecomposition of -iX (``expm_su``).
 """
@@ -214,3 +215,21 @@ def quat_conj(q):
 
 def pure_part(q):
     return np.asarray(q)[..., 1:]
+
+
+def theta_volume(q, d1, d2, d3):
+    """det[Im(conj(q) d1), Im(conj(q) d2), Im(conj(q) d3)] for quaternions
+    given as (w, x, y, z) sequences of component arrays or broadcasting
+    scalars: only the three imaginary parts of each product are formed,
+    then their triple product, with no stacked arrays and no LAPACK call.
+    """
+    w, x, y, z = q
+
+    def im(d):
+        dw, dx, dy, dz = d
+        return (w * dx - x * dw - y * dz + z * dy,
+                w * dy + x * dz - y * dw - z * dx,
+                w * dz - x * dy + y * dx - z * dw)
+
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = im(d1), im(d2), im(d3)
+    return a1 * (b2 * c3 - b3 * c2) + a2 * (b3 * c1 - b1 * c3) + a3 * (b1 * c2 - b2 * c1)

@@ -7,7 +7,10 @@ Normalization: H evaluated on tangents (v1, v2, v3) at g is
 kappa * <theta(v1), [theta(v2), theta(v3)]>  with <X, Y> = -trace(XY);
 the wedge-convention factor 1/6 cancels against the 3! antisymmetrization.
 kappa is fixed by requiring the integral of H over SU(2) to be exactly 1,
-which pins kappa = 1 / (8 pi^2) for the -trace pairing.
+which pins kappa = 1 / (8 pi^2) for the -trace pairing.  On SU(2) the
+pairing is 4 det[theta(v1), theta(v2), theta(v3)] of pure quaternions, which
+``core.theta_volume`` computes as one triple product for the calibration
+and the SU(2) quadrature.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .core import (
     pure_part,
     quat_conj,
     quat_mul,
+    theta_volume,
 )
 
 FD_STEP_FIRST = 1e-5
@@ -96,11 +100,9 @@ def calibrate_H(gram_scale: float = 1.0) -> float:
     the unit-quaternion tangent frame (i, j, k) times the volume 2 pi^2 of
     the unit 3-sphere.  The frame value is computed, not transcribed.
     """
-    e = np.array([1.0, 0, 0, 0])
-    frame = [np.eye(4)[a] for a in (1, 2, 3)]
-    us = [theta_su2(e, v) for v in frame]
+    e, i, j, k = np.eye(4)
     # <M(a), [M(b), M(c)]> = 4 det[a b c] under the quaternion dictionary
-    frame_value = gram_scale * 4.0 * float(np.linalg.det(np.stack(us)))
+    frame_value = gram_scale * 4.0 * float(theta_volume(e, i, j, k))
     return 1.0 / (frame_value * 2.0 * np.pi**2)
 
 
@@ -111,7 +113,8 @@ def integrate_H_SU2(resolution: int, kappa: float | None = None,
     The grid is the midpoint grid on hyperspherical angles,
     q = (cos chi, sin chi cos th, sin chi sin th cos ph, sin chi sin th sin ph)
     with chi, th in [0, pi] and ph in [0, 2 pi], and H is taken on its
-    analytic coordinate tangents.  It is evaluated one chi value
+    analytic coordinate tangents, passed to ``theta_volume`` as component
+    tuples.  It is evaluated one chi value
     (resolution^2 points) at a time, so memory beyond the resolution^3
     densities stays constant; the densities are summed once.  A grid of
     more than MAX_QUAD_POINTS points is refused before any allocation.
@@ -131,18 +134,16 @@ def integrate_H_SU2(resolution: int, kappa: float | None = None,
     T, P = np.meshgrid(th, ph, indexing="ij")
     t, p = T.ravel(), P.ravel()
     st, ct, sp, cp = np.sin(t), np.cos(t), np.sin(p), np.cos(p)
-    z = np.zeros_like(t)
     n = len(t)
     dens = np.empty(res * n)
     for i, (sc, cc) in enumerate(zip(np.sin(chi), np.cos(chi))):
-        q = np.stack([np.full(n, cc), sc * ct, sc * st * cp, sc * st * sp], axis=-1)
-        t_chi = np.stack([np.full(n, -sc), cc * ct, cc * st * cp, cc * st * sp], axis=-1)
-        t_th = np.stack([z, -sc * st, sc * ct * cp, sc * ct * sp], axis=-1)
-        t_ph = np.stack([z, z, -sc * st * sp, sc * st * cp], axis=-1)
-        qbar = quat_conj(q)
-        us = [pure_part(quat_mul(qbar, v)) for v in (t_chi, t_th, t_ph)]
-        # H on the frame: kappa * 4 * det[u1 u2 u3] per point
-        dens[i * n:(i + 1) * n] = 4.0 * np.linalg.det(np.stack(us, axis=-2))
+        q = (cc, sc * ct, sc * st * cp, sc * st * sp)
+        t_chi = (-sc, cc * ct, cc * st * cp, cc * st * sp)
+        t_th = (0.0, -sc * st, sc * ct * cp, sc * ct * sp)
+        t_ph = (0.0, 0.0, -sc * st * sp, sc * st * cp)
+        # H on the frame: kappa * 4 * det[theta(t_chi), theta(t_th),
+        # theta(t_ph)] per point, as one triple product (theta_volume)
+        dens[i * n:(i + 1) * n] = 4.0 * theta_volume(q, t_chi, t_th, t_ph)
     cell = (np.pi / res) * (np.pi / res) * (2 * np.pi / res)
     return float(kappa * gram_scale * np.sum(dens) * cell)
 

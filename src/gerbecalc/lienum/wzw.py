@@ -8,8 +8,9 @@ acting row by row; it must be defined on a small collar around the ball so
 central differences can be taken at the boundary.  The quadrature calls it
 one radial layer of cells at a time, so memory beyond one density per cell
 stays constant, and a ball past MAX_QUAD_POINTS cells is refused before
-its mesh is built.  The kinetic term is deliberately excluded: only
-exp(2 pi i k Q) with Q = integral of Phi*H is computed.
+its mesh is built.  H on each cell's frame is one triple product of pure
+quaternions (``core.theta_volume``).  The kinetic term is deliberately
+excluded: only exp(2 pi i k Q) with Q = integral of Phi*H is computed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nerve import icosahedron_mesh, refine_sphere_mesh
-from .core import LieNumError, bound_work, check_level, quat_conj, quat_mul
+from .core import LieNumError, bound_work, check_level, theta_volume
 from .forms import calibrate_H
 
 FD_STEP_MAP = 1e-5
@@ -35,9 +36,9 @@ class BallQuadrature:
     (s, t) in the unit triangle, r in a layer; the 3-form is sampled at the
     cell center on the coordinate frame (a + b + c) / 3, r (b - a),
     r (c - a), with the unit-triangle area 1/2 as the (s, t) cell measure.
-    ``centers`` lists the cells layer by layer, ``radii`` holds the layer
-    mid-radii, and ``centroids`` and ``edges`` the per-triangle
-    (a + b + c) / 3 and (b - a, c - a).
+    ``radii`` holds the layer mid-radii, and ``centroids`` and ``edges``
+    the per-triangle (a + b + c) / 3 and (b - a, c - a); the cell centres
+    are ``radii[l] * centroids``, one layer at a time.
     """
 
     subdivisions: int = 5
@@ -62,8 +63,6 @@ class BallQuadrature:
         a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
         centroid = (a + b + c) / 3.0
         r_mid = (np.arange(layers) + 0.5) / layers
-        centers = (r_mid[:, None, None] * centroid[None, :, :]).reshape(-1, 3)
-        object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", r_mid)
         object.__setattr__(self, "centroids", centroid)
         object.__setattr__(self, "edges", (b - a, c - a))
@@ -71,6 +70,11 @@ class BallQuadrature:
         object.__setattr__(self, "boundary_points", np.array(
             [coords[v] for v in sorted(coords)]
         ))
+
+    @property
+    def centers(self):
+        """Every cell centre, layer by layer, computed on each access."""
+        return (self.radii[:, None, None] * self.centroids[None, :, :]).reshape(-1, 3)
 
 
 def _check_unit_quaternions(q, what):
@@ -91,18 +95,17 @@ def pullback_H_integral(phi, quad: BallQuadrature, kappa: float | None = None,
         kappa = calibrate_H()
     n = len(quad.centroids)
     ab, ac = quad.edges
-    dens = np.empty(len(quad.centers))
+    dens = np.empty(len(quad.radii) * n)
     for layer, r in enumerate(quad.radii):
-        cells = slice(layer * n, (layer + 1) * n)
-        x = quad.centers[cells]
+        x = r * quad.centroids
         q = np.asarray(phi(x), dtype=float)
         _check_unit_quaternions(q, "the ball map")
-        qbar = quat_conj(q)
-        us = []
+        dqs = []
         for w in (quad.centroids, r * ab, r * ac):
             dq = (np.asarray(phi(x + step * w)) - np.asarray(phi(x - step * w))) / (2 * step)
-            us.append(quat_mul(qbar, dq)[:, 1:])  # theta of the pushed tangent
-        dens[cells] = 4.0 * np.linalg.det(np.stack(us, axis=-2))
+            dqs.append(dq.T)  # the pushed tangent, as quaternion components
+        # H on the frame: kappa * 4 * det of the three theta values per cell
+        dens[layer * n:(layer + 1) * n] = 4.0 * theta_volume(q.T, *dqs)
     return float(kappa * np.sum(dens) * quad.weight)
 
 

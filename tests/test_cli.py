@@ -378,6 +378,14 @@ def test_lienum_project_deterministic_json(capsys):
     assert abs(sum(xi)) < 1e-9 and xi == sorted(xi, reverse=True)
 
 
+def test_lienum_verify_needs_a_sample(capsys):
+    for command in ("verify-omega", "verify-varpi"):
+        for samples in ("0", "-3"):
+            code, out, err = run_cli(capsys, "--json", "lienum", command, "--samples", samples)
+            assert code == 2 and out == ""
+            assert err == "error: --samples must be at least 1\n"
+
+
 def test_lienum_verify_omega_rejects_su2(capsys):
     code, _, err = run_cli(capsys, "lienum", "verify-omega", "--group", "su2")
     assert code == 2 and "su3" in err

@@ -48,6 +48,7 @@ from gerbecalc.lienum import (
     southern_extension,
     su_basis,
     theta_su2,
+    theta_volume,
     varpi,
     wzw_amplitude,
 )
@@ -271,6 +272,27 @@ def test_integrand_left_invariance():
             np.stack([theta_su2(q, quat_mul(q, v)) for v in frame])
         )
         assert abs(moved - base) < 1e-8
+
+
+def test_theta_volume_matches_the_lapack_determinant():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        q = rng.standard_normal(4)
+        q /= np.linalg.norm(q)
+        frame = rng.standard_normal((3, 4))
+        det = np.linalg.det(np.stack([theta_su2(q, v) for v in frame]))
+        assert abs(theta_volume(q, *frame) - det) <= 1e-13 * abs(det)
+    # component tuples of arrays broadcast against scalar components
+    qs = rng.standard_normal((4, 50))
+    qs /= np.linalg.norm(qs, axis=0)
+    frames = rng.standard_normal((3, 4, 50))
+    frames[1, 0] = 0.0
+    vol = theta_volume(tuple(qs), *frames[:1], (0.0, *frames[1, 1:]), frames[2])
+    for m in range(50):
+        assert vol[m] == theta_volume(qs[:, m], *frames[:, :, m])
+    e, i, j, k = np.eye(4)
+    assert theta_volume(e, i, j, k) == 1.0
+    assert theta_volume(qs[:, 0], *frames[:2, :, 0], frames[1, :, 0]) == 0.0
 
 
 # -- alcove projection ------------------------------------------------------
@@ -534,9 +556,11 @@ def test_boundary_map_is_shared(coarse_quad):
 
 
 # -- whole-array quadratures, kept as oracles for the sliced ones -----------
-# These evaluate every grid point and ball cell at once; the library
-# evaluates them one slice at a time with the same float operations, so
-# the results must agree exactly.
+# These evaluate every grid point and ball cell at once.  The LAPACK-det
+# versions are the independent oracles: the library takes the determinant
+# as one triple product (theta_volume), which rounds differently, so they
+# agree to a relative 1e-14.  The theta_volume versions do the library's
+# float operations on the whole array, so slicing must not change a bit.
 
 
 def whole_array_integrate_H_SU2(res):
@@ -554,6 +578,23 @@ def whole_array_integrate_H_SU2(res):
     cell = (np.pi / res) * (np.pi / res) * (2 * np.pi / res)
     us = [theta_su2(q, v) for v in (t_chi, t_th, t_ph)]
     dens = 4.0 * np.linalg.det(np.stack(us, axis=-2))
+    return float(KAPPA * np.sum(dens) * cell)
+
+
+def whole_array_theta_volume_integrate_H_SU2(res):
+    chi = (np.arange(res) + 0.5) * np.pi / res
+    th = (np.arange(res) + 0.5) * np.pi / res
+    ph = (np.arange(res) + 0.5) * 2 * np.pi / res
+    C, T, P = np.meshgrid(chi, th, ph, indexing="ij")
+    c, t, p = C.ravel(), T.ravel(), P.ravel()
+    sc, cc, st, ct, sp, cp = np.sin(c), np.cos(c), np.sin(t), np.cos(t), np.sin(p), np.cos(p)
+    z = np.zeros_like(c)
+    q = (cc, sc * ct, sc * st * cp, sc * st * sp)
+    t_chi = (-sc, cc * ct, cc * st * cp, cc * st * sp)
+    t_th = (z, -sc * st, sc * ct * cp, sc * ct * sp)
+    t_ph = (z, z, -sc * st * sp, sc * st * cp)
+    cell = (np.pi / res) * (np.pi / res) * (2 * np.pi / res)
+    dens = 4.0 * theta_volume(q, t_chi, t_th, t_ph)
     return float(KAPPA * np.sum(dens) * cell)
 
 
@@ -587,9 +628,24 @@ def whole_array_pullback(phi, ball, step=1e-5):
     return float(KAPPA * np.sum(dens) * weight)
 
 
+def whole_array_theta_volume_pullback(phi, ball, step=1e-5):
+    x, frame, weight, _ = ball
+    q = np.asarray(phi(x), dtype=float)
+    dqs = [((np.asarray(phi(x + step * w)) - np.asarray(phi(x - step * w))) / (2 * step)).T
+           for w in frame]
+    dens = 4.0 * theta_volume(q.T, *dqs)
+    return float(KAPPA * np.sum(dens) * weight)
+
+
+def assert_close_to_oracle(value, oracle):
+    assert abs(value - oracle) <= 1e-14 * abs(oracle)
+
+
 @pytest.mark.parametrize("res", [8, 17, 32])
 def test_sliced_su2_integral_matches_whole_array(res):
-    assert integrate_H_SU2(res) == whole_array_integrate_H_SU2(res)
+    value = integrate_H_SU2(res)
+    assert value == whole_array_theta_volume_integrate_H_SU2(res)
+    assert_close_to_oracle(value, whole_array_integrate_H_SU2(res))
 
 
 @pytest.mark.parametrize("subdivisions", [0, 1, 2, 3])
@@ -601,7 +657,21 @@ def test_sliced_pullback_matches_whole_array(subdivisions):
         assert np.array_equal(quad.boundary_points, ball[3])
         assert quad.weight == ball[2]
         for phi in (northern_extension, southern_extension, constant_map):
-            assert pullback_H_integral(phi, quad) == whole_array_pullback(phi, ball)
+            value = pullback_H_integral(phi, quad)
+            assert value == whole_array_theta_volume_pullback(phi, ball)
+            assert_close_to_oracle(value, whole_array_pullback(phi, ball))
+
+
+def test_ball_quadrature_holds_no_cell_array():
+    # the stored centres of the default ball took 15.7 MB
+    tracemalloc.start()
+    try:
+        quad = BallQuadrature(5, 32)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 4e6
+    assert quad.centers.shape == (655_360, 3)
 
 
 def test_su2_integral_memory_is_constant_in_slices():
