@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .deligne import (
     _face_domain,
     cochain_add,
     cochain_neg,
+    cochain_residual,
     cochain_sub,
     deligne_differential,
     pullback_cochain,
@@ -33,26 +33,17 @@ class CheckerError(DeligneError):
     pass
 
 
-def vanishing_residual(c: DeligneCochain) -> float:
-    """Max distance of a cochain from zero, in one pass over its values:
-    the U(1) layer (and, in geometric mode, the form layers, which inherit
-    the dlog-branch integer ambiguity) measured modulo 1, pure-nerve form
-    layers measured plainly.  A NaN or infinite value is returned as is."""
-    layout, values = c.layout, c.values
-    worst = 0.0
-    for k in range(layout.n_components):
-        lo, hi = layout.bounds(k)
-        mod1 = k == 0 or c.complex is not None
-        for x in values[lo:hi]:
-            if isinstance(x, float) and not isfinite(x):
-                return abs(x)
-            worst = max(worst, float(abs(x - round(x)) if mod1 else abs(x)))
-    return worst
-
-
 def _worst_vanishing(name, tol, pairs):
-    """Check.worst over (cochain, where) pairs, by vanishing_residual."""
-    return Check.worst(name, tol, ((vanishing_residual(c), at) for c, at in pairs))
+    """Check.worst over (cochain, prefix) pairs by cochain_residual, located
+    at the worst slot of the worst cochain, after its prefix."""
+    check = Check.worst(name, tol, (
+        (r, (prefix, c.layout, slot))
+        for c, prefix in pairs for r, slot in (cochain_residual(c),)
+    ))
+    if check.where is None:
+        return check
+    prefix, layout, slot = check.where
+    return check._replace(where=prefix + layout.where(slot))
 
 
 # -- group actions on a cover ----------------------------------------------
@@ -157,14 +148,14 @@ def check_equivariant_data(act: GroupActionOnCover, xi: DeligneCochain,
 
     return CheckReport(checks=(
         _worst_vanishing("gerbe-shift", tol, (
-            (gerbe_shift(g), f"element {g!r}") for g in els
+            (gerbe_shift(g), f"element {g!r}: ") for g in els
         )),
         _worst_vanishing("cochain-shift", tol, (
-            (cochain_shift(g, h), f"pair ({g!r}, {h!r})")
+            (cochain_shift(g, h), f"pair ({g!r}, {h!r}): ")
             for g in els for h in els
         )),
         _worst_vanishing("associativity", tol, (
-            (associativity(g, h, k), f"triple ({g!r}, {h!r}, {k!r})")
+            (associativity(g, h, k), f"triple ({g!r}, {h!r}, {k!r}): ")
             for g in els for h in els for k in els
         )),
     ))
@@ -214,11 +205,10 @@ def check_jandl_data(invol: InvolutionOnCover, xi: DeligneCochain,
         deligne_differential(a),
         cochain_neg(cochain_add(xi, invol.pullback(xi))),
     )
-    r1 = vanishing_residual(diff)
-    r2 = vanishing_residual(cochain_add(invol.pullback(phi), phi))
     return CheckReport(checks=(
-        Check("dualization", r1, tol, r1 <= tol),
-        Check("equivariance", r2, tol, r2 <= tol),
+        _worst_vanishing("dualization", tol, [(diff, "")]),
+        _worst_vanishing("equivariance", tol,
+                         [(cochain_add(invol.pullback(phi), phi), "")]),
     ))
 
 

@@ -126,13 +126,13 @@ def cmd_centralizer(args, report):
 
 
 def cmd_deligne_check(args, report):
-    from .deligne import is_cocycle
+    from .deligne import cochain_residual, deligne_differential
     from .serialize import cochain_from_json, load_json
 
     report.add_input(args.cochain)
     c = cochain_from_json(load_json(args.cochain))
-    ok = is_cocycle(c, tol=0 if c.is_pure_nerve() else args.tol)
-    report.add_check("cocycle condition", 0.0 if ok else 1.0, 0.5, ok=ok)
+    residual = cochain_residual(deligne_differential(c))[0]
+    report.add_check("cocycle condition", residual, 0 if c.is_pure_nerve() else args.tol)
     return report
 
 

@@ -47,11 +47,12 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from operator import add, gt, neg, sub
+from operator import add, gt, ne, neg, sub
 
 from .intlinalg import matvec, smith_normal_form, solve_rational
 from .nerve import CoverNerve, CoveredComplex, cached, perm_sign
@@ -74,12 +75,6 @@ def _wrap_half(x):
     if isinstance(y, Fraction):
         return y - 1 if y > Fraction(1, 2) else y
     return y - 1.0 if y > 0.5 else y
-
-
-def _is_integer(x, tol):
-    if isinstance(x, (int, Fraction)):
-        return _mod1(x) == 0 if tol == 0 else abs(_wrap_half(x)) <= tol
-    return abs(_wrap_half(x)) <= tol
 
 
 def _face_domain(cc: CoveredComplex, face, k):
@@ -155,6 +150,13 @@ class Layout:
         except KeyError:
             where = f" on {simplex}" if simplex is not None else ""
             raise DeligneError(f"no slot for component {k} at face {face}{where}")
+
+    def where(self, slot):
+        """Where ``slot`` lies, in the words of :meth:`slot`'s error."""
+        k = next(k for k, starts in enumerate(self.starts) if slot < starts[-1])
+        face = self.faces[k][bisect_right(self.starts[k], slot) - 1]
+        on = f" on {self.simplices[slot]}" if self.complex is not None else ""
+        return f"component {k} at face {face}{on}"
 
     def pack(self, components):
         """Flat value vector of per-face component dicts (validated)."""
@@ -481,25 +483,36 @@ def deligne_differential(c: DeligneCochain) -> DeligneCochain:
     return DeligneCochain.packed(op.target, op.apply(c.values))
 
 
-def is_cocycle(c: DeligneCochain, tol=0) -> bool:
-    """True iff every component of D(c) vanishes.
+def cochain_residual(c: DeligneCochain):
+    """(residual, slot): the largest distance of a value of ``c`` from zero
+    and the first slot where it occurs; (0.0, None) without slots.
 
-    The U(1) layer is tested modulo 1.  In geometric mode the form layers
-    are also tested modulo 1 (integer ambiguities arise from the dlog
-    branch and exponentiate away); in pure-nerve mode they must vanish
-    exactly up to tol.
+    The U(1) layer is measured modulo 1, as |x - round(x)|, and so is every
+    layer in geometric mode (integer ambiguities arise from the dlog branch
+    and exponentiate away); pure-nerve form layers are measured as |x|.
+    ``Fraction``s stay exact.  The first NaN or infinite value is returned.
     """
-    op = c.layout.differential
-    dc = op.apply(c.values)
-    if isinstance(dc, array):
-        # |wrap(x)| is min(y, 1 - y) for the fractional part y of x
-        ys = _fractional_parts(dc)
-        return max(map(min, ys, map(sub, repeat(1.0), ys)), default=0.0) <= tol
+    values = c.values
     # the U(1) layer comes first; in geometric mode every layer is mod 1
-    hi = op.target.bounds(0)[1] if c.complex is None else len(dc)
-    return all(_is_integer(x, tol) for x in dc[:hi]) and all(
-        abs(x) <= tol for x in dc[hi:]
-    )
+    cut = len(values) if c.complex is not None else c.layout.bounds(0)[1]
+    head, tail = values[:cut], values[cut:]
+    try:
+        dist = [*map(abs, map(sub, head, map(round, head))), *map(abs, tail)]
+        if not any(map(ne, tail, tail)):  # no NaN
+            residual = max(dist, default=0.0)
+            return residual, dist.index(residual) if dist else None
+    except (ValueError, OverflowError):  # round() of a NaN or an infinity
+        pass
+    slot = next(i for i, x in enumerate(values) if x != x or abs(x) == math.inf)
+    return abs(values[slot]), slot
+
+
+def is_cocycle(c: DeligneCochain, tol=0) -> bool:
+    """True iff D(c) vanishes up to ``tol``, as :func:`cochain_residual` measures."""
+    # D(c) built here, not by deligne_differential, which perfbench wraps and counts
+    op = c.layout.differential
+    dc = DeligneCochain.packed(op.target, op.apply(c.values))
+    return cochain_residual(dc)[0] <= tol
 
 
 # -- nerve cohomology and the obstruction class ----------------------------
@@ -730,18 +743,11 @@ def solve_trivialization(c: DeligneCochain, tol=1e-9) -> TrivializationResult:
 
 
 def trivialization_defect(c, result, tol=1e-9):
-    """Max-norm of (0, 0, rho) - c - D(h, W); U(1) layer modulo 1."""
+    """Max-norm of (0, 0, rho) - c - D(h, W), by :func:`cochain_residual`."""
     total = cochain_add(c, deligne_differential(result.trivialization))
-    layout, values = total.layout, total.values
-    worst = 0
-    for k in range(total.n_components):
-        lo, hi = layout.bounds(k)
-        for x in values[lo:hi]:
-            if k == total.n_components - 1:
-                x = x + (-1) * result.rho
-            err = abs(_wrap_half(x)) if k == 0 else abs(x)
-            worst = max(worst, err)
-    return worst
+    lo = total.layout.bounds(total.n_components - 1)[0]
+    values = total.values[:lo] + [x - result.rho for x in total.values[lo:]]
+    return cochain_residual(DeligneCochain.packed(total.layout, values))[0]
 
 
 # -- random data (for tests and the CLI demo paths) ------------------------

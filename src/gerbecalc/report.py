@@ -8,7 +8,6 @@ this module, and a named tuple costs a tenth of a dataclass to define.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import isnan
 
 
 class Check(namedtuple("Check", "name residual tol ok where", defaults=(None,))):
@@ -21,10 +20,11 @@ class Check(namedtuple("Check", "name residual tol ok where", defaults=(None,)))
     def worst(cls, name, tol, pairs):
         """The check over (residual, where) pairs: the largest residual and
         the first place it occurs; 0.0 and None when there are no pairs.
-        A NaN is worse than any number: the first NaN fails the check."""
+        A NaN is worse than any number: the first NaN fails the check.
+        Residuals are compared as they are, so ``Fraction``s stay exact."""
         residual, where = 0.0, None
         for r, at in pairs:
-            if r > residual or (isnan(r) and not isnan(residual)):
+            if r > residual or (r != r and residual == residual):
                 residual, where = r, at
         return cls(name, residual, tol, residual <= tol, where)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from sys import float_info
 from typing import TYPE_CHECKING
 
 from .deligne import DeligneCochain
@@ -41,6 +42,8 @@ def number_to_json(x):
 def number_from_json(v):
     if isinstance(v, str):
         return Fraction(v)
+    if not abs(v) <= float_info.max:  # json reads 1e400 as inf
+        raise SerializationError(f"number {v!r} in JSON input overflows a float")
     return float(v)
 
 

@@ -17,7 +17,6 @@ from gerbecalc.checkers import (
     check_equivariant_data,
     check_jandl_data,
     check_module_data,
-    vanishing_residual,
 )
 from gerbecalc.cli import main
 from gerbecalc.deligne import (
@@ -26,8 +25,10 @@ from gerbecalc.deligne import (
     _face_domain,
     cochain_add,
     cochain_neg,
+    cochain_residual,
     cochain_sub,
     deligne_differential,
+    is_cocycle,
     perm_sign,
     pullback_cochain,
     random_cochain,
@@ -151,12 +152,12 @@ def test_pullback_gather_along_the_antipodal_involution(degree):
     pulled = invol.pullback(c)
     assert_same_cochain(pulled, dict_pullback(c, antipode, antipode))
     # an involution: pulling back twice is the identity (mod 1)
-    assert vanishing_residual(cochain_sub(invol.pullback(pulled), c)) <= 1e-12
+    assert cochain_residual(cochain_sub(invol.pullback(pulled), c))[0] <= 1e-12
     # the pullback is a cochain map
     commutator = cochain_sub(
         deligne_differential(pulled), invol.pullback(deligne_differential(c))
     )
-    assert vanishing_residual(commutator) <= 1e-12
+    assert cochain_residual(commutator)[0] <= 1e-12
 
 
 # -- the check record -------------------------------------------------------
@@ -178,15 +179,25 @@ def test_a_nan_residual_fails_its_check():
     nan = float("nan")
     check = Check.worst("nan", 1.0, [(0.25, "a"), (nan, "b"), (0.5, "c"), (nan, "d")])
     assert math.isnan(check.residual) and check.where == "b" and not check.ok
-    # vanishing_residual on a form layer (the U(1) layer cannot hold a NaN:
+    # cochain_residual on a form layer (the U(1) layer cannot hold a NaN:
     # reducing it mod 1 raises), measured plainly on the pure nerve and
-    # modulo 1 in geometric mode
+    # modulo 1 in geometric mode; is_cocycle reads the NaN in D(c) as failed
     cc = icosahedron()
     for c in (zero_cochain(simplex_nerve(3), 1, 2),
               zero_cochain(cc.nerve(), 1, 2, complex=cc)):
         values = [float(x) for x in c.values]
-        values[c.layout.bounds(1)[0]] = nan
-        assert math.isnan(vanishing_residual(DeligneCochain.packed(c.layout, values)))
+        slot = c.layout.bounds(1)[0]
+        values[slot] = nan
+        residual, at = cochain_residual(DeligneCochain.packed(c.layout, values))
+        assert math.isnan(residual) and at == slot
+        values[slot + 1] = -math.inf
+        residual, at = cochain_residual(DeligneCochain.packed(c.layout, values))
+        assert math.isnan(residual) and at == slot
+        values[slot] = 0.0
+        residual, at = cochain_residual(DeligneCochain.packed(c.layout, values))
+        assert residual == math.inf and at == slot + 1
+        values[slot + 1] = nan
+        assert not is_cocycle(DeligneCochain.packed(c.layout, values), tol=1.0)
 
 
 # -- group actions ----------------------------------------------------------
@@ -313,6 +324,13 @@ def test_equivariant_perturbed_b_fails():
     b[(0, 1)] = random_cochain(nerve, 0, 2, rng)
     bad = check_equivariant_data(act, xi, a, b, tol=Fraction(1, 10**6))
     assert not bad.ok
+    # each failing row names its worst pair or triple, component and face
+    shift = bad.checks[1]
+    residual, slot = cochain_residual(deligne_differential(b[(0, 1)]))
+    assert (shift.residual, shift.where) == (
+        residual, f"pair (0, 1): {b[(0, 1)].layout.differential.target.where(slot)}"
+    )
+    assert all(c.where and "component" in c.where for c in bad.checks if not c.ok)
 
 
 def test_equivariant_missing_element_rejected():
@@ -328,7 +346,9 @@ def test_equivariant_missing_element_rejected():
 # -- involution structures --------------------------------------------------
 
 
-def test_jandl_constructed_data():
+def jandl_data(defect=0):
+    """Exact Jandl data on the sphere nerve with charts 0 and 1 swapped,
+    phi shifted by ``defect`` at chart 0."""
     nerve = sphere_nerve()
     imap = {i: i for i in nerve.indices}
     imap[0], imap[1] = 1, 0
@@ -343,12 +363,17 @@ def test_jandl_constructed_data():
     for f in nerve.faces_of_size(1):
         i = f[0]
         if i == 0:
-            phi0[f] = Fraction(3, 10)
+            phi0[f] = Fraction(3, 10) + defect
         elif i == 1:
             phi0[f] = Fraction(7, 10)
         else:
             phi0[f] = Fraction(1, 2)
     phi = DeligneCochain(nerve=nerve, degree=0, level=2, components=(phi0,))
+    return nerve, invol, xi, a, phi
+
+
+def test_jandl_constructed_data():
+    nerve, invol, xi, a, phi = jandl_data()
     report = check_jandl_data(invol, xi, a, phi, tol=0)
     assert report.ok, report.as_dict()
     # zero data also pass
@@ -371,6 +396,52 @@ def test_jandl_flipped_sign_fails():
     report = check_jandl_data(invol, xi, wrong, phi, tol=Fraction(1, 10**6))
     assert not report.ok
     assert report.residual("dualization") > Fraction(1, 10**6)
+    diff = cochain_add(deligne_differential(wrong), cochain_add(xi, invol.pullback(xi)))
+    residual, slot = cochain_residual(diff)
+    dual, equiv = report.checks
+    assert dual.residual == residual and dual.where == xi.layout.where(slot)
+    assert dual.where.startswith("component ") and equiv.ok and equiv.where is None
+
+
+def test_jandl_exact_defect_fails_exactly():
+    # a defect below the float range must fail an exact check, and its
+    # residual compare exactly
+    tiny = Fraction(1, 10**400)
+    nerve, invol, xi, a, phi = jandl_data(defect=tiny)
+    dual, equiv = check_jandl_data(invol, xi, a, phi, tol=0).checks
+    assert dual.ok
+    assert not equiv.ok and equiv.residual == tiny
+    assert equiv.where == "component 0 at face (0,)"
+
+
+def test_geometric_rows_name_component_face_and_simplex():
+    cc = icosahedron()
+    nerve = cc.nerve()
+    antipode = antipodal_involution(cc)
+    invol = InvolutionOnCover(nerve=nerve, index_map=antipode, vertex_map=antipode)
+    phi = random_geometric_cochain(cc, nerve, 0, random.Random(32))
+    xi, a = zero_cochain(nerve, 2, 2, complex=cc), zero_cochain(nerve, 1, 2, complex=cc)
+    dual, equiv = check_jandl_data(invol, xi, a, phi, tol=1e-9).checks
+    assert dual.ok and dual.where is None
+    residual, slot = cochain_residual(cochain_add(invol.pullback(phi), phi))
+    assert not equiv.ok and (equiv.residual, equiv.where) == (residual, phi.layout.where(slot))
+    k, face, simplex = list(phi.layout.slots())[slot]
+    assert equiv.where == f"component {k} at face {face} on {simplex}"
+    # an equivariant row prefixes the location with the element
+    act = GroupActionOnCover(
+        nerve=nerve, elements=(0, 1), identity=0,
+        mult={(g, h): (g + h) % 2 for g in (0, 1) for h in (0, 1)},
+        index_maps={0: {i: i for i in nerve.indices}, 1: antipode},
+        vertex_maps={0: {v: v for v in antipode}, 1: antipode},
+    )
+    xi = random_geometric_cochain(cc, nerve, 2, random.Random(33))
+    a = {g: zero_cochain(nerve, 1, 2, complex=cc) for g in act.elements}
+    b = {(g, h): zero_cochain(nerve, 0, 2, complex=cc) for g in (0, 1) for h in (0, 1)}
+    shift = check_equivariant_data(act, xi, a, b, tol=1e-9).checks[0]
+    residual, slot = cochain_residual(cochain_sub(xi, act.pullback(1, xi)))
+    assert not shift.ok and shift.residual == residual
+    assert shift.where == f"element 1: {xi.layout.where(slot)}"
+    assert " on (" in shift.where
 
 
 def test_involution_validation():
@@ -586,4 +657,4 @@ def test_vanishing_residual_measures_mod_one():
     comps[0] = {f: Fraction(9, 10) for f in comps[0]}
     shifted = DeligneCochain(nerve=nerve, degree=2, level=2,
                              components=tuple(comps))
-    assert abs(vanishing_residual(shifted) - 0.1) < 1e-12
+    assert abs(cochain_residual(shifted)[0] - 0.1) < 1e-12

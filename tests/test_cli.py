@@ -11,6 +11,7 @@ from gerbecalc.deligne import (
     DeligneCochain,
     _face_domain,
     cochain_add,
+    cochain_residual,
     cochain_sub,
     deligne_differential,
     random_cochain,
@@ -177,6 +178,57 @@ def test_deligne_check_fails_on_non_cocycle(capsys, tmp_path):
     assert code == 1 and "[FAIL]" in out
 
 
+def test_deligne_check_reports_the_residual_of_d(capsys, coboundary_file, tmp_path):
+    def check_row(*argv):
+        code, out, err = run_cli(capsys, "--json", "deligne", "check", *argv)
+        assert err == ""
+        (row,) = json.loads(out)["checks"]
+        return code, row
+
+    # a pure-nerve cocycle holds exactly: residual 0 against tolerance 0
+    assert check_row(coboundary_file) == (0, {
+        "name": "cocycle condition", "ok": True, "residual": 0.0, "tol": 0.0})
+    bad = random_cochain(simplex_nerve(4), 2, 2, random.Random(9))
+    path = tmp_path / "bad.json"
+    dump_json(cochain_to_json(bad), path)
+    residual = cochain_residual(deligne_differential(bad))[0]
+    assert residual > 0
+    assert check_row(str(path)) == (1, {
+        "name": "cocycle condition", "ok": False, "residual": float(residual),
+        "tol": 0.0})
+    # a geometric cocycle is measured against --tol
+    cc = icosahedron()
+    nerve = cc.nerve()
+    rng = random.Random(10)
+    h = DeligneCochain(nerve, 1, 2, (
+        {f: {s: rng.random() for s in _face_domain(cc, f, 0)} for f in nerve.faces_of_size(2)},
+        {f: {s: rng.uniform(-2, 2) for s in _face_domain(cc, f, 1)}
+         for f in nerve.faces_of_size(1)},
+    ), complex=cc)
+    c = deligne_differential(h)
+    path = tmp_path / "geometric.json"
+    dump_json(cochain_to_json(c), path)
+    residual = cochain_residual(deligne_differential(c))[0]
+    assert 0 < residual < 1e-12
+    assert check_row(str(path), "--tol", "1e-12") == (0, {
+        "name": "cocycle condition", "ok": True, "residual": residual, "tol": 1e-12})
+
+
+@pytest.mark.parametrize("k, face, number", [
+    (0, "0,1,2", "1e400"), (1, "0,1", "1e400"), (1, "0,1", "-1e400"),
+    (2, "3", "1" + "0" * 400),
+])
+def test_overflowing_json_number_is_a_domain_error(capsys, tmp_path, k, face, number):
+    doc = cochain_to_json(zero_cochain(simplex_nerve(4), 2, 2))
+    doc["components"][k][face] = 0.125
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc).replace("0.125", number))
+    code, out, err = run_cli(capsys, "--json", "deligne", "check", str(path))
+    value = "-inf" if number.startswith("-") else "inf" if "e" in number else number
+    assert (code, out) == (2, "")
+    assert err == f"error: number {value} in JSON input overflows a float\n"
+
+
 def test_missing_file_is_error(capsys):
     assert run_cli(capsys, "deligne", "check", "/nonexistent.json")[0] == 2
 
@@ -184,7 +236,7 @@ def test_missing_file_is_error(capsys):
 def test_checker_commands_report_failures(capsys, tmp_path):
     # a swap of charts 0 and 1 with zero equivariant and involution data:
     # a random coboundary xi is not invariant, so the first check of each
-    # checker fails; only the equivariant one names where
+    # checker fails and names its worst slot
     nerve = sphere_nerve()
     ident = {str(i): i for i in nerve.indices}
     swap = dict(ident, **{"0": 1, "1": 0})
@@ -211,8 +263,9 @@ def test_checker_commands_report_failures(capsys, tmp_path):
         "xi": xi, "a": zero[1], "phi": zero[0],
     }
     for name, doc, worst_at in (
-        ("check-equivariant", equivariant, {"gerbe-shift worst at": "element 1"}),
-        ("check-jandl", jandl, {}),
+        ("check-equivariant", equivariant,
+         {"gerbe-shift worst at": "element 1: component 0 at face (0, 1, 3)"}),
+        ("check-jandl", jandl, {"dualization worst at": "component 1 at face (0, 2)"}),
     ):
         path = tmp_path / f"{name}.json"
         dump_json(doc, path)

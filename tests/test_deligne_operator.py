@@ -4,11 +4,14 @@
 operator replaced, kept here as an independent oracle: it scans the
 complex for every face domain and adds values face by face.  The exact
 identity D_{p+1} D_p = 0 is checked as an integer product of the
-assembled matrices.
+assembled matrices.  ``reference_residual`` is the per-value oracle of
+``cochain_residual``.
 """
 
 import math
 import random
+import re
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,8 @@ from gerbecalc.deligne import (
     _face_domain,
     cochain_add,
     cochain_layout,
+    cochain_residual,
+    cochain_sub,
     deligne_differential,
     random_cochain,
     zero_cochain,
@@ -113,6 +118,32 @@ def reference_differential(nerve, cc, p, n, components):
     return tuple(out)
 
 
+def reference_residual(c):
+    """Per-value oracle of cochain_residual: the first largest distance of
+    a value from zero, modulo 1 on the U(1) layer and in geometric mode,
+    with its (component, face, simplex)."""
+    worst, at = 0, None
+    for k, comp in enumerate(c.components):
+        for face, val in comp.items():
+            for s, x in val.items() if isinstance(val, dict) else [(None, val)]:
+                r = abs(_wrap_half(x)) if k == 0 or c.complex is not None else abs(x)
+                if r > worst:
+                    worst, at = r, (k, face, s)
+    return worst, at
+
+
+def assert_residual_matches_reference(c):
+    residual, slot = cochain_residual(c)
+    ref, at = reference_residual(c)
+    if isinstance(c.values, array):
+        # _wrap_half takes x - floor(x), which can round: one ulp of 1/2
+        assert abs(residual - ref) <= 1e-15
+    else:
+        assert residual == ref
+        if ref:
+            assert slot == c.layout.slot(*at)
+
+
 # -- fixtures --------------------------------------------------------------
 
 
@@ -163,6 +194,8 @@ def test_pure_nerve_matches_reference_exactly(name):
             c = random_cochain(nerve, degree, level, rng)
             expected = reference_differential(nerve, None, degree, level, c.components)
             assert deligne_differential(c).components == expected
+            assert_residual_matches_reference(c)
+            assert_residual_matches_reference(deligne_differential(c))
 
 
 @pytest.mark.parametrize("name", sorted(MESHES))
@@ -191,6 +224,12 @@ def test_geometric_matches_reference(name):
                         diff = x - ref[s]
                         worst = max(worst, abs(_wrap_half(diff)) if k == 0 else abs(diff))
             assert worst <= 1e-12
+            # the same distances, as one residual of D(c) minus the reference
+            want = DeligneCochain(nerve, degree + 1, level, expected, complex=cc)
+            dc = deligne_differential(c)
+            assert cochain_residual(cochain_sub(dc, want))[0] == worst
+            assert_residual_matches_reference(c)
+            assert_residual_matches_reference(dc)
 
 
 def test_geometric_fractions_match_reference_exactly():
@@ -218,6 +257,8 @@ def test_geometric_fractions_match_reference_exactly():
         got = deligne_differential(c).components
         for g, e in zip(got, expected):
             assert g == {f: _broadcast(e[f], vals) for f, vals in g.items()}
+        assert_residual_matches_reference(c)
+        assert_residual_matches_reference(deligne_differential(c))
 
 
 def test_cochains_compare_by_value():
@@ -302,3 +343,22 @@ def test_dd_is_exactly_zero(nerve_name, mesh_name, level):
         second = first.target.differential
         assert len(first.cols)
         assert _product_is_zero(second, first)
+
+
+# -- slot locations --------------------------------------------------------
+
+
+@pytest.mark.parametrize("nerve_name, mesh_name", SPACES)
+def test_layout_where_names_each_slot(nerve_name, mesh_name):
+    cc = MESHES[mesh_name] if mesh_name else None
+    nerve = cc.nerve() if cc is not None else NERVES[nerve_name]
+    for p in range(4):
+        layout = cochain_layout(nerve, cc, p, 2)
+        assert [layout.where(slot) for slot in range(layout.size)] == [
+            f"component {k} at face {face}" + (f" on {s}" if cc is not None else "")
+            for k, face, s in layout.slots()
+        ]
+    face = nerve.faces_of_size(1)[0]
+    message = re.escape(f"no slot for component 2 at face {face}")
+    with pytest.raises(DeligneError, match=message):
+        layout.slot(2, face, (-1, -2, -3) if cc is not None else None)

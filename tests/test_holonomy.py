@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,17 @@ def test_invalid_assignment_rejected(sphere_setup):
     bad = ChartAssignment(triangle_chart=bad_tri, vertex_chart=asg.vertex_chart)
     with pytest.raises(HolonomyError):
         surface_holonomy(cc, zero_cochain(nerve, 2, 2, complex=cc), bad)
+
+
+def test_non_finite_form_value_is_not_a_cocycle(sphere_setup):
+    cc, nerve, asg = sphere_setup
+    z = zero_cochain(nerve, 2, 2, complex=cc)
+    for bad in (float("nan"), float("inf")):
+        values = array("d", z.values)
+        values[z.layout.bounds(1)[0]] = bad
+        c = DeligneCochain.packed(z.layout, values)
+        with pytest.raises(DeligneError, match="holonomy input is not a cocycle"):
+            surface_holonomy(cc, c, asg)
 
 
 def test_complex_is_validated_once_per_chart_table(monkeypatch):
