@@ -44,10 +44,10 @@ class RunReport:
     def add_input(self, path):
         self.inputs[str(path)] = _digest(path)
 
-    def add_check(self, name, residual, tol, ok=None):
+    def add_check(self, name, residual, tol, ok=None, where=None):
         if ok is None:
             ok = residual <= tol
-        self.checks.append(Check(name, float(residual), float(tol), bool(ok)))
+        self.checks.append(Check(name, float(residual), float(tol), bool(ok), where))
         return ok
 
     @property
@@ -131,8 +131,12 @@ def cmd_deligne_check(args, report):
 
     report.add_input(args.cochain)
     c = cochain_from_json(load_json(args.cochain))
-    residual = cochain_residual(deligne_differential(c))[0]
-    report.add_check("cocycle condition", residual, 0 if c.is_pure_nerve() else args.tol)
+    dc = deligne_differential(c)
+    residual, slot = cochain_residual(dc)
+    report.add_check(
+        "cocycle condition", residual, 0 if c.is_pure_nerve() else args.tol,
+        where=None if slot is None else dc.layout.where(slot),
+    )
     return report
 
 
@@ -237,13 +241,15 @@ def cmd_holonomy_stokes(args, report):
         complex_from_json,
         format_unit_complex,
         load_json,
+        number_from_json,
     )
 
     for path in (args.complex, args.cochain, args.field, args.assignment):
         report.add_input(path)
     ball = complex_from_json(load_json(args.complex))
     c = cochain_from_json(load_json(args.cochain), complex=ball)
-    H = {_key_to_tuple(k): float(v) for k, v in load_json(args.field).items()}
+    field = load_json(args.field)
+    H = {_key_to_tuple(k): number_from_json(v) for k, v in field.items()}
     asg = assignment_from_json(load_json(args.assignment))
     hb, bulk, agree = stokes_check(ball, c, H, asg, tol=args.tol)
     report.results["boundary holonomy"] = format_unit_complex(hb)

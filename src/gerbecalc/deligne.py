@@ -54,7 +54,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import add, gt, ne, neg, sub
 
-from .intlinalg import matvec, smith_normal_form, solve_rational
+from .intlinalg import matvec, over_common_denominator, smith_normal_form, solve_rational
 from .nerve import CoverNerve, CoveredComplex, cached, perm_sign
 
 
@@ -492,9 +492,14 @@ def cochain_residual(c: DeligneCochain):
     and exponentiate away); pure-nerve form layers are measured as |x|.
     ``Fraction``s stay exact.  The first NaN or infinite value is returned.
     """
-    values = c.values
+    return _residual(c.layout, c.values)
+
+
+def _residual(layout, values):
+    """:func:`cochain_residual` of a value vector over ``layout``; the U(1)
+    layer need not be reduced into [0, 1)."""
     # the U(1) layer comes first; in geometric mode every layer is mod 1
-    cut = len(values) if c.complex is not None else c.layout.bounds(0)[1]
+    cut = len(values) if layout.complex is not None else layout.bounds(0)[1]
     head, tail = values[:cut], values[cut:]
     try:
         dist = [*map(abs, map(sub, head, map(round, head))), *map(abs, tail)]
@@ -509,10 +514,10 @@ def cochain_residual(c: DeligneCochain):
 
 def is_cocycle(c: DeligneCochain, tol=0) -> bool:
     """True iff D(c) vanishes up to ``tol``, as :func:`cochain_residual` measures."""
-    # D(c) built here, not by deligne_differential, which perfbench wraps and counts
+    # D(c) applied here, not by deligne_differential, which perfbench wraps
+    # and counts; its U(1) layer is measured mod 1, so it is left unreduced
     op = c.layout.differential
-    dc = DeligneCochain.packed(op.target, op.apply(c.values))
-    return cochain_residual(dc)[0] <= tol
+    return _residual(op.target, op.apply(c.values))[0] <= tol
 
 
 # -- nerve cohomology and the obstruction class ----------------------------
@@ -674,7 +679,9 @@ def _solve_u1_layer(nerve, g):
             return None
         return {p: Fraction(0) for p in pairs}
     d, u, _ = snf
-    y = matvec(u, [-x for x in ghat])
+    # U * (-ghat) on integers, over the common denominator of ghat
+    den, scaled = over_common_denominator(ghat)
+    y = [Fraction(-v, den) for v in matvec(u, scaled)]
     rank = sum(1 for x in d if x != 0)
     # off-pivot coordinates must be integers, else no solution exists
     n_vec = [Fraction(0)] * rank + y[rank:]
@@ -721,8 +728,7 @@ def solve_trivialization(c: DeligneCochain, tol=1e-9) -> TrivializationResult:
     # the form layer needs delta(W) = -A exactly
     singles, pairs, mat = _coboundary_matrix(nerve, 0)
     a_comp = c.component(1)
-    rhs = [Fraction(-a_comp[p]) for p in pairs]
-    w = solve_rational(mat, rhs)
+    w = solve_rational(mat, [-a_comp[p] for p in pairs])
     if w is None:
         return TrivializationResult(
             None, None, obstruction,
@@ -747,7 +753,7 @@ def trivialization_defect(c, result, tol=1e-9):
     total = cochain_add(c, deligne_differential(result.trivialization))
     lo = total.layout.bounds(total.n_components - 1)[0]
     values = total.values[:lo] + [x - result.rho for x in total.values[lo:]]
-    return cochain_residual(DeligneCochain.packed(total.layout, values))[0]
+    return _residual(total.layout, values)[0]
 
 
 # -- random data (for tests and the CLI demo paths) ------------------------

@@ -5,6 +5,11 @@ One dense Smith-form kernel, :func:`smith_normal_form`, serves every
 integer caller: invariant factors, cochain cohomology, obstruction
 classes and group cohomology all read its diagonal or its transforms.
 
+:func:`solve_rational` eliminates on integers (Bareiss, Math. Comp. 22,
+1968): each row of [A | B] is scaled by the lcm of its denominators, the
+forward pass divides every update exactly by the previous pivot, and only
+the back-substitution builds ``Fraction``s, one per pivot variable.
+
 All matrices are lists of lists of Python ints (arbitrary precision) or
 ``fractions.Fraction``.  Nothing here touches floating point.
 """
@@ -12,6 +17,7 @@ All matrices are lists of lists of Python ints (arbitrary precision) or
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def _identity(n):
@@ -128,49 +134,68 @@ def invariant_factors(mat):
     return [x for x in d if x != 0]
 
 
+def over_common_denominator(vec):
+    """(den, ints) with vec = ints / den, den the lcm of the denominators."""
+    vec = [x if type(x) is int else Fraction(x) for x in vec]
+    den = lcm(*(x.denominator for x in vec))
+    return den, [x.numerator * (den // x.denominator) for x in vec]
+
+
 def solve_rational(mat, rhs):
     """Solve mat * x = rhs over the rationals; return x or None.
 
     ``rhs`` may be a vector or a list of vectors (columns).  Entries are
-    Fractions in the result.
+    Fractions in the result, with every free variable 0.
     """
-    single = not isinstance(rhs[0], (list, tuple))
-    bs = [list(rhs)] if single else [list(b) for b in rhs]
+    single = not rhs or not isinstance(rhs[0], (list, tuple))
+    bs = [rhs] if single else rhs
     m = len(mat)
     n = len(mat[0]) if m else 0
-    a = [[Fraction(x) for x in row] + [Fraction(b[i]) for b in bs] for i, row in enumerate(mat)]
-    nb = len(bs)
+    a = [
+        over_common_denominator([*row, *(b[i] for b in bs)])[1]
+        for i, row in enumerate(mat)
+    ]
+    # Bareiss: after the step at pivot p, every entry below the pivot rows is
+    # a minor of [A | B], so dividing by the previous pivot is exact
     pivots = []
-    r = 0
+    prev = 1
     for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i][col] != 0:
-                piv = i
-                break
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if a[i][col]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        pv = a[r][col]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                ai, ar = a[i], a[r]
-                for j in range(col, n + nb):
-                    ai[j] -= f * ar[j]
+        top = a[r][col:]
+        p = top[0]
+        for i in range(r + 1, m):
+            row = a[i]
+            f = row[col]
+            if f:
+                row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], top)]
+            elif p != prev:
+                row[col:] = [p * x // prev for x in row[col:]]
+        prev = p
         pivots.append(col)
-        r += 1
-        if r == m:
+        if len(pivots) == m:
             break
+    r = len(pivots)
     # consistency: zero rows must have zero rhs
-    for i in range(r, m):
-        if any(a[i][n + k] != 0 for k in range(nb)):
-            return None
-    xs = [[Fraction(0)] * n for _ in range(nb)]
-    for i, col in enumerate(pivots):
-        for k in range(nb):
-            xs[k][col] = a[i][n + k]
+    if any(any(a[i][n:]) for i in range(r, m)):
+        return None
+    # back-substitution: by Cramer's rule prev * x is integral, so each
+    # numerator divides exactly by its pivot
+    zero = Fraction(0)
+    xs = []
+    for k in range(n, n + len(bs)):
+        num = [0] * r
+        for i in range(r - 1, -1, -1):
+            row = a[i]
+            s = prev * row[k] - sum(row[pivots[j]] * num[j] for j in range(i + 1, r))
+            num[i] = s // row[pivots[i]]
+        x = [zero] * n
+        for col, v in zip(pivots, num):
+            x[col] = Fraction(v, prev)
+        xs.append(x)
     return xs[0] if single else xs
 
 

@@ -208,10 +208,7 @@ def alcove(rs: RootSystem) -> Alcove:
     # omega_i^vee = sum_k (C^{-1})_{ki} alpha_k^vee, where C is the Cartan matrix
     from .intlinalg import solve_rational
 
-    cart = [[Fraction(x) for x in row] for row in rs.cartan]
-    cols = solve_rational(
-        cart, [[Fraction(1) if i == j else Fraction(0) for i in range(r)] for j in range(r)]
-    )
+    cols = solve_rational(rs.cartan, [[int(i == j) for i in range(r)] for j in range(r)])
     vertices = [tuple(Fraction(0) for _ in range(rs.dim))]
     for i in range(r):
         x = cols[i]  # coefficients of omega_i^vee in the coroot basis

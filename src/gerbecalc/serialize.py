@@ -101,7 +101,10 @@ def complex_from_json(doc: dict) -> CoveredComplex:
                 _key_to_tuple(k): frozenset(v)
                 for k, v in doc.get("charts", {}).items()
             },
-            coords={int(v): tuple(p) for v, p in doc.get("coords", {}).items()},
+            coords={
+                int(v): tuple(map(number_from_json, p))
+                for v, p in doc.get("coords", {}).items()
+            },
         )
     except (KeyError, TypeError, ComplexError) as exc:
         raise SerializationError(f"bad complex document: {exc}") from exc
@@ -198,7 +201,10 @@ def matrix_to_json(m) -> list:
 def matrix_from_json(rows) -> np.ndarray:
     import numpy as np
 
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    return np.array(
+        [[complex(number_from_json(re), number_from_json(im)) for re, im in row]
+         for row in rows]
+    )
 
 
 def module_bundle_to_json(c: DeligneCochain, data: GerbeModuleData) -> dict:
@@ -240,7 +246,9 @@ def module_bundle_from_json(doc: dict):
                 }
                 for i, per_e in doc["connections"].items()
             },
-            omega={_key_to_tuple(t): float(x) for t, x in doc["omega"].items()},
+            omega={
+                _key_to_tuple(t): number_from_json(x) for t, x in doc["omega"].items()
+            },
         )
         return c, data
     except (KeyError, TypeError) as exc:

@@ -554,6 +554,20 @@ def test_module_bundle_with_nan_omega_fails(module_setup, capsys, tmp_path):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == "error: non-finite number NaN in JSON input\n"
+    # a number beyond the float range in omega or in a matrix entry is
+    # refused too, by the reader of every JSON number
+    for place in ("omega", "matrix"):
+        doc = module_bundle_to_json(cocycle, data)
+        if place == "omega":
+            doc["omega"][next(iter(doc["omega"]))] = "BIG"
+        else:
+            per_v = next(iter(doc["transitions"].values()))
+            next(iter(per_v.values()))[0][0][0] = "BIG"
+        path.write_text(json.dumps(doc).replace('"BIG"', "1e400"))
+        code = main(["--json", "deligne", "check-module", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: number inf in JSON input overflows a float\n"
 
 
 def test_module_identity_data_passes(module_setup):

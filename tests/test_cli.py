@@ -3,6 +3,7 @@ determinism, JSON reports)."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -179,10 +180,14 @@ def test_deligne_check_fails_on_non_cocycle(capsys, tmp_path):
 
 
 def test_deligne_check_reports_the_residual_of_d(capsys, coboundary_file, tmp_path):
-    def check_row(*argv):
+    def check_row(*argv, where=None):
         code, out, err = run_cli(capsys, "--json", "deligne", "check", *argv)
         assert err == ""
-        (row,) = json.loads(out)["checks"]
+        doc = json.loads(out)
+        # only a failing check names its worst slot
+        worst = {} if where is None else {"cocycle condition worst at": where}
+        assert doc["results"] == worst
+        (row,) = doc["checks"]
         return code, row
 
     # a pure-nerve cocycle holds exactly: residual 0 against tolerance 0
@@ -191,11 +196,14 @@ def test_deligne_check_reports_the_residual_of_d(capsys, coboundary_file, tmp_pa
     bad = random_cochain(simplex_nerve(4), 2, 2, random.Random(9))
     path = tmp_path / "bad.json"
     dump_json(cochain_to_json(bad), path)
-    residual = cochain_residual(deligne_differential(bad))[0]
-    assert residual > 0
-    assert check_row(str(path)) == (1, {
+    residual, slot = cochain_residual(deligne_differential(bad))
+    assert (residual, slot) == (Fraction(283, 60), 2)
+    where = "component 1 at face (0, 1, 3)"
+    assert check_row(str(path), where=where) == (1, {
         "name": "cocycle condition", "ok": False, "residual": float(residual),
         "tol": 0.0})
+    code, out, _ = run_cli(capsys, "deligne", "check", str(path))
+    assert code == 1 and out.startswith(f"cocycle condition worst at: {where}\n")
     # a geometric cocycle is measured against --tol
     cc = icosahedron()
     nerve = cc.nerve()
@@ -359,6 +367,23 @@ def test_holonomy_stokes_cli(capsys, tmp_path):
         "--assignment", paths["assignment"],
     )
     assert code == 0 and "boundary equals bulk" in out
+    # a field value or a vertex coordinate beyond the float range is a
+    # domain error that names the number
+    tet = ",".join(map(str, ball.tet_keys[0]))
+    coords = docs["complex"]["coords"] | {"0": [0, 0, "BIG"]}
+    for name, doc in (
+        ("field", docs["field"] | {tet: "BIG"}),
+        ("complex", docs["complex"] | {"coords": coords}),
+    ):
+        path = tmp_path / f"big-{name}.json"
+        path.write_text(json.dumps(doc).replace('"BIG"', "1e400"))
+        code, out, err = run_cli(
+            capsys, "--json", "holonomy", "stokes",
+            *(arg for key in ("complex", "cochain", "field", "assignment")
+              for arg in (f"--{key}", str(path) if key == name else paths[key])),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: number inf in JSON input overflows a float\n"
 
 
 # -- lienum subcommands ----------------------------------------------------

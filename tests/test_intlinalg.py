@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gerbecalc.deligne import _coboundary_matrix
 from gerbecalc.intlinalg import (
     cochain_cohomology,
     invariant_factors,
@@ -14,6 +15,7 @@ from gerbecalc.intlinalg import (
     smith_normal_form,
     solve_rational,
 )
+from gerbecalc.nerve import simplex_nerve
 
 small_matrices = st.integers(1, 5).flatmap(
     lambda m: st.integers(1, 5).flatmap(
@@ -118,6 +120,135 @@ def test_solve_rational_roundtrip():
 
 def test_solve_rational_detects_inconsistency():
     assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
+
+
+def reference_solve(mat, rhs):
+    """Gauss-Jordan on Fractions, pivoting on the first nonzero entry at or
+    below the current row: the oracle of the fraction-free solve_rational."""
+    single = not isinstance(rhs[0], (list, tuple))
+    bs = [list(rhs)] if single else [list(b) for b in rhs]
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    a = [[Fraction(x) for x in row] + [Fraction(b[i]) for b in bs] for i, row in enumerate(mat)]
+    nb = len(bs)
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][col]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                ai, ar = a[i], a[r]
+                for j in range(col, n + nb):
+                    ai[j] -= f * ar[j]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if any(a[i][n + k] != 0 for k in range(nb)):
+            return None
+    xs = [[Fraction(0)] * n for _ in range(nb)]
+    for i, col in enumerate(pivots):
+        for k in range(nb):
+            xs[k][col] = a[i][n + k]
+    return xs[0] if single else xs
+
+
+def _entry(rng):
+    """An int, a zero or a proper fraction, each about a third of the time."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-4, 4)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if kind == 1 else 0
+
+
+def _low_rank(rng, m, n, rank):
+    """A random m x n rational matrix of rank at most ``rank``."""
+    left = [[_entry(rng) for _ in range(rank)] for _ in range(m)]
+    right = [[_entry(rng) for _ in range(n)] for _ in range(rank)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+def _assert_matches_reference(mat, rhs):
+    got = solve_rational(mat, rhs)
+    assert got == reference_solve(mat, rhs)
+    if got is None:
+        return None
+    # the entries are exact Fractions and every free variable is 0: a
+    # column that is a combination of the columns left of it gets 0
+    n = len(mat[0]) if mat else 0
+    free = [
+        col for col in range(n)
+        if solve_rational([row[:col] for row in mat], [row[col] for row in mat])
+        is not None
+    ]
+    for x in [got] if rhs and not isinstance(rhs[0], (list, tuple)) else got:
+        assert len(x) == n and all(type(v) is Fraction for v in x)
+        assert all(x[col] == 0 for col in free)
+    return got
+
+
+def test_solve_rational_matches_gauss_jordan_on_rational_systems():
+    rng = random.Random(5)
+    inconsistent = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rank = rng.randint(0, min(m, n))
+        mat = _low_rank(rng, m, n, rank)
+        x = [_entry(rng) for _ in range(n)]
+        # consistent by construction, then (often) perturbed off the column space
+        b = matvec(mat, x)
+        if rng.random() < 0.5:
+            b[rng.randrange(m)] += Fraction(1, rng.randint(1, 5))
+        got = _assert_matches_reference(mat, b)
+        inconsistent += got is None
+        if got is not None:
+            assert matvec(mat, got) == b
+        cols = [[_entry(rng) for _ in range(m)] for _ in range(rng.randint(1, 3))]
+        _assert_matches_reference(mat, cols)
+    assert inconsistent > 50
+
+
+def test_solve_rational_edge_systems():
+    # no rows: one column of length 0, and the bare empty right-hand side
+    assert _assert_matches_reference([], [[]]) == [[]]
+    assert solve_rational([], []) == []
+    assert _assert_matches_reference([[3]], [2]) == [Fraction(2, 3)]
+    assert _assert_matches_reference([[Fraction(-1, 2)]], [[1], [0]]) == [[-2], [0]]
+    assert _assert_matches_reference([[0]], [0]) == [0]
+    assert _assert_matches_reference([[0]], [Fraction(1, 3)]) is None
+    assert _assert_matches_reference([[0, 0], [0, 0]], [[0, 0], [0, 1]]) is None
+    # free variables are 0: x0 + x1 + x2 = 1 has the pivot x0 only
+    assert _assert_matches_reference([[1, 1, 1]], [1]) == [1, 0, 0]
+
+
+@pytest.mark.parametrize("charts", [4, 5, 6, 7, 8])
+def test_solve_rational_matches_gauss_jordan_on_scrambled_coboundaries(charts):
+    # the rank-deficient integer systems of Deligne trivialization, with
+    # rows and columns permuted and columns negated
+    rng = random.Random(charts)
+    nerve = simplex_nerve(charts)
+    for degree in range(min(4, charts - 1)):
+        _, _, delta = _coboundary_matrix(nerve, degree)
+        rows = [list(r) for r in delta]
+        rng.shuffle(rows)
+        cols = list(range(len(rows[0])))
+        rng.shuffle(cols)
+        signs = [rng.choice((-1, 1)) for _ in cols]
+        mat = [[s * row[c] for c, s in zip(cols, signs)] for row in rows]
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in cols]
+        b = matvec(mat, x)
+        got = _assert_matches_reference(mat, b)
+        assert matvec(mat, got) == b
+        # one unit off b: no solution unless delta is onto (the top degree)
+        off = [v + (i == 0) for i, v in enumerate(b)]
+        _assert_matches_reference(mat, [b, off])
 
 
 def test_cochain_cohomology_circle():
