@@ -310,7 +310,7 @@ def cmd_lienum_verify_varpi(args, report):
     _check_samples(args)
     import numpy as np
 
-    from .lienum import calibrate_H, eval_H, exp_alcove, fd_exterior_derivative, varpi
+    from .lienum import calibrate_H, exp_alcove, fd_exterior_derivative
     from .lienum.classes import BiconjugacyChart
     from .lienum.core import random_group
 
@@ -320,25 +320,14 @@ def cmd_lienum_verify_varpi(args, report):
     chart = BiconjugacyChart(h1, h2)
     nprng = np.random.default_rng(args.seed)
     k = args.level
-
-    def h_diff(q, w1, w2, w3):
-        g1, g2 = chart.point(q)
-        ts = [chart.tangent(q, w) for w in (w1, w2, w3)]
-        return k * (
-            eval_H(g1, *(t[0] for t in ts), kappa=kappa)
-            - eval_H(g2, *(t[1] for t in ts), kappa=kappa)
-        )
-
-    def varpi_s(q, w1, w2):
-        g1, g2 = chart.point(q)
-        return varpi(g1, g2, chart.tangent(q, w1), chart.tangent(q, w2),
-                     level=k, kappa=kappa)
+    h_s = chart.h_difference_sampler(kappa)
+    varpi_s = chart.varpi_sampler(k, kappa)
 
     residuals = []
     for _ in range(args.samples):
         p = 0.2 * nprng.standard_normal(chart.dim)
         ws = [nprng.standard_normal(chart.dim) for _ in range(3)]
-        lhs = h_diff(p, *ws)
+        lhs = k * h_s(p, *ws)
         rhs = fd_exterior_derivative(varpi_s, p, ws, step=args.step)
         residuals.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
     report.results["per-sample residuals"] = residuals

@@ -207,6 +207,26 @@ class BiconjugacyChart:
             dkl @ self.h2 @ kr + kl @ self.h2 @ dkr,
         )
 
+    def varpi_sampler(self, level, kappa):
+        """varpi at a level, as a 2-form sampler on chart coordinates."""
+        def sampler(p, w1, w2):
+            g1, g2 = self.point(p)
+            return varpi(g1, g2, self.tangent(p, w1), self.tangent(p, w2),
+                         level=level, kappa=kappa)
+
+        return sampler
+
+    def h_difference_sampler(self, kappa):
+        """p1^*H - p2^*H, the 3-form that d varpi equals at level 1."""
+        def sampler(p, w1, w2, w3):
+            g1, g2 = self.point(p)
+            ts = [self.tangent(p, w) for w in (w1, w2, w3)]
+            return eval_H(g1, *(t[0] for t in ts), kappa=kappa) - eval_H(
+                g2, *(t[1] for t in ts), kappa=kappa
+            )
+
+        return sampler
+
 
 def biconjugacy_membership(g1, g2, h1, h2, tol: float = 1e-8):
     """(g1, g2) lies on the biconjugacy class of (h1, h2) iff g1 g2^{-1}

@@ -5,7 +5,9 @@ cap extensions used to test extension independence.
 A map Phi from the closed unit ball into SU(2) is supplied as a vectorized
 function from points of shape (N, 3) to unit quaternions of shape (N, 4),
 acting row by row; it must be defined on a small collar around the ball so
-central differences can be taken at the boundary.  The quadrature calls it
+central differences can be taken at the boundary.  The points may come in
+any memory order, and the map must not assume C order: the quadrature
+passes column-contiguous (Fortran-order) arrays.  The quadrature calls it
 one radial layer of cells at a time, so memory beyond one density per cell
 stays constant, and a ball past MAX_QUAD_POINTS cells is refused before
 its mesh is built.  H on each cell's frame is one triple product of pure
@@ -39,6 +41,12 @@ class BallQuadrature:
     ``radii`` holds the layer mid-radii, and ``centroids`` and ``edges``
     the per-triangle (a + b + c) / 3 and (b - a, c - a); the cell centres
     are ``radii[l] * centroids``, one layer at a time.
+
+    ``centroids`` and both ``edges`` have shape (T, 3) but are stored
+    component-major, as the transpose of a C-ordered (3, T) array, so each
+    coordinate is one contiguous column.  They come from one gather of
+    ``boundary_points`` (row v is mesh vertex v) at the triangles' vertex
+    ids, and every layer's points inherit their order.
     """
 
     subdivisions: int = 5
@@ -46,8 +54,8 @@ class BallQuadrature:
 
     def __post_init__(self):
         s, layers = self.subdivisions, self.layers
-        if not all(isinstance(v, (int, np.integer)) for v in (s, layers)) \
-                or s < 0 or layers < 1:
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (s, layers)) or s < 0 or layers < 1:
             raise LieNumError(
                 "a ball quadrature needs integer subdivisions >= 0 and layers >= 1"
             )
@@ -59,22 +67,26 @@ class BallQuadrature:
         coords, triangles = icosahedron_mesh()
         for _ in range(s):
             coords, triangles = refine_sphere_mesh(coords, triangles)
-        tris = np.array([[coords[v] for v in tri] for tri in triangles])  # (T, 3, 3)
-        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-        centroid = (a + b + c) / 3.0
+        # the mesh numbers its vertices 0..V-1, so row v of this array is
+        # vertex v, and one gather reads every corner of every triangle,
+        # component-major: a[k, t] is component k of triangle t's first corner
+        points = np.array([coords[v] for v in sorted(coords)])
+        a, b, c = np.take(points.T, np.array(triangles).T, axis=1).transpose(1, 0, 2)
         r_mid = (np.arange(layers) + 0.5) / layers
         object.__setattr__(self, "radii", r_mid)
-        object.__setattr__(self, "centroids", centroid)
-        object.__setattr__(self, "edges", (b - a, c - a))
+        object.__setattr__(self, "centroids", ((a + b + c) / 3.0).T)
+        object.__setattr__(self, "edges", ((b - a).T, (c - a).T))
         object.__setattr__(self, "weight", 0.5 / layers)
-        object.__setattr__(self, "boundary_points", np.array(
-            [coords[v] for v in sorted(coords)]
-        ))
+        object.__setattr__(self, "boundary_points", points)
 
     @property
     def centers(self):
-        """Every cell centre, layer by layer, computed on each access."""
-        return (self.radii[:, None, None] * self.centroids[None, :, :]).reshape(-1, 3)
+        """Every cell centre, layer by layer, computed on each access.
+
+        Built in C order, so the reshape is a view and not a second copy.
+        """
+        return np.multiply(self.radii[:, None, None], self.centroids[None, :, :],
+                           order="C").reshape(-1, 3)
 
 
 def _check_unit_quaternions(q, what):

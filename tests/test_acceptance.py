@@ -268,6 +268,9 @@ def test_criterion_6_form_identities():
             g1, g2, bchart.tangent(q, w1), bchart.tangent(q, w2), level=1, kappa=kappa
         )
 
+    # the chart's samplers must be these written-out forms, bit for bit
+    h_chart = bchart.h_difference_sampler(kappa)
+    varpi_chart = bchart.varpi_sampler(1, kappa)
     worst = 0.0
     for _ in range(20):
         p = 0.2 * nprng.standard_normal(bchart.dim)
@@ -275,6 +278,8 @@ def test_criterion_6_form_identities():
         lhs = h_diff(p, *ws)
         rhs = fd_exterior_derivative(varpi_s, p, ws, step=step)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+        if h_chart(p, *ws) != lhs or varpi_chart(p, *ws[:2]) != varpi_s(p, *ws[:2]):
+            failures.append("BiconjugacyChart samplers differ from the written-out forms")
     if worst >= 1e-4:
         failures.append(f"H difference vs d(varpi) residual {worst:.3e} (tol 1e-4)")
     finish(6, "invariant form identities", failures, t0, 120.0)

@@ -49,6 +49,7 @@ from gerbecalc.lienum import (
     su_basis,
     theta_su2,
     theta_volume,
+    term_amplitude,
     varpi,
     wzw_amplitude,
 )
@@ -444,29 +445,50 @@ def test_varpi_bi_invariance(bichart):
         assert abs(shifted - base) < 1e-8
 
 
-def test_H_difference_is_d_varpi(bichart):
+def reference_h_difference(bichart, q, w1, w2, w3):
+    """p1^*H - p2^*H written out, the oracle for the chart's sampler."""
     from gerbecalc.lienum.forms import eval_H as H
 
+    g1, g2 = bichart.point(q)
+    ts = [bichart.tangent(q, w) for w in (w1, w2, w3)]
+    return H(g1, *(t[0] for t in ts), kappa=KAPPA) - H(
+        g2, *(t[1] for t in ts), kappa=KAPPA
+    )
+
+
+def reference_varpi(bichart, level, q, w1, w2):
+    """varpi on chart directions written out, the oracle for the chart's sampler."""
+    g1, g2 = bichart.point(q)
+    return varpi(g1, g2, bichart.tangent(q, w1), bichart.tangent(q, w2),
+                 level=level, kappa=KAPPA)
+
+
+def test_H_difference_is_d_varpi(bichart):
     nprng = np.random.default_rng(16)
 
-    def h_diff(q, w1, w2, w3):
-        g1, g2 = bichart.point(q)
-        ts = [bichart.tangent(q, w) for w in (w1, w2, w3)]
-        return H(g1, *(t[0] for t in ts), kappa=KAPPA) - H(
-            g2, *(t[1] for t in ts), kappa=KAPPA
-        )
-
     def varpi_sampler(q, w1, w2):
-        g1, g2 = bichart.point(q)
-        return varpi(g1, g2, bichart.tangent(q, w1), bichart.tangent(q, w2),
-                     level=1, kappa=KAPPA)
+        return reference_varpi(bichart, 1, q, w1, w2)
 
     for _ in range(20):
         p = 0.2 * nprng.standard_normal(bichart.dim)
         ws = [nprng.standard_normal(bichart.dim) for _ in range(3)]
-        lhs = h_diff(p, *ws)
+        lhs = reference_h_difference(bichart, p, *ws)
         rhs = fd_exterior_derivative(varpi_sampler, p, ws, step=1e-3)
         assert abs(lhs - rhs) < 1e-4 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("level", [1, 3])
+def test_biconjugacy_samplers_match_the_written_out_forms(bichart, level):
+    nprng = np.random.default_rng(17)
+    h_s = bichart.h_difference_sampler(KAPPA)
+    varpi_s = bichart.varpi_sampler(level, KAPPA)
+    for _ in range(10):
+        p = 0.3 * nprng.standard_normal(bichart.dim)
+        ws = [nprng.standard_normal(bichart.dim) for _ in range(3)]
+        assert h_s(p, *ws) == reference_h_difference(bichart, p, *ws)
+        assert varpi_s(p, *ws[:2]) == reference_varpi(bichart, level, p, *ws[:2])
+    with pytest.raises(LieNumError, match="level must be a positive integer"):
+        bichart.varpi_sampler(0, KAPPA)(p, *ws[:2])
 
 
 # -- finite-difference exterior derivative ----------------------------------
@@ -674,6 +696,67 @@ def test_ball_quadrature_holds_no_cell_array():
     assert quad.centers.shape == (655_360, 3)
 
 
+def rotated_cap(x):
+    """The northern cap after turning each sphere |x| = r about the z axis
+    by 0.7 r^2; it reads its input one column at a time."""
+    turn = 0.7 * (x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2)
+    c, s = np.cos(turn), np.sin(turn)
+    return northern_extension(
+        np.stack([c * x[:, 0] - s * x[:, 1], s * x[:, 0] + c * x[:, 1], x[:, 2]], axis=1)
+    )
+
+
+def test_ball_maps_receive_component_major_points(coarse_quad):
+    seen = []
+
+    def spy(x):
+        seen.append(x)
+        return northern_extension(x)
+
+    pullback_H_integral(spy, coarse_quad)
+    assert len(seen) == 7 * len(coarse_quad.radii)
+    for x in seen:
+        assert x.dtype == np.float64 and x.shape == (len(coarse_quad.centroids), 3)
+        assert x.flags.f_contiguous
+    centers = coarse_quad.centers
+    assert centers.flags.c_contiguous
+    radii, centroids = coarse_quad.radii, coarse_quad.centroids
+    assert np.array_equal(
+        centers, (radii[:, None, None] * centroids[None, :, :]).reshape(-1, 3)
+    )
+
+
+def test_one_centers_access_builds_one_array():
+    # 655,360 x 3 floats are 15.7 MB; a reshape that copies holds two
+    quad = BallQuadrature(5, 32)
+    tracemalloc.start()
+    try:
+        centers = quad.centers
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert centers.nbytes <= peak < 1.25 * centers.nbytes
+
+
+@pytest.mark.parametrize("phi", [northern_extension, rotated_cap])
+def test_pullback_does_not_depend_on_memory_order(coarse_quad, phi):
+    value = pullback_H_integral(phi, coarse_quad)
+    assert value == pullback_H_integral(lambda x: phi(np.ascontiguousarray(x)), coarse_quad)
+    assert abs(value - 0.5) < 1e-2  # each sphere still covers the northern half
+
+
+def test_level_must_be_a_positive_integer(bichart):
+    g1, g2 = bichart.point(np.zeros(bichart.dim))
+    ta = bichart.tangent(np.zeros(bichart.dim), np.eye(bichart.dim)[0])
+    for level in (0, -2, 2.5, float("inf"), float("-inf"), float("nan"), "3", True, None):
+        with pytest.raises(LieNumError, match="level must be a positive integer"):
+            term_amplitude(0.25, level)
+        with pytest.raises(LieNumError, match="level must be a positive integer"):
+            varpi(g1, g2, ta, ta, level=level, kappa=KAPPA)
+    for level in (2, 2.0, np.int64(2), np.float64(2.0)):
+        assert abs(term_amplitude(0.25, level) + 1) < 1e-15
+
+
 def test_su2_integral_memory_is_constant_in_slices():
     # the whole grid at resolution 64 took 76 MB; the densities are 2 MB
     tracemalloc.start()
@@ -703,6 +786,7 @@ def test_work_bound_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
-    for subdivisions, layers in ((0, 0), (0, -3), (-1, 4), (2.5, 4), (2, 4.0)):
+    for subdivisions, layers in ((0, 0), (0, -3), (-1, 4), (2.5, 4), (2, 4.0),
+                                 (True, 2), (2, True)):
         with pytest.raises(LieNumError, match="integer subdivisions >= 0 and layers >= 1"):
             BallQuadrature(subdivisions=subdivisions, layers=layers)
