@@ -312,8 +312,9 @@ def cmd_lienum_verify_varpi(args, report):
 
     from .lienum import calibrate_H, exp_alcove, fd_exterior_derivative
     from .lienum.classes import BiconjugacyChart
-    from .lienum.core import random_group
+    from .lienum.core import check_level, random_group
 
+    check_level(args.level)
     kappa = calibrate_H()
     h1 = exp_alcove([0.23, -0.23])
     h2 = exp_alcove([0.11, -0.11]) @ random_group(2, random.Random(args.seed + 1), 0.4)

@@ -32,8 +32,9 @@ class LieNumError(ValueError):
 # Every quadrature is refused past it before it allocates anything.  It
 # admits the largest sizes in use, resolution 96 (884,736 points) and the
 # default ball (655,360 cells).  A ball cell costs about 0.4 us and an
-# SU(2) grid point about 0.06 us (2 vCPUs, numpy 2.4.6), so the bound caps
-# one quadrature at about a second.
+# SU(2) grid point about 0.06 us of CPU time (2 vCPUs, numpy 2.4.6), so the
+# bound caps one quadrature at about a second of CPU time; a ball split
+# across threads (wzw.MIN_BLOCK_TRIANGLES) may take less wall time.
 MAX_QUAD_POINTS = 1 << 21
 
 
@@ -50,11 +51,16 @@ def check_level(level):
     """Raise LieNumError unless ``level`` is a positive integer.
 
     An integral float such as 2.0 counts; a bool, a string, NaN or an
-    infinity does not.
+    infinity does not.  An integer too large for a float, such as 10**400,
+    is refused too, since every amplitude multiplies a float by it.
     """
     if isinstance(level, bool) or not isinstance(level, numbers.Real) \
             or not level >= 1 or level == math.inf or int(level) != level:
         raise LieNumError("level must be a positive integer")
+    try:
+        float(level)
+    except OverflowError:
+        raise LieNumError("level is too large to convert to a float") from None
 
 
 def check_algebra(x, tol=1e-10):

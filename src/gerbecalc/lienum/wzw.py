@@ -10,15 +10,20 @@ any memory order, and the map must not assume C order: the quadrature
 passes column-contiguous (Fortran-order) arrays.  The quadrature calls it
 one radial layer of cells at a time, so memory beyond one density per cell
 stays constant, and a ball past MAX_QUAD_POINTS cells is refused before
-its mesh is built.  H on each cell's frame is one triple product of pure
-quaternions (``core.theta_volume``).  The kinetic term is deliberately
+its mesh is built.  On a large ball the map may be called from several
+threads at once, each on its own disjoint block of points, so it must not
+keep state between calls.  H on each cell's frame is one triple product of
+pure quaternions (``core.theta_volume``).  The kinetic term is deliberately
 excluded: only exp(2 pi i k Q) with Q = integral of Phi*H is computed.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +33,21 @@ from .core import LieNumError, bound_work, check_level, theta_volume
 from .forms import calibrate_H
 
 FD_STEP_MAP = 1e-5
+
+# Fewest mesh triangles a thread's block of a ball may hold.  Best of 7 in
+# process on 2 vCPUs (numpy 2.4.6), serial loop -> two blocks, northern
+# cap: blocks of 2,560 triangles lost, 13 -> 17 ms on the (4, 8) ball and
+# 43 -> 67 ms on (4, 32); blocks of 10,240 won, 51 -> 35 ms on (5, 8) and
+# 205 -> 148 ms on (5, 32).  On small arrays the GIL-bound per-call work
+# outweighs the elementwise work that runs in parallel.
+MIN_BLOCK_TRIANGLES = 10_240
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -96,28 +116,68 @@ def _check_unit_quaternions(q, what):
         raise LieNumError(f"{what} does not land on unit quaternions")
 
 
+def _pullback_block(phi, quad, lo, hi, step, dens):
+    """Write the densities of triangles lo..hi-1, in every layer, into their
+    slots of ``dens`` (layer by layer, triangle-major within a layer)."""
+    n = len(quad.centroids)
+    centroids = quad.centroids[lo:hi]
+    ab, ac = (e[lo:hi] for e in quad.edges)
+    for layer, r in enumerate(quad.radii):
+        x = r * centroids
+        q = np.asarray(phi(x), dtype=float)
+        _check_unit_quaternions(q, "the ball map")
+        dqs = []
+        for w in (centroids, r * ab, r * ac):
+            dq = (np.asarray(phi(x + step * w)) - np.asarray(phi(x - step * w))) / (2 * step)
+            dqs.append(dq.T)  # the pushed tangent, as quaternion components
+        # H on the frame: kappa * 4 * det of the three theta values per cell
+        dens[layer * n + lo:layer * n + hi] = 4.0 * theta_volume(q.T, *dqs)
+
+
 def pullback_H_integral(phi, quad: BallQuadrature, kappa: float | None = None,
                         step: float = FD_STEP_MAP) -> float:
     """Q = integral over the ball of the calibrated Phi*H.
 
-    One radial layer of cells is evaluated at a time; its densities go
-    into one vector over all cells, which is summed once.
+    The mesh triangles are split into contiguous blocks, one per usable
+    CPU, as long as every block keeps MIN_BLOCK_TRIANGLES; the calling
+    thread runs block 0 and one thread each runs the others.  A block
+    evaluates one radial layer of its cells at a time and writes their
+    densities into one vector over all cells, which is summed once, so the
+    value does not depend on the number of blocks.  ``phi`` may thus be
+    called from several threads at once, on disjoint blocks of points, and
+    must not keep state between calls.  If blocks fail, the error of the
+    lowest-numbered one is raised.
     """
     if kappa is None:
         kappa = calibrate_H()
     n = len(quad.centroids)
-    ab, ac = quad.edges
     dens = np.empty(len(quad.radii) * n)
-    for layer, r in enumerate(quad.radii):
-        x = r * quad.centroids
-        q = np.asarray(phi(x), dtype=float)
-        _check_unit_quaternions(q, "the ball map")
-        dqs = []
-        for w in (quad.centroids, r * ab, r * ac):
-            dq = (np.asarray(phi(x + step * w)) - np.asarray(phi(x - step * w))) / (2 * step)
-            dqs.append(dq.T)  # the pushed tangent, as quaternion components
-        # H on the frame: kappa * 4 * det of the three theta values per cell
-        dens[layer * n:(layer + 1) * n] = 4.0 * theta_volume(q.T, *dqs)
+    blocks = max(1, min(_usable_cpus(), n // MIN_BLOCK_TRIANGLES))
+    bounds = [n * i // blocks for i in range(blocks + 1)]
+    errors = [None] * blocks
+
+    def run(i):
+        try:
+            _pullback_block(phi, quad, bounds[i], bounds[i + 1], step, dens)
+        except BaseException as exc:  # re-raised by the calling thread
+            errors[i] = exc
+
+    # each worker runs in a copy of the caller's context, so it sees the
+    # caller's numpy error state
+    workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+               for i in range(1, blocks)]
+    started = []
+    try:
+        for worker in workers:
+            worker.start()
+            started.append(worker)
+        _pullback_block(phi, quad, 0, bounds[1], step, dens)
+    finally:
+        for worker in started:
+            worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return float(kappa * np.sum(dens) * quad.weight)
 
 

@@ -433,6 +433,18 @@ def test_lienum_wzw_checks_the_level_before_any_work(capsys, monkeypatch):
     assert err == "error: level must be a positive integer\n"
 
 
+def test_lienum_level_past_the_float_range_exits_2(capsys, monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("no quadrature may run")
+
+    monkeypatch.setattr(lienum, "BallQuadrature", refuse)
+    monkeypatch.setattr(lienum, "pullback_H_integral", refuse)
+    for command in ("wzw", "verify-varpi"):
+        code, out, err = run_cli(capsys, "--json", "lienum", command, "--level", str(10**400))
+        assert code == 2 and out == ""
+        assert err == "error: level is too large to convert to a float\n"
+
+
 def test_lienum_oversized_requests_exit_2(capsys, tmp_path):
     spec = tmp_path / "ball.json"
     dump_json({"subdivisions": 12, "layers": 32}, spec)

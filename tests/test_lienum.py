@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -670,9 +671,12 @@ def test_sliced_su2_integral_matches_whole_array(res):
     assert_close_to_oracle(value, whole_array_integrate_H_SU2(res))
 
 
-@pytest.mark.parametrize("subdivisions", [0, 1, 2, 3])
-def test_sliced_pullback_matches_whole_array(subdivisions):
-    for layers in (1, 7, 16):
+@pytest.mark.parametrize("subdivisions", [0, 1, 2, 3, 5])
+def test_sliced_pullback_matches_whole_array(subdivisions, monkeypatch):
+    # subdivision 5 has 20,480 triangles, so with two CPUs it takes the
+    # split path
+    on_cpus(monkeypatch, 2)
+    for layers in (1, 2) if subdivisions == 5 else (1, 7, 16):
         quad = BallQuadrature(subdivisions=subdivisions, layers=layers)
         ball = whole_array_ball(subdivisions, layers)
         assert np.array_equal(quad.centers, ball[0])
@@ -706,18 +710,26 @@ def rotated_cap(x):
     )
 
 
-def test_ball_maps_receive_component_major_points(coarse_quad):
-    seen = []
+def test_ball_maps_receive_component_major_points(coarse_quad, split_ball, monkeypatch):
+    on_cpus(monkeypatch, 2)
+    for quad, blocks in ((coarse_quad, 1), (split_ball, 2)):
+        seen = []
 
-    def spy(x):
-        seen.append(x)
-        return northern_extension(x)
+        def spy(x):
+            seen.append(x)
+            return northern_extension(x)
 
-    pullback_H_integral(spy, coarse_quad)
-    assert len(seen) == 7 * len(coarse_quad.radii)
-    for x in seen:
-        assert x.dtype == np.float64 and x.shape == (len(coarse_quad.centroids), 3)
-        assert x.flags.f_contiguous
+        pullback_H_integral(spy, quad)
+        assert len(seen) == 7 * blocks * len(quad.radii)
+        rows = {}
+        for x in seen:
+            assert x.dtype == np.float64 and x.shape == (len(quad.centroids) // blocks, 3)
+            assert x.flags.f_contiguous
+            # every point lies near the sphere of its layer's mid-radius
+            layer = int(np.argmin(np.abs(quad.radii - np.median(np.linalg.norm(x, axis=1)))))
+            rows[layer] = rows.get(layer, 0) + len(x)
+        # each layer's blocks cover its triangles once per stencil point
+        assert rows == {layer: 7 * len(quad.centroids) for layer in range(len(quad.radii))}
     centers = coarse_quad.centers
     assert centers.flags.c_contiguous
     radii, centroids = coarse_quad.radii, coarse_quad.centroids
@@ -753,8 +765,129 @@ def test_level_must_be_a_positive_integer(bichart):
             term_amplitude(0.25, level)
         with pytest.raises(LieNumError, match="level must be a positive integer"):
             varpi(g1, g2, ta, ta, level=level, kappa=KAPPA)
+    # an integer past the float range would overflow in k * q
+    with pytest.raises(LieNumError, match="level is too large to convert to a float"):
+        term_amplitude(0.25, 10**400)
+    with pytest.raises(LieNumError, match="level is too large to convert to a float"):
+        varpi(g1, g2, ta, ta, level=10**400, kappa=KAPPA)
     for level in (2, 2.0, np.int64(2), np.float64(2.0)):
         assert abs(term_amplitude(0.25, level) + 1) < 1e-15
+
+
+@pytest.fixture(scope="module")
+def split_ball():
+    """A ball whose 20,480 triangles split into two blocks on two CPUs."""
+    quad = BallQuadrature(subdivisions=5, layers=2)
+    assert len(quad.centroids) == 2 * gerbecalc.lienum.wzw.MIN_BLOCK_TRIANGLES
+    return quad
+
+
+def on_cpus(monkeypatch, count):
+    monkeypatch.setattr(gerbecalc.lienum.wzw, "_usable_cpus", lambda: count)
+
+
+def near_triangle(quad, t):
+    """A mask of the rows of x that lie on triangle t's ray: every stencil
+    point of its cells and of no other triangle's."""
+    c = quad.centroids[t] / np.linalg.norm(quad.centroids[t])
+
+    def mask(x):
+        return x @ c > (1 - 1e-6) * np.linalg.norm(x, axis=1)
+
+    assert np.flatnonzero(mask(quad.centroids)).tolist() == [t]
+    return mask
+
+
+@pytest.mark.parametrize("phi", [northern_extension, southern_extension,
+                                 constant_map, rotated_cap])
+def test_split_pullback_equals_serial_pullback(split_ball, monkeypatch, phi):
+    threads = []
+
+    def watched(x):
+        threads.append(threading.get_ident())
+        return phi(x)
+
+    values = []
+    for cpus, used in ((1, 1), (2, 2)):
+        on_cpus(monkeypatch, cpus)
+        threads.clear()
+        values.append(pullback_H_integral(watched, split_ball))
+        assert len(set(threads)) == used
+    assert values[0] == values[1]
+
+
+def test_split_pullback_survives_fast_thread_switching(split_ball, monkeypatch):
+    # more blocks than this machine's CPUs, switching threads as often as
+    # the interpreter allows: a lost or misplaced density would show
+    serial = pullback_H_integral(rotated_cap, split_ball)
+    on_cpus(monkeypatch, 5)
+    monkeypatch.setattr(gerbecalc.lienum.wzw, "MIN_BLOCK_TRIANGLES", 1)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert pullback_H_integral(rotated_cap, split_ball) == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+def test_split_pullback_raises_like_the_serial_loop(split_ball, monkeypatch):
+    before = threading.active_count()
+    in_block_1 = near_triangle(split_ball, len(split_ball.centroids) - 1)
+
+    def off_the_group(x):
+        q = northern_extension(x)
+        q[in_block_1(x)] *= 2.0
+        return q
+
+    messages = []
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        with pytest.raises(LieNumError, match="does not land on unit quaternions") as info:
+            pullback_H_integral(off_the_group, split_ball)
+        messages.append(str(info.value))
+        assert threading.active_count() == before
+    assert messages[0] == messages[1]
+
+    def dividing(x):
+        q = northern_extension(x)
+        q[:, 0] /= np.where(in_block_1(x), 0.0, 1.0)
+        return q
+
+    # on two CPUs, the caller's numpy error state holds in block 1 too
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        pullback_H_integral(dividing, split_ball)
+    assert threading.active_count() == before
+    pullback_H_integral(northern_extension, split_ball)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("blocks, failing", [(2, {0, 1}), (3, {1, 2})])
+def test_split_pullback_raises_the_first_failed_blocks_error(split_ball, monkeypatch,
+                                                             blocks, failing):
+    n = len(split_ball.centroids)
+    on_cpus(monkeypatch, blocks)
+    monkeypatch.setattr(gerbecalc.lienum.wzw, "MIN_BLOCK_TRIANGLES", n // blocks)
+    before = threading.active_count()
+    # block b starts at triangle n * b // blocks, and only its points lie there
+    starts = [near_triangle(split_ball, n * b // blocks) for b in range(blocks)]
+    raised = []
+
+    class BlockFailure(Exception):
+        pass
+
+    def failing_map(x):
+        (block,) = [b for b, start in enumerate(starts) if start(x).any()]
+        if block not in failing:
+            return northern_extension(x)
+        raised.append(block)
+        raise BlockFailure(block)
+
+    with pytest.raises(BlockFailure) as info:
+        pullback_H_integral(failing_map, split_ball)
+    assert sorted(raised) == sorted(failing)
+    assert info.value.args == (min(failing),)
+    assert threading.active_count() == before
 
 
 def test_su2_integral_memory_is_constant_in_slices():
