@@ -40,7 +40,11 @@ product of the assembled matrices (``tests/test_deligne_operator.py``).
 All rows of one output component have the same width, the delta entries
 followed by the d entries, and a matvec sums them in the order of the
 per-face definition, so it is bit-identical to it; the test module keeps
-that definition as its oracle.
+that definition as its oracle.  An exact vector (every value a
+``Fraction``) is summed on integers over one common denominator, the lcm
+of its denominators, and the wrap runs on those integers; each output
+slot is then one ``Fraction``.  Float arrays and mixed lists are summed as
+they are.
 """
 
 from __future__ import annotations
@@ -257,6 +261,12 @@ def _wrap_floats(xs):
     return map(sub, ys, map(gt, ys, repeat(0.5)))
 
 
+def _wrap_over(xs, den):
+    """``_wrap_half`` of each x / den, as numerators over ``den``."""
+    ys = [x % den for x in xs]
+    return [y - den if 2 * y > den else y for y in ys]
+
+
 class DeligneOperator:
     """D from ``source`` to ``target`` as an integer CSR matrix.
 
@@ -305,8 +315,15 @@ class DeligneOperator:
         self.blocks = tuple(blocks)
 
     def apply(self, x):
-        """D applied to a value vector of the source layout."""
+        """D applied to a value vector of the source layout.
+
+        A list of ``Fraction``s is summed on integers over the lcm of its
+        denominators, and each output slot becomes one ``Fraction``.
+        """
         floats = isinstance(x, array)
+        exact = not floats and all(type(v) is Fraction for v in x)
+        if exact:
+            den, x = over_common_denominator(x)
         out = array("d") if floats else []
         get = x.__getitem__
         indptr, cols, signs = self.indptr, self.cols, self.signs
@@ -335,7 +352,12 @@ class DeligneOperator:
             if n_d:
                 if wrap:
                     term = fold(n_delta, width, d_sign)
-                    term = _wrap_floats(term) if floats else map(_wrap_half, term)
+                    if floats:
+                        term = _wrap_floats(term)
+                    elif exact:
+                        term = _wrap_over(term, den)
+                    else:
+                        term = map(_wrap_half, term)
                     if total is None:
                         total = term if d_sign > 0 else map(neg, term)
                     else:
@@ -343,7 +365,7 @@ class DeligneOperator:
                 else:
                     term = fold(n_delta, width, 1)
                     total = term if total is None else map(add, total, term)
-            out.extend(total)
+            out.extend(map(Fraction, total, repeat(den)) if exact else total)
         return out
 
 

@@ -136,7 +136,7 @@ def invariant_factors(mat):
 
 def over_common_denominator(vec):
     """(den, ints) with vec = ints / den, den the lcm of the denominators."""
-    vec = [x if type(x) is int else Fraction(x) for x in vec]
+    vec = [x if type(x) in (int, Fraction) else Fraction(x) for x in vec]
     den = lcm(*(x.denominator for x in vec))
     return den, [x.numerator * (den // x.denominator) for x in vec]
 

@@ -104,12 +104,17 @@ class CoverNerve:
 
 
 def make_nerve(indices, maximal_faces):
-    """Nerve from maximal faces, closed under subsets."""
+    """Nerve from maximal faces, closed under subsets.
+
+    The faces are closed largest first, so a listed face that is already a
+    subset of a closed one is skipped with all of its subsets.
+    """
     faces = set()
-    for f in maximal_faces:
-        f = tuple(sorted(set(f)))
-        for k in range(1, len(f) + 1):
-            faces.update(combinations(f, k))
+    normalized = (tuple(sorted(set(f))) for f in maximal_faces)
+    for f in sorted(normalized, key=len, reverse=True):
+        if f not in faces:
+            for k in range(1, len(f) + 1):
+                faces.update(combinations(f, k))
     for i in indices:
         faces.add((i,))
     return CoverNerve(indices=tuple(indices), faces=frozenset(faces))

@@ -7,13 +7,19 @@ multiple of the dot product, scaled so that long roots have squared
 length 2 (the "basic" normalization).  Alcove vertices are stored as
 coweight-side vectors and paired with roots/coroots through that inner
 product.
+
+The integer coordinates are kept beside the ambient roots.  The alcove
+vertices satisfy <alpha_j, mu_i> = delta_ij / a_i (a_i the marks, mu_0 = 0),
+so a root r = sum_j c_j alpha_j pairs with the barycenter of a face F of
+m vertices as <r, bary(F)> = (1/m) sum_{i in F, i >= 1} c_i / a_i, and face
+centralizers are read off the coordinates on integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import lcm
 
@@ -108,10 +114,22 @@ class RootSystem:
     roots: tuple
     highest_root: Vector
     marks: tuple
+    root_coords: tuple  # roots[i] in simple-root coordinates, integer tuples
+
+    def __hash__(self):
+        # (family, rank) determines every field, so equal systems hash
+        # equal; a field-wise hash would walk every root on each lookup of
+        # an lru_cache keyed on a root system
+        return hash((self.family, self.rank))
 
     @property
     def dim(self):
         return len(self.simple_roots[0])
+
+    @cached_property
+    def root_index(self):
+        """Position of each ambient root in ``roots``."""
+        return {r: i for i, r in enumerate(self.roots)}
 
     def inner(self, u, v):
         if len(u) != self.dim or len(v) != self.dim:
@@ -169,7 +187,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         tuple(int(2 * dot(a, b) / n) for b, n in zip(simple, norms)) for a in simple
     )
 
-    coords = _roots_in_simple_coords(cartan)
+    coords = list(_roots_in_simple_coords(cartan))
     marks = max(coords, key=sum)
 
     # ambient vectors over one common denominator; sorting the integer
@@ -178,15 +196,18 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     num = [[int(x * den) for x in a] for a in simple]
     ambient = lambda c: tuple(sum(k * a[d] for k, a in zip(c, num)) for d in range(dim))
     as_frac = lambda v: tuple(Fraction(x, den) for x in v)
+    vecs = [ambient(c) for c in coords]
+    order = sorted(range(len(vecs)), key=vecs.__getitem__)
     return RootSystem(
         family=family,
         rank=rank,
         simple_roots=tuple(simple),
         gram_scale=scale,
         cartan=cartan,
-        roots=tuple(as_frac(v) for v in sorted(ambient(c) for c in coords)),
+        roots=tuple(as_frac(vecs[i]) for i in order),
         highest_root=as_frac(ambient(marks)),
         marks=marks,
+        root_coords=tuple(coords[i] for i in order),
     )
 
 
@@ -250,19 +271,26 @@ class RootSubsystem:
     roots: frozenset
 
     def __post_init__(self):
-        all_roots = set(self.root_system.roots)
-        for r in self.roots:
-            if tuple(-x for x in r) not in self.roots:
-                raise RootSystemError("subsystem not closed under negation")
-            if r not in all_roots:
-                raise RootSystemError("subsystem element is not a root")
+        index = self.root_system.root_index
+        try:
+            found = {index[r] for r in self.roots}
+        except KeyError:
+            raise RootSystemError("subsystem element is not a root") from None
+        # the roots are sorted lexicographically and -R = R, so the
+        # negative of roots[i] is roots[-1 - i]
+        last = len(index) - 1
+        if any(last - i not in found for i in found):
+            raise RootSystemError("subsystem not closed under negation")
 
 
 def face_centralizer(alc: Alcove, face) -> RootSubsystem:
     """Root subsystem of the centralizer of exp(xi), xi interior to a face.
 
-    ``face`` is a nonempty subset of {0, ..., rank}; the exact barycenter
-    of the face's vertices is used as the interior point.
+    ``face`` is a nonempty subset of {0, ..., rank}; the barycenter of the
+    face's m vertices is used as the interior point.  A root with
+    simple-root coordinates c pairs with it as (1/m) sum_{i in F, i >= 1}
+    c_i / a_i, which is an integer iff sum_i c_i (L / a_i) = 0 mod m L,
+    with L the lcm of the face's marks; the test runs on integers.
     """
     face = sorted(set(face))
     if not face:
@@ -270,12 +298,15 @@ def face_centralizer(alc: Alcove, face) -> RootSubsystem:
     rs = alc.root_system
     if any(i < 0 or i > rs.rank for i in face):
         raise RootSystemError(f"face indices out of range: {face}")
-    m = len(face)
-    bary = tuple(
-        sum(alc.vertices[i][d] for i in face) / m for d in range(rs.dim)
-    )
+    # vertex i >= 1 is mu_i, dual to the simple root i - 1 (0-based)
+    simple = [i - 1 for i in face if i]
+    big = lcm(*(rs.marks[j] for j in simple))
+    weights = [(j, big // rs.marks[j]) for j in simple]
+    modulus = len(face) * big
     sub = frozenset(
-        r for r in rs.roots if rs.inner(r, bary).denominator == 1
+        r
+        for r, c in zip(rs.roots, rs.root_coords)
+        if sum(c[j] * w for j, w in weights) % modulus == 0
     )
     return RootSubsystem(root_system=rs, roots=sub)
 

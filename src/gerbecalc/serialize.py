@@ -42,6 +42,8 @@ def number_to_json(x):
 def number_from_json(v):
     if isinstance(v, str):
         return Fraction(v)
+    if isinstance(v, bool):  # json reads true and false as a bool, an int subclass
+        raise SerializationError(f"JSON value {json.dumps(v)} is not a number")
     if not abs(v) <= float_info.max:  # json reads 1e400 as inf
         raise SerializationError(f"number {v!r} in JSON input overflows a float")
     return float(v)
@@ -150,6 +152,9 @@ def cochain_to_json(c: DeligneCochain, include_spaces=True) -> dict:
 
 def cochain_from_json(doc: dict, nerve=None, complex=None) -> DeligneCochain:
     try:
+        for key in ("degree", "level"):
+            if type(doc[key]) is not int:
+                raise SerializationError(f"bad cochain document: {key} must be an integer")
         if nerve is None:
             nerve = nerve_from_json(doc["nerve"])
         if complex is None and "complex" in doc:

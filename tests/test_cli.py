@@ -237,6 +237,26 @@ def test_overflowing_json_number_is_a_domain_error(capsys, tmp_path, k, face, nu
     assert err == f"error: number {value} in JSON input overflows a float\n"
 
 
+def test_json_boolean_is_not_a_number(capsys, tmp_path):
+    # json reads true as a bool, which Python counts as the integer 1
+    doc = cochain_to_json(zero_cochain(simplex_nerve(4), 2, 2))
+    doc["components"][1]["0,1"] = True
+    path = tmp_path / "boolean.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "--json", "deligne", "check", str(path))
+    assert (code, out, err) == (2, "", "error: JSON value true is not a number\n")
+
+
+@pytest.mark.parametrize("key, value", [("degree", True), ("level", 2.0), ("degree", None)])
+def test_cochain_degree_and_level_must_be_integers(capsys, tmp_path, key, value):
+    doc = cochain_to_json(zero_cochain(simplex_nerve(4), 2, 2)) | {key: value}
+    path = tmp_path / "cochain.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "--json", "deligne", "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: bad cochain document: {key} must be an integer\n"
+
+
 def test_missing_file_is_error(capsys):
     assert run_cli(capsys, "deligne", "check", "/nonexistent.json")[0] == 2
 
@@ -384,6 +404,14 @@ def test_holonomy_stokes_cli(capsys, tmp_path):
         )
         assert (code, out) == (2, "")
         assert err == "error: number inf in JSON input overflows a float\n"
+    path = tmp_path / "true-field.json"
+    path.write_text(json.dumps(docs["field"] | {tet: True}))
+    code, out, err = run_cli(
+        capsys, "--json", "holonomy", "stokes",
+        *(arg for key in ("complex", "cochain", "field", "assignment")
+          for arg in (f"--{key}", str(path) if key == "field" else paths[key])),
+    )
+    assert (code, out, err) == (2, "", "error: JSON value true is not a number\n")
 
 
 # -- lienum subcommands ----------------------------------------------------

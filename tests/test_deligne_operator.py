@@ -13,6 +13,7 @@ import random
 import re
 from array import array
 from fractions import Fraction
+from operator import add, neg, sub
 
 import pytest
 
@@ -116,6 +117,47 @@ def reference_differential(nerve, cc, p, n, components):
         for f, v in out[0].items()
     }
     return tuple(out)
+
+
+def reference_apply(op, x):
+    """The operator's list path as it was before exact vectors were summed
+    on integers: every value is added as it is, term by term."""
+    out = []
+    get = x.__getitem__
+    indptr, cols, signs = op.indptr, op.cols, op.signs
+    for r0, r1, n_delta, n_d, d_sign, wrap in op.blocks:
+        if r0 == r1:
+            continue
+        e0, e1 = indptr[r0], indptr[r1]
+        width = n_delta + n_d
+        if width == 0:
+            out.extend([Fraction(0)] * (r1 - r0))
+            continue
+
+        def column(j):
+            return map(get, cols[e0 + j : e1 : width])
+
+        def fold(first, last, flip):
+            acc = column(first)
+            if signs[e0 + first] * flip < 0:
+                acc = map(neg, acc)
+            for j in range(first + 1, last):
+                acc = map(add if signs[e0 + j] * flip > 0 else sub, acc, column(j))
+            return acc
+
+        total = fold(0, n_delta, 1) if n_delta else None
+        if n_d:
+            if wrap:
+                term = map(_wrap_half, fold(n_delta, width, d_sign))
+                if total is None:
+                    total = term if d_sign > 0 else map(neg, term)
+                else:
+                    total = map(add if d_sign > 0 else sub, total, term)
+            else:
+                term = fold(n_delta, width, 1)
+                total = term if total is None else map(add, total, term)
+        out.extend(total)
+    return out
 
 
 def reference_residual(c):
@@ -259,6 +301,65 @@ def test_geometric_fractions_match_reference_exactly():
             assert g == {f: _broadcast(e[f], vals) for f, vals in g.items()}
         assert_residual_matches_reference(c)
         assert_residual_matches_reference(deligne_differential(c))
+
+
+def _exact_values(rng, size):
+    return [Fraction(rng.randrange(-99, 99), rng.randrange(1, 13)) for _ in range(size)]
+
+
+def _mixed_values(rng, size):
+    pick = (
+        lambda: Fraction(rng.randrange(-99, 99), 60),
+        lambda: rng.randrange(-3, 4),
+        lambda: rng.uniform(-2, 2),
+    )
+    return [rng.choice(pick)() for _ in range(size)]
+
+
+def assert_apply_matches_reference(op, x):
+    got, want = op.apply(x), reference_apply(op, x)
+    assert isinstance(got, list)
+    assert got == want
+    assert list(map(type, got)) == list(map(type, want))
+
+
+@pytest.mark.parametrize("name", sorted(NERVES))
+def test_pure_nerve_apply_matches_the_term_by_term_fold(name):
+    nerve = NERVES[name]
+    rng = random.Random(46)
+    for degree in range(4):
+        for level in (1, 2):
+            layout = cochain_layout(nerve, None, degree, level)
+            for values in (
+                _exact_values(rng, layout.size),
+                [rng.randrange(-5, 6) for _ in range(layout.size)],
+                _mixed_values(rng, layout.size),
+            ):
+                assert_apply_matches_reference(layout.differential, values)
+
+
+def _wrapped_terms_mod1(op, x):
+    """The d term of each row of the wrapped block, before the wrap, mod 1."""
+    for r0, r1, n_delta, n_d, _, wrap in op.blocks:
+        for r in range(r0, r1) if wrap else ():
+            e = op.indptr[r] + n_delta
+            yield sum(op.signs[e + j] * x[op.cols[e + j]] for j in range(n_d)) % 1
+
+
+def test_geometric_exact_apply_matches_the_term_by_term_fold():
+    cc = MESHES["sphere20"]
+    nerve = cc.nerve()
+    rng = random.Random(47)
+    for degree in range(3):
+        layout = cochain_layout(nerve, cc, degree, 2)
+        op = layout.differential
+        exact = _exact_values(rng, layout.size)
+        assert_apply_matches_reference(op, exact)
+        assert_apply_matches_reference(op, _mixed_values(rng, layout.size))
+        # the wrapped block meets exact values below, at and above 1/2
+        half = Fraction(1, 2)
+        terms = set(_wrapped_terms_mod1(op, exact))
+        assert min(terms) < half < max(terms) and half in terms
 
 
 def test_cochains_compare_by_value():

@@ -1,6 +1,8 @@
 """Covered complexes: orientation closure, star covers, cached tables."""
 
 import math
+import random
+from itertools import combinations
 
 import pytest
 
@@ -32,6 +34,32 @@ def test_nerve_subset_closure_enforced():
     for missing in ((0, 1), (2,)):
         with pytest.raises(ComplexError):
             CoverNerve(indices=full.indices, faces=full.faces - {missing})
+
+
+def closure_oracle(indices, maximal_faces):
+    """Every nonempty subset of every listed face, plus the singletons."""
+    faces = {(i,) for i in indices}
+    for f in maximal_faces:
+        f = tuple(sorted(set(f)))
+        for k in range(1, len(f) + 1):
+            faces.update(combinations(f, k))
+    return frozenset(faces)
+
+
+def test_make_nerve_matches_the_subset_closure():
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randrange(1, 9)
+        listed = [
+            tuple(rng.sample(range(n), rng.randrange(0, n + 1)) * rng.randrange(1, 3))
+            for _ in range(rng.randrange(0, 6))
+        ]
+        assert make_nerve(range(n), listed).faces == closure_oracle(range(n), listed)
+    # a nerve document lists every face, the largest last
+    ball = coned_ball(icosahedron()).nerve()
+    every = sorted(ball.faces, key=len)
+    assert make_nerve(ball.indices, every).faces == ball.faces
+    assert closure_oracle(ball.indices, every) == ball.faces
 
 
 def test_faces_of_size_is_cached_and_read_only():

@@ -251,6 +251,52 @@ def test_minimal_level_invariant_under_relabeling():
         assert lcm(*denoms) == k0
 
 
+def barycenter_centralizer(alc, face):
+    """The roots with an integer pairing against the face's exact
+    barycenter: the oracle of the integer-coordinate test."""
+    rs = alc.root_system
+    face = sorted(set(face))
+    bary = tuple(
+        sum(alc.vertices[i][d] for i in face) / len(face) for d in range(rs.dim)
+    )
+    return frozenset(r for r in rs.roots if rs.inner(r, bary).denominator == 1)
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_root_coords_give_the_ambient_roots(family, rank):
+    rs = build_root_system(family, rank)
+    assert len(rs.root_coords) == len(rs.roots)
+    for r, c in zip(rs.roots, rs.root_coords):
+        assert all(type(x) is int for x in c)
+        assert r == tuple(
+            sum(k * a[d] for k, a in zip(c, rs.simple_roots)) for d in range(rs.dim)
+        )
+    # the sorted roots are symmetric, as the negation check relies on
+    assert rs.roots == tuple(tuple(-x for x in r) for r in reversed(rs.roots))
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_face_centralizer_matches_barycenter_oracle(family, rank):
+    rs = build_root_system(family, rank)
+    alc = alcove(rs)
+    faces = [(i,) for i in range(rank + 1)]
+    faces += [(0, i) for i in range(1, rank + 1)]
+    faces.append(tuple(range(rank + 1)))
+    for face in faces:
+        got = face_centralizer(alc, face)
+        assert got.root_system is rs
+        assert got.roots == barycenter_centralizer(alc, face)
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_root_system_hash_is_the_type(family, rank):
+    rs = build_root_system(family, rank)
+    fresh = build_root_system.__wrapped__(family, rank)
+    assert fresh is not rs and fresh == rs
+    assert hash(rs) == hash(fresh) == hash((family, rank))
+    assert alcove(fresh) is alcove(rs)
+
+
 def test_face_centralizer_extremes():
     rs = build_root_system("B", 3)
     alc = alcove(rs)
@@ -283,6 +329,13 @@ def test_root_subsystem_validation():
     twice = tuple(2 * x for x in r)
     with pytest.raises(RootSystemError, match="not a root"):
         RootSubsystem(rs, frozenset({twice, tuple(-x for x in twice)}))
+    with pytest.raises(RootSystemError, match="not a root"):
+        RootSubsystem(rs, frozenset({r, neg, twice}))
+    # two roots without their negatives, and one with its negative missing
+    with pytest.raises(RootSystemError, match="negation"):
+        RootSubsystem(rs, frozenset(rs.roots[:2]))
+    with pytest.raises(RootSystemError, match="negation"):
+        RootSubsystem(rs, frozenset({r, neg, rs.roots[1]}))
 
 
 def test_parse_type():
