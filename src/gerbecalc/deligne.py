@@ -40,7 +40,10 @@ product of the assembled matrices (``tests/test_deligne_operator.py``).
 All rows of one output component have the same width, the delta entries
 followed by the d entries, and a matvec sums them in the order of the
 per-face definition, so it is bit-identical to it; the test module keeps
-that definition as its oracle.  An exact vector (every value a
+that definition as its oracle.  Each column of a block is gathered with
+one ``operator.itemgetter`` call on a list of the values (``tolist()`` of
+a float array); the getters are built per call, since keeping them would
+hold a Python int per nonzero.  An exact vector (every value a
 ``Fraction``) is summed on integers over one common denominator, the lcm
 of its denominators, and the wrap runs on those integers; each output
 slot is then one ``Fraction``.  Float arrays and mixed lists are summed as
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from operator import add, gt, ne, neg, sub
+from operator import add, gt, itemgetter, ne, neg, sub
 
 from .intlinalg import matvec, over_common_denominator, smith_normal_form, solve_rational
 from .nerve import CoverNerve, CoveredComplex, cached, perm_sign
@@ -69,7 +72,8 @@ class DeligneError(ValueError):
 def _mod1(x):
     """Reduce a turn value into [0, 1)."""
     if isinstance(x, Fraction):
-        return x % 1
+        # x % 1 on the numerator: the same Fraction without Fraction arithmetic
+        return Fraction(x.numerator % x.denominator, x.denominator)
     return x - math.floor(x)
 
 
@@ -325,7 +329,7 @@ class DeligneOperator:
         if exact:
             den, x = over_common_denominator(x)
         out = array("d") if floats else []
-        get = x.__getitem__
+        xs = x.tolist() if floats else x
         indptr, cols, signs = self.indptr, self.cols, self.signs
         for r0, r1, n_delta, n_d, d_sign, wrap in self.blocks:
             if r0 == r1:
@@ -337,7 +341,9 @@ class DeligneOperator:
                 continue
 
             def column(j):
-                return map(get, cols[e0 + j : e1 : width])
+                # built per call: a kept getter holds a Python int per nonzero
+                picked = itemgetter(*cols[e0 + j : e1 : width])(xs)
+                return picked if r1 - r0 > 1 else (picked,)
 
             def fold(first, last, flip):
                 # sum entries first..last-1 term by term, signs times flip

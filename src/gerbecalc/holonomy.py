@@ -21,6 +21,12 @@ h.D_1 = 0 with the assembled differential of :mod:`gerbecalc.deligne`
 ``tests/test_holonomy.py::test_gauge_invariance_is_exact`` checks it, as
 ``tests/test_deligne_operator.py`` checks D_{p+1} D_p = 0.
 
+:func:`holonomy_exponent` sums these terms in one pass in the order
+above, triangles first and then per edge the pair term, the head corner
+and the tail corner, reading each value from the layout's slot index.
+The chart assignment is validated on every call, its edge faces inside
+that pass.
+
 The result is exp(2pi i S).  The formula is pinned by its invariances
 (gauge shifts, chart reassignment, trivial-gerbe reduction) rather than
 by any printed reference; the corner sign convention above is frozen for
@@ -40,7 +46,6 @@ from .deligne import (
     _face_domain,
     cochain_layout,
     is_cocycle,
-    perm_sign,
 )
 from .nerve import CoveredComplex, cached
 
@@ -56,7 +61,8 @@ class ChartAssignment:
     triangle_chart: dict  # tri_key -> nerve index
     vertex_chart: dict  # vertex -> nerve index
 
-    def validate(self, cc: CoveredComplex, nerve):
+    def validate_charts(self, cc: CoveredComplex):
+        """Every triangle and vertex has a chart, and its chart holds it."""
         for t in cc.tri_keys:
             if t not in self.triangle_chart:
                 raise HolonomyError(f"no chart assigned to triangle {t}")
@@ -67,14 +73,20 @@ class ChartAssignment:
                 raise HolonomyError(f"no chart assigned to vertex {v}")
             if self.vertex_chart[v] not in cc.charts_of((v,)):
                 raise HolonomyError(f"assigned chart does not contain vertex {v}")
+
+    def validate(self, cc: CoveredComplex, nerve):
+        """:meth:`validate_charts`, then every edge corner indexes a face."""
+        self.validate_charts(cc)
         for e, inc in cc.edge_tris.items():
             charts = {self.triangle_chart[t] for t, _ in inc}
             for w in e:
                 charts_w = charts | {self.vertex_chart[w]}
                 if not nerve.is_face(tuple(sorted(charts_w))):
-                    raise HolonomyError(
-                        f"assignment indexes an undeclared face at edge {e}"
-                    )
+                    raise HolonomyError(_undeclared(e))
+
+
+def _undeclared(e):
+    return f"assignment indexes an undeclared face at edge {e}"
 
 
 def random_assignment(cc: CoveredComplex, rng) -> ChartAssignment:
@@ -83,15 +95,17 @@ def random_assignment(cc: CoveredComplex, rng) -> ChartAssignment:
     return ChartAssignment(triangle_chart=tri, vertex_chart=vert)
 
 
-def _alternating(c, k, indices, simplex):
-    """Component k on an index tuple via the alternating extension."""
-    if len(set(indices)) != len(indices):
-        return 0
-    return perm_sign(indices) * c.value(k, tuple(sorted(indices)), simplex)
-
-
 def holonomy_exponent(cc: CoveredComplex, c: DeligneCochain, asg: ChartAssignment):
-    """The sum S with surface holonomy exp(2pi i S)."""
+    """The sum S with surface holonomy exp(2pi i S).
+
+    One pass reads every term from the slot index: the triangles, then per
+    edge the pair term, the head corner and the tail corner.  A term with a
+    repeated chart vanishes and is skipped.  The same pass makes the edge
+    face check of :meth:`ChartAssignment.validate`, edge by edge: a face
+    the nerve lacks has no slot, so its read fails; only the corner faces
+    of an edge whose triangles share a chart are read by no term and are
+    looked up.
+    """
     if cc.dim != 2:
         raise HolonomyError("holonomy needs a closed oriented surface")
     # once per chart table; the cochain and the assignment change per call
@@ -100,25 +114,49 @@ def holonomy_exponent(cc: CoveredComplex, c: DeligneCochain, asg: ChartAssignmen
         raise DeligneError("holonomy input is not a cocycle")
     if (c.degree, c.level) != (2, 2):
         raise DeligneError("holonomy needs a degree-2, level-2 cochain")
-    asg.validate(cc, c.nerve)
+    asg.validate_charts(cc)
+    try:
+        return _exponent(cc, c, asg)
+    except KeyError as exc:
+        # no slot: an undeclared edge face, reported as validate reports it,
+        # or else a slot the cochain lacks, the first in term order
+        asg.validate(cc, c.nerve)
+        c.layout.slot(*exc.args[0])
+        raise
+
+
+def _exponent(cc, c, asg):
+    index, values, faces = c.layout.slot_index, c.values, c.nerve.faces
+    tri_chart, vertex_chart = asg.triangle_chart, asg.vertex_chart
     total = 0
     # values are stored on canonical (sorted) simplices; the surface
     # integral weights each by the orientation of its mesh triangle
     for t in cc.tri_keys:
-        total += cc.tri_sign[t] * c.value(2, (asg.triangle_chart[t],), t)
-    for e, inc in cc.edge_tris.items():
-        (t1, s1), (t2, s2) = inc
-        t_plus = t1 if s1 > 0 else t2
-        t_minus = t2 if s1 > 0 else t1
-        i_minus = asg.triangle_chart[t_minus]
-        i_plus = asg.triangle_chart[t_plus]
-        if i_minus != i_plus:
-            total += _alternating(c, 1, (i_plus, i_minus), e)
+        total += cc.tri_sign[t] * values[index[2, (tri_chart[t],), t]]
+    for e, ((t1, s1), (t2, _)) in cc.edge_tris.items():
+        t_plus, t_minus = (t1, t2) if s1 > 0 else (t2, t1)
+        i_plus, i_minus = tri_chart[t_plus], tri_chart[t_minus]
         tail, head = e
-        for w, eps in ((head, 1), (tail, -1)):
-            total += eps * _alternating(
-                c, 0, (i_plus, i_minus, asg.vertex_chart[w]), (w,)
-            )
+        if i_plus == i_minus:
+            # no term, so no read checks the corner faces (i, j)
+            for j in (vertex_chart[tail], vertex_chart[head]):
+                if j != i_plus and (min(i_plus, j), max(i_plus, j)) not in faces:
+                    raise HolonomyError(_undeclared(e))
+            continue
+        lo, hi, sign = (i_plus, i_minus, 1) if i_plus < i_minus else (i_minus, i_plus, -1)
+        total += sign * values[index[1, (lo, hi), e]]
+        for w, eps in ((head, sign), (tail, -sign)):
+            # sort (i+, i-, j), flipping the sign when j lands in the middle
+            j = vertex_chart[w]
+            if j < lo:
+                face = (j, lo, hi)
+            elif j > hi:
+                face = (lo, hi, j)
+            elif lo < j < hi:
+                face, eps = (lo, j, hi), -eps
+            else:
+                continue
+            total += eps * values[index[0, face, (w,)]]
     return total
 
 
@@ -166,6 +204,9 @@ def stokes_check(
     """
     if ball.dim != 3:
         raise HolonomyError("stokes_check needs a 3-complex")
+    missing = next((tet for tet in ball.tet_keys if tet not in H), None)
+    if missing is not None:
+        raise HolonomyError(f"no field value on tetrahedron {missing}")
     for face in c.nerve.faces_of_size(1):
         for tet in _face_domain(ball, face, 3):
             db = sum(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from re import fullmatch
 from sys import float_info
 from typing import TYPE_CHECKING
 
@@ -181,16 +182,41 @@ def assignment_to_json(asg: ChartAssignment) -> dict:
     }
 
 
+# keys as assignment_to_json writes them: str(v), and comma-joined vertices
+_KEYS = {
+    "triangles": ("triangle", r"-?[0-9]+(,-?[0-9]+)*", "comma-joined decimal integers"),
+    "vertices": ("vertex", r"-?[0-9]+", "a decimal integer"),
+}
+
+
+def _chart_table(doc, name):
+    """One map of an assignment document, with its keys and charts checked."""
+    table = doc[name]
+    if not isinstance(table, dict):
+        raise SerializationError(f"bad assignment document: {name} must be an object")
+    what, pattern, written = _KEYS[name]
+    for key, chart in table.items():
+        if not fullmatch(pattern, key):
+            raise SerializationError(
+                f"bad assignment document: {what} key {json.dumps(key)} is not {written}"
+            )
+        if type(chart) is not int:  # json reads true as a bool, 1.0 as a float
+            raise SerializationError(
+                f"bad assignment document: chart {json.dumps(chart)} of {what} {key} "
+                "is not an integer"
+            )
+    return table
+
+
 def assignment_from_json(doc: dict) -> ChartAssignment:
     try:
-        return ChartAssignment(
-            triangle_chart={
-                _key_to_tuple(k): i for k, i in doc["triangles"].items()
-            },
-            vertex_chart={int(v): i for v, i in doc["vertices"].items()},
-        )
+        triangles, vertices = _chart_table(doc, "triangles"), _chart_table(doc, "vertices")
     except (KeyError, TypeError) as exc:
         raise SerializationError(f"bad assignment document: {exc}") from exc
+    return ChartAssignment(
+        triangle_chart={_key_to_tuple(k): i for k, i in triangles.items()},
+        vertex_chart={int(v): i for v, i in vertices.items()},
+    )
 
 
 # -- matrices and checker bundles ------------------------------------------

@@ -345,6 +345,38 @@ def test_holonomy_surface_cli(capsys, surface_files):
     assert code == 0 and "holonomy:" in out
 
 
+def _first_key(table):
+    return next(iter(table))
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        # true used to read as chart 1, and 1.0 as a float chart
+        (lambda doc: doc["triangles"].update({_first_key(doc["triangles"]): True}),
+         "chart true of triangle 0,1,5 is not an integer"),
+        (lambda doc: doc["triangles"].update({_first_key(doc["triangles"]): 1.0}),
+         "chart 1.0 of triangle 0,1,5 is not an integer"),
+        (lambda doc: doc["vertices"].update({"zero": 0}),
+         'vertex key "zero" is not a decimal integer'),
+        (lambda doc: doc.update({"vertices": list(doc["vertices"].values())}),
+         "vertices must be an object"),
+    ],
+    ids=["true-chart", "float-chart", "word-vertex-key", "list-map"],
+)
+def test_holonomy_surface_refuses_bad_assignments(capsys, surface_files, spoil, message):
+    with open(surface_files["assignment"]) as fh:
+        doc = json.load(fh)
+    spoil(doc)
+    dump_json(doc, surface_files["assignment"])
+    code, out, err = run_cli(
+        capsys, "--json", "holonomy", "surface",
+        *(arg for key in ("complex", "cochain", "assignment")
+          for arg in (f"--{key}", surface_files[key])),
+    )
+    assert (code, out, err) == (2, "", f"error: bad assignment document: {message}\n")
+
+
 def test_holonomy_stokes_cli(capsys, tmp_path):
     ball = coned_ball(icosahedron())
     nerve = ball.nerve()
@@ -412,6 +444,16 @@ def test_holonomy_stokes_cli(capsys, tmp_path):
           for arg in (f"--{key}", str(path) if key == "field" else paths[key])),
     )
     assert (code, out, err) == (2, "", "error: JSON value true is not a number\n")
+    # a field that misses a tetrahedron names it
+    path = tmp_path / "short-field.json"
+    path.write_text(json.dumps({k: v for k, v in docs["field"].items() if k != tet}))
+    code, out, err = run_cli(
+        capsys, "--json", "holonomy", "stokes",
+        *(arg for key in ("complex", "cochain", "field", "assignment")
+          for arg in (f"--{key}", str(path) if key == "field" else paths[key])),
+    )
+    message = f"error: no field value on tetrahedron {ball.tet_keys[0]}\n"
+    assert (code, out, err) == (2, "", message)
 
 
 # -- lienum subcommands ----------------------------------------------------

@@ -13,15 +13,20 @@ import random
 import re
 from array import array
 from fractions import Fraction
+from itertools import repeat
 from operator import add, neg, sub
 
 import pytest
 
+from gerbecalc import deligne
 from gerbecalc.cli import main
+from gerbecalc.intlinalg import over_common_denominator
 from gerbecalc.deligne import (
     DeligneCochain,
     DeligneError,
     _face_domain,
+    _wrap_floats,
+    _wrap_over,
     cochain_add,
     cochain_layout,
     cochain_residual,
@@ -160,6 +165,57 @@ def reference_apply(op, x):
     return out
 
 
+def map_chain_apply(op, x):
+    """The operator's apply as it was when each column was read through
+    ``map(x.__getitem__, ...)``: floats, exact and mixed vectors alike."""
+    floats = isinstance(x, array)
+    exact = not floats and all(type(v) is Fraction for v in x)
+    if exact:
+        den, x = over_common_denominator(x)
+    out = array("d") if floats else []
+    get = x.__getitem__
+    indptr, cols, signs = op.indptr, op.cols, op.signs
+    for r0, r1, n_delta, n_d, d_sign, wrap in op.blocks:
+        if r0 == r1:
+            continue
+        e0, e1 = indptr[r0], indptr[r1]
+        width = n_delta + n_d
+        if width == 0:
+            out.extend([Fraction(0)] * (r1 - r0))
+            continue
+
+        def column(j):
+            return map(get, cols[e0 + j : e1 : width])
+
+        def fold(first, last, flip):
+            acc = column(first)
+            if signs[e0 + first] * flip < 0:
+                acc = map(neg, acc)
+            for j in range(first + 1, last):
+                acc = map(add if signs[e0 + j] * flip > 0 else sub, acc, column(j))
+            return acc
+
+        total = fold(0, n_delta, 1) if n_delta else None
+        if n_d:
+            if wrap:
+                term = fold(n_delta, width, d_sign)
+                if floats:
+                    term = _wrap_floats(term)
+                elif exact:
+                    term = _wrap_over(term, den)
+                else:
+                    term = map(_wrap_half, term)
+                if total is None:
+                    total = term if d_sign > 0 else map(neg, term)
+                else:
+                    total = map(add if d_sign > 0 else sub, total, term)
+            else:
+                term = fold(n_delta, width, 1)
+                total = term if total is None else map(add, total, term)
+        out.extend(map(Fraction, total, repeat(den)) if exact else total)
+    return out
+
+
 def reference_residual(c):
     """Per-value oracle of cochain_residual: the first largest distance of
     a value from zero, modulo 1 on the U(1) layer and in geometric mode,
@@ -184,6 +240,16 @@ def assert_residual_matches_reference(c):
         assert residual == ref
         if ref:
             assert slot == c.layout.slot(*at)
+
+
+def test_mod1_reduces_fractions_as_fraction_mod_1():
+    rng = random.Random(50)
+    xs = [Fraction(rng.randrange(-10**9, 10**9), rng.randrange(1, 10**4)) for _ in range(2000)]
+    xs += [Fraction(n, d) for n in range(-7, 8) for d in (1, 2, 3, 60)]
+    for x in xs:
+        got, want = deligne._mod1(x), x % 1
+        assert got == want and type(got) is type(want)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 # -- fixtures --------------------------------------------------------------
@@ -360,6 +426,49 @@ def test_geometric_exact_apply_matches_the_term_by_term_fold():
         half = Fraction(1, 2)
         terms = set(_wrapped_terms_mod1(op, exact))
         assert min(terms) < half < max(terms) and half in terms
+
+
+@pytest.fixture(scope="module")
+def gather_meshes():
+    sphere80 = MESHES["sphere80"]
+    return {
+        "sphere80": sphere80,
+        "sphere320": subdivide_sphere(sphere80),
+        "ball20": MESHES["ball20"],
+    }
+
+
+@pytest.mark.parametrize("degree", (1, 2))
+@pytest.mark.parametrize("name", ("sphere80", "sphere320", "ball20"))
+def test_gathered_apply_matches_the_map_chain(gather_meshes, name, degree):
+    # one itemgetter per column reads the same values in the same order as
+    # the map chain, so every slot is the same float
+    cc = gather_meshes[name]
+    layout = cochain_layout(cc.nerve(), cc, degree, 2)
+    op = layout.differential
+    rng = random.Random(48 + degree)
+    for x in (
+        array("d", [rng.uniform(-2, 2) for _ in range(layout.size)]),
+        array("d", [rng.randrange(-3, 4) / 2 for _ in range(layout.size)]),
+    ):
+        got, want = op.apply(x), map_chain_apply(op, x)
+        assert type(got) is array and got.typecode == "d"
+        assert len(got) == len(want) == op.target.size
+        assert all(g == w for g, w in zip(got, want))
+    exact = _exact_values(rng, layout.size)
+    got, want = op.apply(exact), map_chain_apply(op, exact)
+    assert got == want and set(map(type, got)) == {Fraction}
+
+
+def test_gathered_apply_reads_one_row_blocks():
+    # a block of one row gathers a single value, not a tuple
+    layout = cochain_layout(simplex_nerve(2), None, 0, 2)
+    op = layout.differential
+    assert any(r1 - r0 == 1 for r0, r1, *_ in op.blocks)
+    rng = random.Random(49)
+    for x in (_exact_values(rng, layout.size), _mixed_values(rng, layout.size)):
+        got, want = op.apply(x), map_chain_apply(op, x)
+        assert got == want and list(map(type, got)) == list(map(type, want))
 
 
 def test_cochains_compare_by_value():

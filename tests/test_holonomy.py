@@ -3,9 +3,11 @@
 import cmath
 import os
 import random
+import re
 import subprocess
 import sys
 from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from gerbecalc.deligne import (
     cochain_add,
     cochain_layout,
     deligne_differential,
+    is_cocycle,
     perm_sign,
     zero_cochain,
 )
@@ -30,7 +33,14 @@ from gerbecalc.holonomy import (
     stokes_check,
     surface_holonomy,
 )
-from gerbecalc.nerve import CoveredComplex, coned_ball, icosahedron, vertex_star_cover
+from gerbecalc.nerve import (
+    CoverNerve,
+    CoveredComplex,
+    coned_ball,
+    icosahedron,
+    subdivide_sphere,
+    vertex_star_cover,
+)
 
 
 def random_gauge(nerve, cc, rng):
@@ -145,6 +155,215 @@ def test_gauge_invariance_is_exact(sphere_setup):
             for e in range(d1.indptr[row], d1.indptr[row + 1]):
                 hd[d1.cols[e]] = hd.get(d1.cols[e], 0) + coeff * d1.signs[e]
         assert hd and not any(hd.values())
+
+
+# -- the one-pass exponent against the term loop ---------------------------
+
+
+def reference_validate(asg, cc, nerve):
+    """ChartAssignment.validate as one function: triangles, vertices, then
+    every edge corner."""
+    for t in cc.tri_keys:
+        if t not in asg.triangle_chart:
+            raise HolonomyError(f"no chart assigned to triangle {t}")
+        if asg.triangle_chart[t] not in cc.charts_of(t):
+            raise HolonomyError(f"assigned chart does not contain {t}")
+    for v in cc.vertices:
+        if v not in asg.vertex_chart:
+            raise HolonomyError(f"no chart assigned to vertex {v}")
+        if asg.vertex_chart[v] not in cc.charts_of((v,)):
+            raise HolonomyError(f"assigned chart does not contain vertex {v}")
+    for e, inc in cc.edge_tris.items():
+        charts = {asg.triangle_chart[t] for t, _ in inc}
+        for w in e:
+            if not nerve.is_face(tuple(sorted(charts | {asg.vertex_chart[w]}))):
+                raise HolonomyError(f"assignment indexes an undeclared face at edge {e}")
+
+
+def _alternating(c, k, indices, simplex):
+    if len(set(indices)) != len(indices):
+        return 0
+    return perm_sign(indices) * c.value(k, tuple(sorted(indices)), simplex)
+
+
+def reference_holonomy_exponent(cc, c, asg):
+    """The local formula term by term, every term read through
+    ``DeligneCochain.value`` after the whole assignment is validated."""
+    if cc.dim != 2:
+        raise HolonomyError("holonomy needs a closed oriented surface")
+    cc.validate()
+    if not is_cocycle(c, tol=0 if c.is_pure_nerve() else 1e-9):
+        raise DeligneError("holonomy input is not a cocycle")
+    if (c.degree, c.level) != (2, 2):
+        raise DeligneError("holonomy needs a degree-2, level-2 cochain")
+    reference_validate(asg, cc, c.nerve)
+    total = 0
+    for t in cc.tri_keys:
+        total += cc.tri_sign[t] * c.value(2, (asg.triangle_chart[t],), t)
+    for e, inc in cc.edge_tris.items():
+        (t1, s1), (t2, s2) = inc
+        t_plus = t1 if s1 > 0 else t2
+        t_minus = t2 if s1 > 0 else t1
+        i_minus = asg.triangle_chart[t_minus]
+        i_plus = asg.triangle_chart[t_plus]
+        if i_minus != i_plus:
+            total += _alternating(c, 1, (i_plus, i_minus), e)
+        tail, head = e
+        for w, eps in ((head, 1), (tail, -1)):
+            total += eps * _alternating(
+                c, 0, (i_plus, i_minus, asg.vertex_chart[w]), (w,)
+            )
+    return total
+
+
+def exact_gauge(nerve, cc, rng):
+    """random_gauge with Fraction values."""
+    c0 = {
+        f: {s: Fraction(rng.randrange(60), 60) for s in _face_domain(cc, f, 0)}
+        for f in nerve.faces_of_size(2)
+    }
+    c1 = {
+        f: {s: Fraction(rng.randrange(-120, 120), 60) for s in _face_domain(cc, f, 1)}
+        for f in nerve.faces_of_size(1)
+    }
+    return DeligneCochain(nerve=nerve, degree=1, level=2, components=(c0, c1), complex=cc)
+
+
+def random_cocycle(cc, rng, exact):
+    """(0, 0, rho) plus D of a gauge, with float or Fraction values."""
+    nerve = cc.nerve()
+    if not exact:
+        rho = {t: rng.uniform(-1, 1) for t in cc.tri_keys}
+        return cochain_add(
+            trivial_gerbe(nerve, cc, rho),
+            deligne_differential(random_gauge(nerve, cc, rng)),
+        )
+    rho = {t: Fraction(rng.randrange(-60, 60), 60) for t in cc.tri_keys}
+    zero = Fraction(0)
+    gerbe = DeligneCochain(
+        nerve=nerve, degree=2, level=2, complex=cc,
+        components=tuple(
+            {f: {s: rho[s] if k == 2 else zero for s in _face_domain(cc, f, k)}
+             for f in nerve.faces_of_size(3 - k)}
+            for k in range(3)
+        ),
+    )
+    c = cochain_add(gerbe, deligne_differential(exact_gauge(nerve, cc, rng)))
+    assert set(map(type, c.values)) == {Fraction}
+    return c
+
+
+@pytest.fixture(scope="module")
+def surfaces():
+    sphere20 = icosahedron()
+    sphere80 = subdivide_sphere(sphere20)
+    return {
+        "sphere20": sphere20,
+        "sphere80": sphere80,
+        "sphere320": subdivide_sphere(sphere80),
+        "ball20-boundary": coned_ball(sphere20).boundary_surface(),
+    }
+
+
+@pytest.mark.parametrize("exact", (False, True), ids=("float", "fraction"))
+@pytest.mark.parametrize("name", ("sphere20", "sphere80", "sphere320", "ball20-boundary"))
+def test_exponent_equals_the_term_loop(surfaces, name, exact):
+    # the same terms summed in the same order: the same float, or Fraction
+    cc = surfaces[name]
+    rng = random.Random(f"{name} {exact}")
+    c = random_cocycle(cc, rng, exact)
+    pairs = 0
+    for _ in range(20):
+        asg = random_assignment(cc, rng)
+        got, want = holonomy_exponent(cc, c, asg), reference_holonomy_exponent(cc, c, asg)
+        assert got == want and type(got) is type(want)
+        pairs += sum(
+            len({asg.triangle_chart[t] for t, _ in inc}) == 2
+            for inc in cc.edge_tris.values()
+        )
+    assert pairs  # the pair terms are reached
+
+
+def _error(f, *args):
+    try:
+        f(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    raise AssertionError("no error")
+
+
+def _smaller_nerve(nerve, face):
+    """``nerve`` without ``face`` and every face that contains it."""
+    drop = set(face)
+    return CoverNerve(
+        indices=nerve.indices,
+        faces=frozenset(f for f in nerve.faces if not drop <= set(f)),
+    )
+
+
+def _bad_inputs(cc, rng):
+    """(name, cochain, assignment) for inputs the exponent refuses."""
+    nerve = cc.nerve()
+    c = random_cocycle(cc, rng, False)
+    asg = random_assignment(cc, rng)
+    t0, v0 = cc.tri_keys[3], cc.vertices[2]
+
+    def with_charts(tri=None, vert=None):
+        return ChartAssignment(
+            triangle_chart=asg.triangle_chart if tri is None else tri,
+            vertex_chart=asg.vertex_chart if vert is None else vert,
+        )
+
+    tri = dict(asg.triangle_chart)
+    del tri[t0]
+    yield "missing triangle chart", c, with_charts(tri=tri)
+    tri = dict(asg.triangle_chart)
+    tri[t0] = next(i for i in nerve.indices if i not in cc.charts_of(t0))
+    yield "chart misses its triangle", c, with_charts(tri=tri)
+    vert = dict(asg.vertex_chart)
+    del vert[v0]
+    yield "missing vertex chart", c, with_charts(vert=vert)
+    # an edge whose triangles take charts i and j, over a nerve without (i, j)
+    (t1, _), (t2, _) = cc.edge_tris[cc.edges[0]]
+    i, j = sorted(set(cc.charts_of(t1)) & set(cc.charts_of(t2)))[:2]
+    tri = asg.triangle_chart | {t1: i, t2: j}
+    c_small = zero_cochain(_smaller_nerve(nerve, (i, j)), 2, 2, complex=cc)
+    yield "undeclared face at an edge", c_small, with_charts(tri=tri)
+    # one chart i on every triangle: no term reads a corner face (i, w)
+    shared = set.intersection(*(set(cc.charts_of(t)) for t in cc.tri_keys))
+    if shared:
+        i = min(shared)
+        w = next(w for w in cc.vertices if w != i)
+        c_small = zero_cochain(_smaller_nerve(nerve, (i, w)), 2, 2, complex=cc)
+        tri, vert = dict.fromkeys(cc.tri_keys, i), {v: v for v in cc.vertices}
+        yield "undeclared face read by no term", c_small, with_charts(tri, vert)
+    yield "pure-nerve cochain", zero_cochain(nerve, 2, 2), asg
+    # another complex, over a nerve that declares every face of this one
+    other = subdivide_sphere(icosahedron())
+    both = CoverNerve(
+        indices=tuple(sorted(set(nerve.indices) | set(other.nerve().indices))),
+        faces=nerve.faces | other.nerve().faces,
+    )
+    yield "cochain over another complex", zero_cochain(both, 2, 2, complex=other), asg
+
+
+@pytest.mark.parametrize("name", ("sphere20", "ball20-boundary"))
+def test_exponent_refuses_what_the_term_loop_refuses(surfaces, name):
+    cc = surfaces[name]
+    cases = {}
+    for case, c, asg in _bad_inputs(cc, random.Random(18)):
+        cases[case] = _error(holonomy_exponent, cc, c, asg)
+        assert cases[case] == _error(reference_holonomy_exponent, cc, c, asg), case
+    assert len(cases) == (7 if name == "ball20-boundary" else 6)
+    assert cases["cochain over another complex"][0] is DeligneError
+
+
+def test_pure_nerve_cochain_names_its_missing_slot(sphere_setup):
+    cc, nerve, asg = sphere_setup
+    t = cc.tri_keys[0]
+    message = f"no slot for component 2 at face ({asg.triangle_chart[t]},) on {t}"
+    with pytest.raises(DeligneError, match=re.escape(message)):
+        holonomy_exponent(cc, zero_cochain(nerve, 2, 2), asg)
 
 
 def test_assignment_independence(sphere_setup):
