@@ -18,12 +18,14 @@ faces in sorted order and, in geometric mode, each face's simplices in the
 complex's order; pure-nerve mode has one slot per face.  A
 :class:`DeligneCochain` stores one flat value vector over its layout, an
 ``array('d')`` for geometric floats and a list otherwise, so exact
-``Fraction`` values keep their type.  ``components`` is a dict view derived
-from the vector.  Layouts are cached on the complex (geometric mode) or the
-nerve (pure-nerve mode) they describe.  A pullback along a bijection of the
-nerve indices (and of the complex's vertices) moves each slot to another
-up to sign, so :func:`pullback_cochain` is one signed gather over the
-layout.
+``Fraction`` values keep their type.  ``components`` is a read-only
+sequence of per-face dicts; ``components[k]`` unpacks component k alone
+from the vector.  A layout asks the complex only for the face domains of
+the one face size each component uses.  Layouts are cached on the complex
+(geometric mode) or the nerve (pure-nerve mode) they describe.  A pullback
+along a bijection of the nerve indices (and of the complex's vertices)
+moves each slot to another up to sign, so :func:`pullback_cochain` is one
+signed gather over the layout.
 
 **Operator.**  The total differential is
 D(c)_k = delta(c_k) + (-1)^(p-k+1) d(c_{k-1}), with d = dlog (branch
@@ -33,10 +35,13 @@ in degree 1 and D(g, A, B) = (delta g, delta A + dlog g, delta B - dA) in
 degree 2; the sign flip between the two is pure degree parity, the same
 rule produces both.  :class:`DeligneOperator` assembles D from a layout to
 the next degree's once, as an integer CSR matrix (row pointers, columns,
-signs +-1).  It is linear except for the branch wrap, which is applied only
-to the output of the U(1)->1-form block; the wrap only adds integers, which
-the mod-1 tests absorb, so D_{p+1} D_p = 0 holds as an exact integer
-product of the assembled matrices (``tests/test_deligne_operator.py``).
+signs +-1).  Each block of rows is built in bulk, one list of source keys
+per entry position mapped through the slot index, and since a sign depends
+only on the entry's position it is stored once per block.  It is linear
+except for the branch wrap, which is applied only to the output of the
+U(1)->1-form block; the wrap only adds integers, which the mod-1 tests
+absorb, so D_{p+1} D_p = 0 holds as an exact integer product of the
+assembled matrices (``tests/test_deligne_operator.py``).
 All rows of one output component have the same width, the delta entries
 followed by the d entries, and a matvec sums them in the order of the
 per-face definition, so it is bit-identical to it; the test module keeps
@@ -46,8 +51,8 @@ a float array); the getters are built per call, since keeping them would
 hold a Python int per nonzero.  An exact vector (every value a
 ``Fraction``) is summed on integers over one common denominator, the lcm
 of its denominators, and the wrap runs on those integers; each output
-slot is then one ``Fraction``.  Float arrays and mixed lists are summed as
-they are.
+slot is then one ``Fraction``; :func:`is_cocycle` measures those integer
+numerators directly.  Float arrays and mixed lists are summed as they are.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -87,7 +93,8 @@ def _wrap_half(x):
 
 def _face_domain(cc: CoveredComplex, face, k):
     """k-simplices of the complex carried by every chart in ``face``."""
-    return cc.face_domains(k).get(tuple(face), ())
+    face = tuple(face)
+    return cc.face_domains(k, len(face)).get(face, ())
 
 
 # -- layouts ---------------------------------------------------------------
@@ -119,7 +126,7 @@ class Layout:
                 slot += len(faces)
                 starts = list(range(starts[0], slot + 1))
             else:
-                domains = complex.face_domains(k)
+                domains = complex.face_domains(k, degree - k + 1)
                 for face in faces:
                     dom = domains.get(face, ())
                     simplices.extend(dom)
@@ -181,7 +188,7 @@ class Layout:
                     f"component {k} must be defined on exactly the "
                     f"{size}-index faces"
                 )
-            domains = cc.face_domains(k) if cc is not None else None
+            domains = cc.face_domains(k, size) if cc is not None else None
             for face in self.faces[k]:
                 val = comp[face]
                 if cc is None:
@@ -242,21 +249,31 @@ def cochain_layout(nerve, complex, degree, level) -> Layout:
 # -- the assembled differential --------------------------------------------
 
 
-def _d_terms(s):
-    """(face, coefficient) of the simplicial coboundary on a k-simplex, in
-    the order the per-face definition sums them: d f(u, v) = f(v) - f(u),
+def _d_terms(k):
+    """(pick, coefficient) of each term of the simplicial coboundary on a
+    k-simplex s, pick(s) being the face it reads, in the order the per-face
+    definition sums them: d f(u, v) = f(v) - f(u),
     d w(a, b, c) = w(a, b) + w(b, c) - w(a, c)."""
-    if len(s) == 2:
-        return (((s[1],), 1), ((s[0],), -1))
-    if len(s) == 3:
-        return ((s[0:2], 1), (s[1:3], 1), ((s[0], s[2]), -1))
-    raise DeligneError(f"unsupported form degree {len(s) - 1}")
+    if k == 1:
+        return ((itemgetter(slice(1, 2)), 1), (itemgetter(slice(0, 1)), -1))
+    if k == 2:
+        return ((itemgetter(slice(0, 2)), 1), (itemgetter(slice(1, 3)), 1),
+                (itemgetter(0, 2), -1))
+    raise DeligneError(f"unsupported form degree {k}")
 
 
 def _fractional_parts(xs):
-    """[x - floor(x) for x in xs], each as ``_mod1`` computes it."""
+    """[x - floor(x) for x in xs], each as ``_mod1`` computes it.
+
+    x % 1.0 is exact and equal to it for every finite x but -0.0, which is
+    kept as it is.  A NaN or an infinity makes a NaN there, and then
+    math.floor raises at the first of them, as ``_mod1`` does.
+    """
     xs = list(xs)
-    return list(map(sub, xs, map(math.floor, xs)))
+    ys = [x % 1.0 if x else x for x in xs]
+    if math.isnan(sum(ys)):
+        return list(map(sub, xs, map(math.floor, xs)))
+    return ys
 
 
 def _wrap_floats(xs):
@@ -280,8 +297,10 @@ class DeligneOperator:
     describes the rows of target component k:
     (first row, past-the-end row, delta entries per row, d entries per row,
     sign of the d term, whether d eats the U(1) layer and is wrapped).
-    The stored signs of a wrapped block include the d sign; the matrix is
-    the linear part of D.
+    Every row of a block has the same coefficients, which depend only on
+    the entry's position; ``patterns[k]`` holds them once.  The stored
+    signs of a wrapped block include the d sign; the matrix is the linear
+    part of D.
     """
 
     def __init__(self, source: Layout, target: Layout):
@@ -289,34 +308,53 @@ class DeligneOperator:
         p, n = source.degree, source.level
         geometric = source.complex is not None
         index = source.slot_index
-        indptr, cols, signs = array("l", [0]), array("l"), array("b")
-        blocks = []
+        simplices = target.simplices if geometric else (None,) * target.size
+        indptr, cols = array("l", [0]), array("l")
+        blocks, patterns = [], []
         for k in range(target.n_components):
             n_delta = p - k + 2 if k <= min(p, n) else 0
             n_d = k + 1 if geometric and k >= 1 else 0
             d_sign = (-1) ** (p - k + 1)
-            r0 = len(indptr) - 1
-            for i, face in enumerate(target.faces[k]):
-                subfaces = [face[:j] + face[j + 1 :] for j in range(n_delta)]
-                for r in range(target.starts[k][i], target.starts[k][i + 1]):
-                    s = target.simplices[r] if geometric else None
-                    try:
-                        for j, subface in enumerate(subfaces):
-                            cols.append(index[(k, subface, s)])
-                            signs.append((-1) ** j)
-                        if n_d:
-                            for b, coeff in _d_terms(s):
-                                cols.append(index[(k - 1, face, b)])
-                                signs.append(d_sign * coeff)
-                    except KeyError as exc:
-                        raise DeligneError(
-                            f"chart membership not monotone: no slot {exc.args[0]}"
-                        ) from None
-                    indptr.append(len(cols))
+            width = n_delta + n_d
+            r0, r1 = target.bounds(k)
+            starts = target.starts[k]
+            rows = list(zip(target.faces[k], starts, starts[1:]))
+            # one list of source keys per entry position, in row order
+            terms = [
+                [(k, sub, s) for face, lo, hi in rows
+                 for sub in (face[:j] + face[j + 1 :],) for s in simplices[lo:hi]]
+                for j in range(n_delta)
+            ]
+            pattern = [(-1) ** j for j in range(n_delta)]
+            for pick, coeff in _d_terms(k) if n_d else ():
+                terms.append([(k - 1, face, b) for face, lo, hi in rows
+                              for b in map(pick, simplices[lo:hi])])
+                pattern.append(d_sign * coeff)
+            e0 = len(cols)
+            cols += array("l", [0]) * (width * (r1 - r0))
+            try:
+                for j, keys in enumerate(terms):
+                    cols[e0 + j :: width] = array("l", map(index.__getitem__, keys))
+            except KeyError:
+                missing = next(key for row in zip(*terms) for key in row if key not in index)
+                raise DeligneError(
+                    f"chart membership not monotone: no slot {missing}"
+                ) from None
+            indptr.extend(range(e0 + width, len(cols) + 1, width) if width
+                          else repeat(e0, r1 - r0))
             # two d entries per row: d eats the U(1) layer (k = 1)
-            blocks.append((r0, len(indptr) - 1, n_delta, n_d, d_sign, n_d == 2))
-        self.indptr, self.cols, self.signs = indptr, cols, signs
-        self.blocks = tuple(blocks)
+            blocks.append((r0, r1, n_delta, n_d, d_sign, n_d == 2))
+            patterns.append(tuple(pattern))
+        self.indptr, self.cols = indptr, cols
+        self.blocks, self.patterns = tuple(blocks), tuple(patterns)
+
+    @cached_property
+    def signs(self):
+        """The coefficient of every stored entry, row by row (``array('b')``)."""
+        signs = array("b")
+        for (r0, r1, *_), pattern in zip(self.blocks, self.patterns):
+            signs.extend(array("b", pattern) * (r1 - r0))
+        return signs
 
     def apply(self, x):
         """D applied to a value vector of the source layout.
@@ -324,20 +362,27 @@ class DeligneOperator:
         A list of ``Fraction``s is summed on integers over the lcm of its
         denominators, and each output slot becomes one ``Fraction``.
         """
+        den, out = self.sums(x)
+        return out if den is None else list(map(Fraction, out, repeat(den)))
+
+    def sums(self, x):
+        """(den, y): D(x) = y / den as integer numerators when every value of
+        ``x`` is a ``Fraction``, else (None, D(x))."""
         floats = isinstance(x, array)
         exact = not floats and all(type(v) is Fraction for v in x)
+        den = None
         if exact:
             den, x = over_common_denominator(x)
         out = array("d") if floats else []
         xs = x.tolist() if floats else x
-        indptr, cols, signs = self.indptr, self.cols, self.signs
-        for r0, r1, n_delta, n_d, d_sign, wrap in self.blocks:
+        indptr, cols = self.indptr, self.cols
+        for (r0, r1, n_delta, n_d, d_sign, wrap), signs in zip(self.blocks, self.patterns):
             if r0 == r1:
                 continue
             e0, e1 = indptr[r0], indptr[r1]
             width = n_delta + n_d
             if width == 0:  # pure-nerve top layer: d vanishes on constants
-                out.extend([Fraction(0)] * (r1 - r0))
+                out.extend([0 if exact else Fraction(0)] * (r1 - r0))
                 continue
 
             def column(j):
@@ -348,10 +393,10 @@ class DeligneOperator:
             def fold(first, last, flip):
                 # sum entries first..last-1 term by term, signs times flip
                 acc = column(first)
-                if signs[e0 + first] * flip < 0:
+                if signs[first] * flip < 0:
                     acc = map(neg, acc)
                 for j in range(first + 1, last):
-                    acc = map(add if signs[e0 + j] * flip > 0 else sub, acc, column(j))
+                    acc = map(add if signs[j] * flip > 0 else sub, acc, column(j))
                 return acc
 
             total = fold(0, n_delta, 1) if n_delta else None
@@ -371,8 +416,8 @@ class DeligneOperator:
                 else:
                     term = fold(n_delta, width, 1)
                     total = term if total is None else map(add, total, term)
-            out.extend(map(Fraction, total, repeat(den)) if exact else total)
-        return out
+            out.extend(total)
+        return den, out
 
 
 # -- cochains --------------------------------------------------------------
@@ -428,8 +473,9 @@ class DeligneCochain:
 
     @property
     def components(self):
-        """Per-face dicts, derived from the value vector on each access."""
-        return tuple(self.component(k) for k in range(self.n_components))
+        """Per-face dicts, a read-only sequence that unpacks component k from
+        the value vector when ``components[k]`` is read."""
+        return _Components(self)
 
     def component(self, k):
         return self.layout.unpack(self.values, k)
@@ -459,6 +505,37 @@ class DeligneCochain:
             f"DeligneCochain(degree={self.degree}, level={self.level}, "
             f"{mode}, {len(self.values)} values)"
         )
+
+
+class _Components(Sequence):
+    """``DeligneCochain.components``: reads like a tuple of component
+    dicts, and equals one, but unpacks only the components it is asked for."""
+
+    __slots__ = ("_cochain",)
+
+    def __init__(self, cochain):
+        self._cochain = cochain
+
+    def __len__(self):
+        return self._cochain.n_components
+
+    def __getitem__(self, k):
+        n = len(self)
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(n)[k])
+        if not -n <= k < n:
+            raise IndexError("tuple index out of range")
+        return self._cochain.component(k % n)
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Components)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(tuple(self))
 
 
 def _check_compatible(c1, c2):
@@ -530,8 +607,15 @@ def _residual(layout, values):
     cut = len(values) if layout.complex is not None else layout.bounds(0)[1]
     head, tail = values[:cut], values[cut:]
     try:
-        dist = [*map(abs, map(sub, head, map(round, head))), *map(abs, tail)]
-        if not any(map(ne, tail, tail)):  # no NaN
+        if isinstance(values, array):
+            # remainder(x, 1) is exact and equals x - round(x); it raises on
+            # an infinity but passes a NaN through
+            dist = [*map(abs, map(math.remainder, head, repeat(1.0))), *map(abs, tail)]
+            clean = not math.isnan(sum(dist))
+        else:
+            dist = [*map(abs, map(sub, head, map(round, head))), *map(abs, tail)]
+            clean = not any(map(ne, tail, tail))
+        if clean:  # no NaN
             residual = max(dist, default=0.0)
             return residual, dist.index(residual) if dist else None
     except (ValueError, OverflowError):  # round() of a NaN or an infinity
@@ -540,12 +624,28 @@ def _residual(layout, values):
     return abs(values[slot]), slot
 
 
+def _residual_over(layout, nums, den):
+    """:func:`_residual` of the ``Fraction`` vector nums / den, measured on
+    the integer numerators: min(n mod den, den - n mod den) modulo 1, |n|
+    plainly, and one ``Fraction`` at the end."""
+    cut = len(nums) if layout.complex is not None else layout.bounds(0)[1]
+    rests = [n % den for n in nums[:cut]]
+    dist = [*map(min, rests, map(sub, repeat(den), rests)), *map(abs, nums[cut:])]
+    if not dist:
+        return 0.0, None
+    worst = max(dist)
+    return Fraction(worst, den), dist.index(worst)
+
+
 def is_cocycle(c: DeligneCochain, tol=0) -> bool:
     """True iff D(c) vanishes up to ``tol``, as :func:`cochain_residual` measures."""
     # D(c) applied here, not by deligne_differential, which perfbench wraps
     # and counts; its U(1) layer is measured mod 1, so it is left unreduced
     op = c.layout.differential
-    return _residual(op.target, op.apply(c.values))[0] <= tol
+    den, out = op.sums(c.values)
+    if den is None:
+        return _residual(op.target, out)[0] <= tol
+    return _residual_over(op.target, out, den)[0] <= tol
 
 
 # -- nerve cohomology and the obstruction class ----------------------------

@@ -126,7 +126,7 @@ def holonomy_exponent(cc: CoveredComplex, c: DeligneCochain, asg: ChartAssignmen
 
 
 def _exponent(cc, c, asg):
-    index, values, faces = c.layout.slot_index, c.values, c.nerve.faces
+    index, values, pairs = c.layout.slot_index, c.values, c.nerve.face_set(2)
     tri_chart, vertex_chart = asg.triangle_chart, asg.vertex_chart
     total = 0
     # values are stored on canonical (sorted) simplices; the surface
@@ -140,7 +140,7 @@ def _exponent(cc, c, asg):
         if i_plus == i_minus:
             # no term, so no read checks the corner faces (i, j)
             for j in (vertex_chart[tail], vertex_chart[head]):
-                if j != i_plus and (min(i_plus, j), max(i_plus, j)) not in faces:
+                if j != i_plus and (min(i_plus, j), max(i_plus, j)) not in pairs:
                     raise HolonomyError(_undeclared(e))
             continue
         lo, hi, sign = (i_plus, i_minus, 1) if i_plus < i_minus else (i_minus, i_plus, -1)
@@ -188,6 +188,23 @@ def restrict_to_boundary(ball: CoveredComplex, c: DeligneCochain):
     return boundary, DeligneCochain.packed(layout, restricted)
 
 
+def _stokes_slots(ball, layout):
+    """(tet, keys, slots) per (chart i, tetrahedron in chart i), in the
+    order of the charts and of each chart's domain: the B slots
+    (2, (i,), tet minus its j-th vertex) for j = 0..3, None where the layout
+    has none.  Built once per (ball, layout) and cached on the ball."""
+
+    def build():
+        index, out = layout.slot_index, []
+        for face in layout.nerve.faces_of_size(1):
+            for tet in _face_domain(ball, face, 3):
+                keys = [(2, face, tet[:j] + tet[j + 1 :]) for j in range(4)]
+                out.append((tet, keys, [index.get(key) for key in keys]))
+        return out
+
+    return cached(ball, ("stokes slots", layout), build)
+
+
 def stokes_check(
     ball: CoveredComplex,
     c: DeligneCochain,
@@ -207,17 +224,16 @@ def stokes_check(
     missing = next((tet for tet in ball.tet_keys if tet not in H), None)
     if missing is not None:
         raise HolonomyError(f"no field value on tetrahedron {missing}")
-    for face in c.nerve.faces_of_size(1):
-        for tet in _face_domain(ball, face, 3):
-            db = sum(
-                (-1) ** j
-                * c.value(2, face, tuple(x for m, x in enumerate(tet) if m != j))
-                for j in range(4)
-            )
-            if abs(db - H[tet]) > exactness_tol:
-                raise HolonomyError(
-                    f"B is not a chart-wise primitive of H at {tet}"
-                )
+    values = c.values
+    for tet, keys, slots in _stokes_slots(ball, c.layout):
+        if None in slots:  # raise the slot's error, as in term order
+            for key in keys:
+                c.layout.slot(*key)
+        a, b, e, f = map(values.__getitem__, slots)
+        # the alternating sum over the four faces, in the order and with the
+        # roundings of sum((-1) ** j * B(face_j) for j in range(4))
+        if abs(a - b + e - f - H[tet]) > exactness_tol:
+            raise HolonomyError(f"B is not a chart-wise primitive of H at {tet}")
     boundary, cb = restrict_to_boundary(ball, c)
     hol_boundary = surface_holonomy(boundary, cb, asg)
     bulk_sum = sum(ball.tet_sign[tet] * H[tet] for tet in ball.tet_keys)

@@ -2,9 +2,18 @@
 
 A :class:`CoverNerve` is the combinatorial shadow of a good open cover:
 an index set plus the subset-closed family of index sets with nonempty
-common intersection.  A :class:`CoveredComplex` is an oriented
-triangulated surface or 3-complex whose simplices each know which charts
-contain them; its nerve is generated by the per-simplex chart sets.
+common intersection.  It is kept by its maximal faces, as a simplex tree
+keeps its maximal simplices (Boissonnat and Maria, Algorithmica 70,
+2014): the faces of one size are enumerated when first asked for, and a
+face test is a containment test in a maximal face.  Cochains read faces
+of at most a few indices, so a cone over a fine mesh, whose apex chart
+set has 2^43 - 1 subsets, is cheap until something asks for every face;
+that enumeration is refused past :data:`FACE_LIMIT`.
+
+A :class:`CoveredComplex` is an oriented triangulated surface or
+3-complex whose simplices each know which charts contain them; its nerve
+is generated by the per-simplex chart sets, and its face domains file
+each k-simplex under the subsets of one size of its chart set.
 
 Mesh fixtures (icosahedral spheres, their subdivisions, and coned solid
 balls) live here too, together with the vertex-star cover used by the
@@ -16,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
 
 
 class ComplexError(ValueError):
@@ -53,16 +62,26 @@ def cached(owner, key, build):
         return value
 
 
-@dataclass(frozen=True)
-class CoverNerve:
-    indices: tuple
-    faces: frozenset  # of sorted tuples, subset-closed
-    # derived tables (faces by size, Deligne layouts), built on first use
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+FACE_LIMIT = 1 << 20  # faces one enumeration may yield, counted with repeats
 
-    def __post_init__(self):
-        idx = set(self.indices)
-        for f in self.faces:
+
+class NerveSizeError(ComplexError):
+    """An enumeration of nerve faces would pass :data:`FACE_LIMIT`."""
+
+
+class CoverNerve:
+    """A nerve kept by its sorted maximal faces, none inside another.
+
+    ``CoverNerve(indices, faces)`` validates a full subset-closed family;
+    :func:`make_nerve` builds one from any list of faces.  Faces of one
+    size are enumerated on demand and cached; so is the full face set
+    :attr:`faces`.  Equality and hash read (indices, maximal faces).
+    """
+
+    def __init__(self, indices, faces):
+        idx = set(indices)
+        faces = frozenset(faces)
+        for f in faces:
             if list(f) != sorted(f):
                 raise ComplexError(f"face not sorted: {f}")
             if not set(f) <= idx:
@@ -72,52 +91,139 @@ class CoverNerve:
             if len(f) > 1:
                 for j in range(len(f)):
                     sub = f[:j] + f[j + 1 :]
-                    if sub not in self.faces:
+                    if sub not in faces:
                         raise ComplexError(f"faces not subset-closed at {sub}")
-        for i in self.indices:
-            if (i,) not in self.faces:
+        for i in indices:
+            if (i,) not in faces:
                 raise ComplexError(f"missing singleton face ({i},)")
+        # in a subset-closed family the maximal faces are those that are no
+        # codimension-1 face of another
+        covered = {f[:j] + f[j + 1 :] for f in faces for j in range(len(f))}
+        self._init(indices, sorted(faces - covered))
+        self._memo["faces"] = faces
 
-    def _by_size(self):
-        def build():
-            groups = {}
-            for f in self.faces:
-                groups.setdefault(len(f), []).append(f)
-            return {k: tuple(sorted(fs)) for k, fs in groups.items()}
+    @classmethod
+    def _of_maximal(cls, indices, maximal):
+        nerve = cls.__new__(cls)
+        nerve._init(indices, maximal)
+        return nerve
 
-        return cached(self, "faces by size", build)
+    def _init(self, indices, maximal):
+        self.indices = tuple(indices)
+        self.maximal_faces = tuple(maximal)
+        self._hash = hash((self.indices, self.maximal_faces))
+        # derived tables (faces by size, Deligne layouts), built on first use
+        self._memo = {}
+
+    def __eq__(self, other):
+        if not isinstance(other, CoverNerve):
+            return NotImplemented
+        return (self.indices, self.maximal_faces) == (other.indices, other.maximal_faces)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"CoverNerve(indices={self.indices}, maximal_faces={self.maximal_faces})"
+
+    def _bounded(self, count, what):
+        if count > FACE_LIMIT:
+            raise NerveSizeError(
+                f"the {what} of this nerve number up to {count:,}, past the "
+                f"bound of {FACE_LIMIT:,}"
+            )
 
     def faces_of_size(self, k):
         """The k-index faces in sorted order (a shared tuple)."""
-        return self._by_size().get(k, ())
+
+        def build():
+            if k < 1:
+                return ()
+            self._bounded(sum(math.comb(len(m), k) for m in self.maximal_faces),
+                          f"{k}-index faces")
+            faces = set()
+            for m in self.maximal_faces:
+                faces.update(combinations(m, k))
+            return tuple(sorted(faces))
+
+        return cached(self, ("faces of size", k), build)
 
     def face_set(self, k):
         """The k-index faces as a frozenset."""
         return cached(self, ("face set", k), lambda: frozenset(self.faces_of_size(k)))
 
+    @property
+    def faces(self):
+        """Every face, a frozenset of sorted tuples, enumerated once.
+
+        Raises :class:`NerveSizeError` when the maximal faces have more than
+        :data:`FACE_LIMIT` subsets in all.
+        """
+
+        def build():
+            self._bounded(sum(2 ** len(m) - 1 for m in self.maximal_faces), "faces")
+            return frozenset(
+                f for m in self.maximal_faces
+                for k in range(1, len(m) + 1) for f in combinations(m, k)
+            )
+
+        return cached(self, "faces", build)
+
     def is_face(self, subset):
-        return tuple(sorted(subset)) in self.faces
+        """Whether ``subset`` (no index twice) lies in a maximal face."""
+        face = tuple(sorted(subset))
+        members = frozenset(face)
+        if not face or len(members) != len(face):
+            return False
+        holders = cached(self, "holders", lambda: _holders(self.maximal_faces))
+        return any(members <= m for m in min(map(holders.get, face, repeat(())), key=len))
 
     @property
     def dimension(self):
-        return max(len(f) for f in self.faces) - 1
+        return max(len(f) for f in self.maximal_faces) - 1
+
+
+def _holders(faces):
+    """index -> the faces (as frozensets) holding it."""
+    holders = {}
+    for f in faces:
+        members = frozenset(f)
+        for i in f:
+            holders.setdefault(i, []).append(members)
+    return holders
+
+
+def _maximal(faces):
+    """The nonempty sorted tuples among ``faces`` inside no other, sorted.
+
+    Largest first, each face is tested only against the kept faces that
+    hold its rarest index, so a list of every face of a few large faces
+    costs about one test per face.
+    """
+    kept, holders = [], {}
+    for f in sorted(faces, key=len, reverse=True):
+        if not f:
+            continue
+        members = frozenset(f)
+        if not any(members <= m for m in min(map(holders.get, f, repeat(())), key=len)):
+            kept.append(f)
+            for i in f:
+                holders.setdefault(i, []).append(members)
+    return sorted(kept)
 
 
 def make_nerve(indices, maximal_faces):
-    """Nerve from maximal faces, closed under subsets.
-
-    The faces are closed largest first, so a listed face that is already a
-    subset of a closed one is skipped with all of its subsets.
-    """
-    faces = set()
-    normalized = (tuple(sorted(set(f))) for f in maximal_faces)
-    for f in sorted(normalized, key=len, reverse=True):
-        if f not in faces:
-            for k in range(1, len(f) + 1):
-                faces.update(combinations(f, k))
-    for i in indices:
-        faces.add((i,))
-    return CoverNerve(indices=tuple(indices), faces=frozenset(faces))
+    """Nerve whose faces are the nonempty subsets of the listed faces and
+    the singletons of ``indices``; no subset is enumerated."""
+    indices = tuple(indices)
+    listed = {tuple(sorted(set(f))) for f in maximal_faces}
+    listed.update((i,) for i in indices)
+    maximal = _maximal(listed)
+    known = set(indices)
+    for f in maximal:
+        if not set(f) <= known:
+            raise ComplexError(f"face uses unknown indices: {f}")
+    return CoverNerve._of_maximal(indices, maximal)
 
 
 def simplex_nerve(n):
@@ -210,11 +316,12 @@ class CoveredComplex:
         except KeyError:
             raise ComplexError(f"simplex has no chart table entry: {key}")
 
-    def face_domains(self, k):
-        """Map each index set to the k-simplices carried by all its charts.
+    def face_domains(self, k, size):
+        """Map each ``size``-index face to the k-simplices carried by all its
+        charts.
 
-        One pass files every k-simplex under each subset of its chart set,
-        so simplices keep their order within each domain.
+        One pass files every k-simplex under each ``size``-subset of its
+        chart set, so simplices keep their order within each domain.
         """
 
         def build():
@@ -224,13 +331,11 @@ class CoveredComplex:
                 simplices = (self.edges, self.tri_keys, self.tet_keys)[k - 1]
             domains = {}
             for s in simplices:
-                charts = sorted(self.charts_of(s))
-                for size in range(1, len(charts) + 1):
-                    for face in combinations(charts, size):
-                        domains.setdefault(face, []).append(s)
+                for face in combinations(sorted(self.charts_of(s)), size):
+                    domains.setdefault(face, []).append(s)
             return {face: tuple(simps) for face, simps in domains.items()}
 
-        return cached(self, ("face domains", k), build)
+        return cached(self, ("face domains", k, size), build)
 
     # -- invariants --------------------------------------------------------
 

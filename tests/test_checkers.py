@@ -236,6 +236,54 @@ def test_action_validation():
         )
 
 
+def preserves_every_face(nerve, index_map):
+    """Oracle of the face checks: every face of the nerve maps to a face."""
+    return all(tuple(sorted(index_map[i] for i in f)) in nerve.faces for f in nerve.faces)
+
+
+def _perturbed_involutions(cc, rng):
+    """The antipodal involution, then involutions made from it and from the
+    identity by pairing up two of their orbits anew."""
+    antipode = antipodal_involution(cc)
+    yield antipode
+    ident = {v: v for v in cc.vertices}
+    for _ in range(12):
+        m = dict(rng.choice((antipode, ident)))
+        a, b = rng.sample(cc.vertices, 2)
+        ma, mb = m[a], m[b]
+        if len({a, b, ma, mb}) == 4:  # orbits {a, ma}, {b, mb} -> {a, b}, {ma, mb}
+            m.update({a: b, b: a, ma: mb, mb: ma})
+        elif (ma, mb) == (a, b):  # two fixed points -> one orbit
+            m.update({a: b, b: a})
+        yield m
+
+
+def test_cover_maps_check_maximal_faces_as_every_face():
+    cc = icosahedron()
+    nerve = cc.nerve()
+    verdicts = []
+    for m in _perturbed_involutions(cc, random.Random(64)):
+        assert all(m[m[i]] == i for i in m)
+        want = preserves_every_face(nerve, m)
+        verdicts.append(want)
+        elements, mult = (0, 1), {(a, b): (a + b) % 2 for a in (0, 1) for b in (0, 1)}
+        for make in (
+            lambda: InvolutionOnCover(nerve=nerve, index_map=m),
+            lambda: GroupActionOnCover(nerve=nerve, elements=elements, identity=0, mult=mult,
+                                       index_maps={0: {i: i for i in m}, 1: m}),
+        ):
+            if want:
+                make()
+                continue
+            with pytest.raises(CheckerError, match="does not preserve maximal face") as err:
+                make()
+            # the first maximal face whose image is no face is named
+            named = next(f for f in nerve.maximal_faces
+                         if tuple(sorted(m[i] for i in f)) not in nerve.faces)
+            assert str(err.value).endswith(f"maximal face {named}")
+    assert verdicts[0] and verdicts.count(False) >= 3
+
+
 def test_vertex_maps_validated():
     cc = icosahedron()
     nerve = cc.nerve()

@@ -572,3 +572,227 @@ def test_layout_where_names_each_slot(nerve_name, mesh_name):
     message = re.escape(f"no slot for component 2 at face {face}")
     with pytest.raises(DeligneError, match=message):
         layout.slot(2, face, (-1, -2, -3) if cc is not None else None)
+
+
+# -- bulk assembly ---------------------------------------------------------
+
+
+def entry_loop_operator(source, target):
+    """(indptr, cols, signs, blocks) of D as first assembled: one slot-index
+    lookup and one append per entry, row by row."""
+    p, n = source.degree, source.level
+    geometric = source.complex is not None
+    index = source.slot_index
+    indptr, cols, signs = array("l", [0]), array("l"), array("b")
+    blocks = []
+    for k in range(target.n_components):
+        n_delta = p - k + 2 if k <= min(p, n) else 0
+        n_d = k + 1 if geometric and k >= 1 else 0
+        d_sign = (-1) ** (p - k + 1)
+        r0 = len(indptr) - 1
+        for i, face in enumerate(target.faces[k]):
+            subfaces = [face[:j] + face[j + 1 :] for j in range(n_delta)]
+            for r in range(target.starts[k][i], target.starts[k][i + 1]):
+                s = target.simplices[r] if geometric else None
+                try:
+                    for j, subface in enumerate(subfaces):
+                        cols.append(index[(k, subface, s)])
+                        signs.append((-1) ** j)
+                    if n_d:
+                        d_terms = (((s[1],), 1), ((s[0],), -1)) if k == 1 else (
+                            (s[0:2], 1), (s[1:3], 1), ((s[0], s[2]), -1))
+                        for b, coeff in d_terms:
+                            cols.append(index[(k - 1, face, b)])
+                            signs.append(d_sign * coeff)
+                except KeyError as exc:
+                    raise DeligneError(
+                        f"chart membership not monotone: no slot {exc.args[0]}"
+                    ) from None
+                indptr.append(len(cols))
+        blocks.append((r0, len(indptr) - 1, n_delta, n_d, d_sign, n_d == 2))
+    return indptr, cols, signs, tuple(blocks)
+
+
+@pytest.mark.parametrize("nerve_name, mesh_name", SPACES + [("sphere320", "sphere320")])
+def test_bulk_assembly_matches_the_entry_loop(gather_meshes, nerve_name, mesh_name):
+    cc = (MESHES.get(mesh_name) or gather_meshes[mesh_name]) if mesh_name else None
+    nerve = cc.nerve() if cc is not None else NERVES[nerve_name]
+    for level in (1, 2):
+        for p in range(3):
+            layout = cochain_layout(nerve, cc, p, level)
+            op = layout.differential
+            assert (op.indptr, op.cols, op.signs, op.blocks) == entry_loop_operator(
+                layout, op.target
+            )
+            assert op.signs.typecode == "b" and op.cols.typecode == "l"
+            # every row of a block has its block's coefficients
+            for (r0, r1, *_), pattern in zip(op.blocks, op.patterns):
+                for r in range(r0, r1):
+                    assert tuple(op.signs[op.indptr[r] : op.indptr[r + 1]]) == pattern
+
+
+def test_bulk_assembly_names_the_first_missing_slot_in_row_order():
+    # two edges given a chart x that some of their vertices lack: the
+    # earlier edge (u, v) lacks it only at u, its second d term; the later
+    # edge (u2, v2) lacks it at v2, the first d term of its row
+    cc = icosahedron()
+    x = 0
+    has_x = {w for w in cc.vertices if x in cc.charts_of((w,))}
+    free = [e for e in cc.edges if x not in cc.charts_of(e)]
+    (u, v), (u2, v2) = next(
+        (a, b) for a in free for b in free
+        if a < b and a[0] not in has_x and a[1] in has_x and b[1] not in has_x
+    )
+    charts = dict(cc.charts)
+    for e in ((u, v), (u2, v2)):
+        charts[e] = charts[e] | {x}
+    cc.charts = charts
+    layout = cochain_layout(cc.nerve(), cc, 0, 2)
+    target = cochain_layout(cc.nerve(), cc, 1, 2)
+    with pytest.raises(DeligneError) as want:
+        entry_loop_operator(layout, target)
+    with pytest.raises(DeligneError) as got:
+        layout.differential
+    assert str(got.value) == str(want.value) == (
+        f"chart membership not monotone: no slot (0, ({x},), ({u},))"
+    )
+
+
+# -- float wraps and residuals without int round trips ---------------------
+
+
+def floor_fractional_parts(xs):
+    """x - floor(x) per value, as _fractional_parts first computed it."""
+    xs = list(xs)
+    return list(map(sub, xs, map(math.floor, xs)))
+
+
+def round_residual(layout, values):
+    """_residual as it was before float vectors were measured by remainder."""
+    cut = len(values) if layout.complex is not None else layout.bounds(0)[1]
+    head, tail = values[:cut], values[cut:]
+    try:
+        dist = [*map(abs, map(sub, head, map(round, head))), *map(abs, tail)]
+        if not any(x != x for x in tail):
+            residual = max(dist, default=0.0)
+            return residual, dist.index(residual) if dist else None
+    except (ValueError, OverflowError):
+        pass
+    slot = next(i for i, x in enumerate(values) if x != x or abs(x) == math.inf)
+    return abs(values[slot]), slot
+
+
+def _edge_floats(rng, n):
+    xs = [rng.uniform(-4, 4) * 10.0 ** rng.randrange(-30, 30) for _ in range(n)]
+    xs += [rng.randrange(-8, 9) / 2 for _ in range(n)]
+    xs += [0.0, -0.0, -1e-20, 1e-20, 5e-324, -5e-324, 1e300, -1e300, -3.0,
+           0.5, -0.5, 1.5, 2.0 ** 52 + 0.5, -(2.0 ** 52) - 0.5, math.nextafter(0.5, 1)]
+    return xs
+
+
+def _bits(xs):
+    return array("d", xs).tobytes()
+
+
+def test_fractional_parts_match_floor_bit_for_bit():
+    xs = _edge_floats(random.Random(60), 3000)
+    got = deligne._fractional_parts(xs)
+    assert _bits(got) == _bits(floor_fractional_parts(xs))
+    assert _bits(deligne._fractional_parts(iter(xs))) == _bits(got)
+    assert _bits(deligne._wrap_floats(xs)) == _bits(
+        [y - (y > 0.5) for y in floor_fractional_parts(xs)])
+    for bad in (math.nan, math.inf, -math.inf):
+        for where in (0, 7):
+            values = xs[:10]
+            values[where] = bad
+            with pytest.raises((ValueError, OverflowError)) as want:
+                floor_fractional_parts(values)
+            with pytest.raises(want.type, match=re.escape(str(want.value))):
+                deligne._fractional_parts(values)
+
+
+def test_float_residual_matches_round_bit_for_bit():
+    cc = MESHES["sphere20"]
+    layout = cochain_layout(cc.nerve(), cc, 2, 2)
+    rng = random.Random(61)
+    xs = _edge_floats(rng, layout.size)[: layout.size]
+    rng.shuffle(xs)
+    cases = [xs]
+    for bad in (math.nan, math.inf, -math.inf):
+        for where in (0, 5, layout.size - 1):
+            values = list(xs)
+            values[where] = bad
+            cases.append(values)
+    values = list(xs)
+    values[3], values[9] = math.inf, math.nan
+    cases.append(values)
+    for values in cases:
+        got = deligne._residual(layout, array("d", values))
+        want = round_residual(layout, values)
+        assert got[1] == want[1]
+        assert _bits([got[0]]) == _bits([want[0]])
+    # the pure-nerve tail of a float array is measured plainly
+    pure = cochain_layout(NERVES["simplex6"], None, 2, 2)
+    values = [rng.uniform(-3, 3) for _ in range(pure.size)]
+    assert deligne._residual(pure, array("d", values)) == round_residual(pure, values)
+
+
+@pytest.mark.parametrize("nerve_name, mesh_name", SPACES)
+def test_exact_residual_on_numerators_matches_the_fraction_residual(nerve_name, mesh_name):
+    cc = MESHES[mesh_name] if mesh_name else None
+    nerve = cc.nerve() if cc is not None else NERVES[nerve_name]
+    rng = random.Random(62)
+    for p in range(3):
+        layout = cochain_layout(nerve, cc, p, 2)
+        op = layout.differential
+        for x in (_exact_values(rng, layout.size),
+                  [Fraction(rng.randrange(-4, 5), 2) for _ in range(layout.size)]):
+            den, nums = op.sums(x)
+            got = deligne._residual_over(op.target, nums, den)
+            want = deligne._residual(op.target, op.apply(x))
+            assert got == want and type(got[0]) is type(want[0])
+    # D of an exact coboundary is a cocycle: every residual is zero
+    if cc is None:
+        c = deligne_differential(random_cochain(nerve, 1, 2, rng))
+        den, nums = c.layout.differential.sums(c.values)
+        assert deligne._residual_over(c.layout.differential.target, nums, den)[0] == 0
+    # no slots: no residual and no slot
+    one = cochain_layout(simplex_nerve(1), None, 1, 2)
+    assert deligne._residual_over(one, [], 1) == deligne._residual(one, []) == (0.0, None)
+
+
+# -- one-component reads ---------------------------------------------------
+
+
+def test_components_unpack_only_what_is_read(monkeypatch):
+    cc = MESHES["sphere20"]
+    c = deligne_differential(
+        DeligneCochain(cc.nerve(), 1, 2, random_geometric(cc, cc.nerve(), 1, 2,
+                                                          random.Random(63)), complex=cc)
+    )
+    whole = tuple(c.component(k) for k in range(c.n_components))
+    reads = []
+    unpack = deligne.Layout.unpack
+
+    def counted(layout, values, k):
+        reads.append(k)
+        return unpack(layout, values, k)
+
+    monkeypatch.setattr(deligne.Layout, "unpack", counted)
+    comps = c.components
+    assert len(comps) == 3 and reads == []
+    assert comps[2] == whole[2] and comps[-3] == whole[0] and reads == [2, 0]
+    for k in (3, -4):
+        with pytest.raises(IndexError):
+            comps[k]
+    assert comps[1:] == whole[1:] and comps[::-1] == whole[::-1]
+    assert isinstance(comps[:2], tuple) and comps[5:] == ()
+    assert list(comps) == list(whole) and tuple(comps) == whole
+    assert comps == whole and whole == comps and comps == c.components
+    assert not comps != whole and comps != list(whole)
+    bumped = (whole[0], whole[1], {**whole[2], next(iter(whole[2])): {}})
+    assert comps != bumped and bumped != comps
+    with pytest.raises(TypeError):
+        comps[0] = {}
+    with pytest.raises(TypeError):
+        hash(comps)

@@ -578,3 +578,74 @@ def test_holonomy_path_imports_no_numpy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def reference_primitive_check(ball, c, H, exactness_tol=1e-9):
+    """stokes_check's dB = H test as first written: per (chart,
+    tetrahedron), four ``c.value`` reads summed with alternating signs."""
+    for face in c.nerve.faces_of_size(1):
+        for tet in _face_domain(ball, face, 3):
+            db = sum(
+                (-1) ** j
+                * c.value(2, face, tuple(x for m, x in enumerate(tet) if m != j))
+                for j in range(4)
+            )
+            if abs(db - H[tet]) > exactness_tol:
+                raise HolonomyError(f"B is not a chart-wise primitive of H at {tet}")
+    return "ok"
+
+
+def _stokes_verdict(check, *args):
+    try:
+        return check(*args)
+    except (HolonomyError, DeligneError) as exc:
+        return type(exc), str(exc)
+
+
+def test_cached_stokes_slots_match_the_value_loop(ball_setup):
+    ball, nerve = ball_setup
+    rng = random.Random(24)
+    boundary = ball.boundary_surface()
+    asg = random_assignment(boundary, rng)
+
+    def primitive_check(ball, c, H):
+        # stokes_check stops at the first failing tetrahedron, else it
+        # goes on to the holonomies
+        stokes_check(ball, c, H, asg, tol=2)
+        return "ok"
+
+    cases = []
+    for exact in (False, True):
+        b = {t: Fraction(rng.randrange(-60, 60), 60) if exact else rng.uniform(-1, 1)
+             for t in ball.tri_keys}
+        c, H = ball_trivial_gerbe(ball, nerve, b)
+        cases.append((c, H))
+        for tets in ([ball.tet_keys[7]], [ball.tet_keys[3], ball.tet_keys[11]]):
+            # a field off by more than the tolerance, one ulp past it, or
+            # within it, at one or two tetrahedra
+            for shift in (0.25, 1e-9 * 1.5, 1e-10):
+                cases.append((c, {**H, **{t: H[t] + shift for t in tets}}))
+    # a cochain over a complex whose triangle t lacks a chart i that a
+    # tetrahedron on t carries: the B read (2, (i,), t) has no slot
+    lacking = coned_ball(icosahedron())
+    tet = ball.tet_keys[5]
+    t, i = tet[1:], tet[1]
+    lacking.charts = {**lacking.charts, t: lacking.charts[t] - {i}}
+    zero = zero_cochain(lacking.nerve(), 2, 2, complex=lacking)
+    cases.append((zero, dict.fromkeys(ball.tet_keys, 0.0)))
+    verdicts = []
+    for c, H in cases:
+        want = _stokes_verdict(reference_primitive_check, ball, c, H)
+        assert _stokes_verdict(primitive_check, ball, c, H) == want
+        verdicts.append(want)
+    assert verdicts.count("ok") >= 4 and len(set(verdicts)) >= 4
+    # dB summed as the value loop sums it, to the last bit: a field equal
+    # to that sum passes with no tolerance at all (values of mixed scales,
+    # whose sums round)
+    c, _ = ball_trivial_gerbe(
+        ball, nerve, {t: rng.uniform(-1, 1) * 3.0 ** rng.randrange(-9, 9) for t in ball.tri_keys}
+    )
+    db = {tet: sum((-1) ** j * c.value(2, (tet[0],), tet[:j] + tet[j + 1 :])
+                   for j in range(4)) for tet in ball.tet_keys}
+    assert len(set(db.values())) > 1
+    stokes_check(ball, c, db, asg, tol=2, exactness_tol=0)

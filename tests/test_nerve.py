@@ -1,15 +1,26 @@
-"""Covered complexes: orientation closure, star covers, cached tables."""
+"""Covered complexes: orientation closure, star covers, cached tables.
 
+Nerves are kept by their maximal faces; ``closure_oracle``, the full
+subset closure, and ``all_subset_domains``, the face domains filed under
+every subset of each chart set, stay here as the oracles of every face
+query and every per-size domain table.
+"""
+
+import json
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
 
+from gerbecalc.deligne import cochain_layout
 from gerbecalc.nerve import (
+    FACE_LIMIT,
     ComplexError,
     CoverNerve,
     CoveredComplex,
+    NerveSizeError,
     coned_ball,
     icosahedron,
     icosahedron_mesh,
@@ -20,6 +31,9 @@ from gerbecalc.nerve import (
     subdivide_sphere,
     vertex_star_cover,
 )
+from gerbecalc.serialize import nerve_to_json
+
+from test_deligne import RP2_TRIANGLES
 
 
 def test_nerve_subset_closure_enforced():
@@ -62,6 +76,127 @@ def test_make_nerve_matches_the_subset_closure():
     assert closure_oracle(ball.indices, every) == ball.faces
 
 
+def _complexes():
+    sphere20 = icosahedron()
+    sphere80 = subdivide_sphere(sphere20)
+    return {
+        "sphere20": sphere20,
+        "sphere80": sphere80,
+        "sphere320": subdivide_sphere(sphere80),
+        "ball20": coned_ball(icosahedron()),
+    }
+
+
+COMPLEXES = _complexes()
+
+
+def _fixture_nerves():
+    """(name, indices, listed faces, nerve) for every fixture nerve."""
+    for name, cc in COMPLEXES.items():
+        listed = [tuple(sorted(cc.charts_of(s))) for s in cc.all_simplices()]
+        yield name, cc.nerve().indices, listed, cc.nerve()
+    for n in range(1, 9):
+        yield f"simplex{n}", tuple(range(n)), [tuple(range(n))], simplex_nerve(n)
+    tets = [(7,) + t for t in RP2_TRIANGLES] + [(8,) + t for t in RP2_TRIANGLES]
+    yield "suspension", tuple(range(1, 9)), tets, make_nerve(range(1, 9), tets)
+    rng = random.Random(16)
+    for i in range(60):
+        n = rng.randrange(1, 11)
+        listed = [tuple(rng.sample(range(n), rng.randrange(1, n + 1)))
+                  for _ in range(rng.randrange(0, 8))]
+        # redundant entries: subsets of listed faces, and repeats
+        for f in list(listed)[: rng.randrange(0, 3)]:
+            listed.append(tuple(rng.sample(f, rng.randrange(1, len(f) + 1))))
+            listed.append(f[::-1])
+        yield f"random{i}", tuple(range(n)), listed, make_nerve(range(n), listed)
+
+
+FIXTURE_NERVES = list(_fixture_nerves())
+
+
+@pytest.mark.parametrize("name, indices, listed, nerve", FIXTURE_NERVES,
+                         ids=[case[0] for case in FIXTURE_NERVES])
+def test_nerve_queries_match_the_subset_closure(name, indices, listed, nerve):
+    oracle = closure_oracle(indices, listed)
+    top = max(map(len, oracle))
+    assert nerve.dimension == top - 1
+    assert nerve.faces == oracle
+    for k in range(top + 2):
+        want = tuple(sorted(f for f in oracle if len(f) == k))
+        assert nerve.faces_of_size(k) == want
+        assert nerve.face_set(k) == frozenset(want)
+    # maximal faces are canonical: sorted, and none inside another
+    assert list(nerve.maximal_faces) == sorted(nerve.maximal_faces)
+    # in a subset-closed family, a face is maximal when it is no
+    # codimension-1 face of another
+    covered = {f[:j] + f[j + 1 :] for f in oracle for j in range(len(f))}
+    assert set(nerve.maximal_faces) == oracle - covered
+    rng = random.Random(len(oracle))
+    for f in oracle:
+        assert nerve.is_face(f) and nerve.is_face(reversed(f))
+    for _ in range(200):
+        f = tuple(rng.sample(indices + (-1,), rng.randrange(1, min(top + 2, len(indices) + 1) + 1)))
+        assert nerve.is_face(f) == (tuple(sorted(f)) in oracle)
+    assert not nerve.is_face(()) and not nerve.is_face(indices[:1] * 2)
+    # equal face sets are equal nerves, however they were listed
+    for other in (
+        make_nerve(indices, sorted(oracle, key=len)),
+        make_nerve(indices, listed[::-1]),
+        CoverNerve(indices=indices, faces=oracle),
+    ):
+        assert other == nerve and hash(other) == hash(nerve)
+        assert other.maximal_faces == nerve.maximal_faces
+    if top > 1:
+        largest = max(oracle, key=len)
+        smaller = make_nerve(indices, [f for f in oracle if f != largest])
+        assert smaller != nerve
+    assert json.dumps(nerve_to_json(nerve)) == json.dumps(
+        {"indices": list(indices), "faces": sorted(list(f) for f in oracle)}
+    )
+
+
+def all_subset_domains(cc, k):
+    """Each k-simplex filed under every subset of its chart set, the one
+    table that per-size face domains were once cut from."""
+    simplices = ([(v,) for v in cc.vertices], cc.edges, cc.tri_keys, cc.tet_keys)[k]
+    domains = {}
+    for s in simplices:
+        charts = sorted(cc.charts_of(s))
+        for size in range(1, len(charts) + 1):
+            for face in combinations(charts, size):
+                domains.setdefault(face, []).append(s)
+    return {face: tuple(simps) for face, simps in domains.items()}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_face_domains_of_one_size_match_the_all_subset_filing(name):
+    cc = COMPLEXES[name]
+    for k in range(cc.dim + 1):
+        every = all_subset_domains(cc, k)
+        for size in range(1, max(map(len, every)) + 2):
+            assert cc.face_domains(k, size) == {
+                face: simps for face, simps in every.items() if len(face) == size
+            }
+
+
+def test_coned_80_triangle_ball_reads_only_small_faces():
+    # the apex chart set has 43 charts: 2^43 - 1 faces, never enumerated
+    start = time.perf_counter()
+    ball = coned_ball(subdivide_sphere(icosahedron()))
+    nerve = ball.nerve()
+    assert nerve.maximal_faces == (tuple(ball.vertices),) and nerve.dimension == 42
+    layout = cochain_layout(nerve, ball, 2, 2)
+    assert [len(f) for f in layout.faces] == [math.comb(43, 3), math.comb(43, 2), 43]
+    assert time.perf_counter() - start < 10
+    with pytest.raises(NerveSizeError, match="the faces of this nerve number up to "
+                       "8,796,093,022,207, past the bound of 1,048,576"):
+        nerve.faces
+    with pytest.raises(NerveSizeError, match="the 20-index faces"):
+        nerve.faces_of_size(20)
+    assert math.comb(43, 20) > FACE_LIMIT
+    assert nerve.is_face(range(20)) and not nerve.is_face((0, 99))
+
+
 def test_faces_of_size_is_cached_and_read_only():
     nerve = simplex_nerve(5)
     pairs = nerve.faces_of_size(2)
@@ -75,10 +210,10 @@ def test_chart_reassignment_drops_cached_tables():
     cc = icosahedron()
     nerve = cc.nerve()
     assert cc.nerve() is nerve
-    assert cc.face_domains(0)[(0,)] == ((0,), (1,), (5,), (7,), (10,), (11,))
+    assert cc.face_domains(0, 1)[(0,)] == ((0,), (1,), (5,), (7,), (10,), (11,))
     cc.charts = {s: frozenset({0}) for s in cc.all_simplices()}
     assert cc.nerve().faces == frozenset({(0,)})
-    assert cc.face_domains(0) == {(0,): tuple((v,) for v in cc.vertices)}
+    assert cc.face_domains(0, 1) == {(0,): tuple((v,) for v in cc.vertices)}
     vertex_star_cover(cc)
     assert cc.nerve() == nerve
 
