@@ -35,10 +35,13 @@ in degree 1 and D(g, A, B) = (delta g, delta A + dlog g, delta B - dA) in
 degree 2; the sign flip between the two is pure degree parity, the same
 rule produces both.  :class:`DeligneOperator` assembles D from a layout to
 the next degree's once, as an integer CSR matrix (row pointers, columns,
-signs +-1).  Each block of rows is built in bulk, one list of source keys
-per entry position mapped through the slot index, and since a sign depends
-only on the entry's position it is stored once per block.  It is linear
-except for the branch wrap, which is applied only to the output of the
+signs +-1).  Each block of rows is built in bulk, one column per entry
+position: its source keys are made one at a time as the slot index reads
+them, so assembly holds about one column of slot ints beyond the finished
+operator (11 B per nonzero for D_2 of the 320-triangle sphere, where key
+lists made before the lookup held 91 B).  Since a sign depends only on the
+entry's position, it is stored once per block.  It is linear except for
+the branch wrap, which is applied only to the output of the
 U(1)->1-form block; the wrap only adds integers, which the mod-1 tests
 absorb, so D_{p+1} D_p = 0 holds as an exact integer product of the
 assembled matrices (``tests/test_deligne_operator.py``).
@@ -319,23 +322,28 @@ class DeligneOperator:
             r0, r1 = target.bounds(k)
             starts = target.starts[k]
             rows = list(zip(target.faces[k], starts, starts[1:]))
-            # one list of source keys per entry position, in row order
-            terms = [
-                [(k, sub, s) for face, lo, hi in rows
-                 for sub in (face[:j] + face[j + 1 :],) for s in simplices[lo:hi]]
-                for j in range(n_delta)
-            ]
+            d_terms = _d_terms(k) if n_d else ()
+
+            def keys(j):
+                # the source keys of entry position j in row order, made one
+                # at a time as the slot lookup reads them (called only
+                # within this block)
+                if j < n_delta:
+                    return ((k, sub, s) for face, lo, hi in rows
+                            for sub in (face[:j] + face[j + 1 :],) for s in simplices[lo:hi])
+                pick = d_terms[j - n_delta][0]
+                return ((k - 1, face, b) for face, lo, hi in rows
+                        for b in map(pick, simplices[lo:hi]))
+
             pattern = [(-1) ** j for j in range(n_delta)]
-            for pick, coeff in _d_terms(k) if n_d else ():
-                terms.append([(k - 1, face, b) for face, lo, hi in rows
-                              for b in map(pick, simplices[lo:hi])])
-                pattern.append(d_sign * coeff)
+            pattern += [d_sign * coeff for _, coeff in d_terms]
             e0 = len(cols)
             cols += array("l", [0]) * (width * (r1 - r0))
             try:
-                for j, keys in enumerate(terms):
-                    cols[e0 + j :: width] = array("l", map(index.__getitem__, keys))
+                for j in range(width):
+                    cols[e0 + j :: width] = array("l", map(index.__getitem__, keys(j)))
             except KeyError:
+                terms = [list(keys(j)) for j in range(width)]
                 missing = next(key for row in zip(*terms) for key in row if key not in index)
                 raise DeligneError(
                     f"chart membership not monotone: no slot {missing}"

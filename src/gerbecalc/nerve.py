@@ -13,7 +13,8 @@ that enumeration is refused past :data:`FACE_LIMIT`.
 A :class:`CoveredComplex` is an oriented triangulated surface or
 3-complex whose simplices each know which charts contain them; its nerve
 is generated by the per-simplex chart sets, and its face domains file
-each k-simplex under the subsets of one size of its chart set.
+each k-simplex under the subsets of one size of its chart set, keyed by
+the nerve's own face tuples.
 
 Mesh fixtures (icosahedral spheres, their subdivisions, and coned solid
 balls) live here too, together with the vertex-star cover used by the
@@ -321,7 +322,11 @@ class CoveredComplex:
         charts.
 
         One pass files every k-simplex under each ``size``-subset of its
-        chart set, so simplices keep their order within each domain.
+        chart set, so simplices keep their order within each domain.  Each
+        face is keyed by the nerve's own tuple from
+        :meth:`CoverNerve.faces_of_size`, so one tuple per face serves every
+        table; where the nerve cannot be built or enumerated, each face keeps a
+        tuple of its own.
         """
 
         def build():
@@ -333,7 +338,11 @@ class CoveredComplex:
             for s in simplices:
                 for face in combinations(sorted(self.charts_of(s)), size):
                     domains.setdefault(face, []).append(s)
-            return {face: tuple(simps) for face, simps in domains.items()}
+            try:
+                shared = {face: face for face in self.nerve().faces_of_size(size)}
+            except ComplexError:  # a chart missing, or past FACE_LIMIT
+                shared = {}
+            return {shared.get(face, face): tuple(simps) for face, simps in domains.items()}
 
         return cached(self, ("face domains", k, size), build)
 

@@ -17,7 +17,7 @@ centralizers are read off the coordinates on integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -267,18 +267,30 @@ def minimal_level_k0(rs: RootSystem) -> int:
 
 @dataclass(frozen=True)
 class RootSubsystem:
+    """A set of roots closed under negation.
+
+    ``indices`` are the positions of ``roots`` in ``root_system.roots``.
+    When they are not given they are looked up, which also checks that
+    every element is a root; :func:`face_centralizer` passes the positions
+    it selected, so its ambient tuples are never hashed for the lookup.
+    """
+
     root_system: RootSystem
     roots: frozenset
+    indices: frozenset = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        index = self.root_system.root_index
-        try:
-            found = {index[r] for r in self.roots}
-        except KeyError:
-            raise RootSystemError("subsystem element is not a root") from None
+        found = self.indices
+        if found is None:
+            index = self.root_system.root_index
+            try:
+                found = frozenset(index[r] for r in self.roots)
+            except KeyError:
+                raise RootSystemError("subsystem element is not a root") from None
+            object.__setattr__(self, "indices", found)
         # the roots are sorted lexicographically and -R = R, so the
         # negative of roots[i] is roots[-1 - i]
-        last = len(index) - 1
+        last = len(self.root_system.roots) - 1
         if any(last - i not in found for i in found):
             raise RootSystemError("subsystem not closed under negation")
 
@@ -303,12 +315,12 @@ def face_centralizer(alc: Alcove, face) -> RootSubsystem:
     big = lcm(*(rs.marks[j] for j in simple))
     weights = [(j, big // rs.marks[j]) for j in simple]
     modulus = len(face) * big
-    sub = frozenset(
-        r
-        for r, c in zip(rs.roots, rs.root_coords)
+    picked = [
+        i for i, c in enumerate(rs.root_coords)
         if sum(c[j] * w for j, w in weights) % modulus == 0
-    )
-    return RootSubsystem(root_system=rs, roots=sub)
+    ]
+    return RootSubsystem(root_system=rs, roots=frozenset(map(rs.roots.__getitem__, picked)),
+                         indices=frozenset(picked))
 
 
 def parse_type(text: str):

@@ -4,6 +4,7 @@ assignments, and checker bundles.
 Conventions:
 * rationals are serialized as "p/q" strings (or bare integer strings);
 * floating reals as JSON numbers;
+* nerves as their indices and sorted maximal faces;
 * faces and simplices as comma-joined strings of their vertex/index labels
   ("0,2,3") used as object keys;
 * complex matrices as nested lists of [re, im] pairs;
@@ -66,9 +67,11 @@ def format_unit_complex(z: complex) -> str:
 
 
 def nerve_to_json(nerve: CoverNerve) -> dict:
+    """The indices and the sorted maximal faces; every subset of a listed
+    face is a face, so a nerve of 2^43 - 1 faces writes one list."""
     return {
         "indices": list(nerve.indices),
-        "faces": sorted(list(f) for f in nerve.faces),
+        "faces": [list(f) for f in nerve.maximal_faces],
     }
 
 

@@ -20,7 +20,9 @@ from gerbecalc.deligne import (
 )
 from gerbecalc import lienum
 from gerbecalc.holonomy import random_assignment
-from gerbecalc.nerve import coned_ball, icosahedron, simplex_nerve, sphere_nerve
+from gerbecalc.nerve import (
+    coned_ball, icosahedron, simplex_nerve, sphere_nerve, subdivide_sphere,
+)
 from gerbecalc.serialize import (
     assignment_from_json,
     assignment_to_json,
@@ -90,6 +92,16 @@ def test_pure_nerve_cochain_round_trip_is_exact():
     c = random_cochain(nerve, 2, 2, random.Random(5))
     doc = json.loads(json.dumps(cochain_to_json(c)))
     assert cochain_from_json(doc).components == c.components
+
+
+def test_cochain_over_the_coned_80_triangle_ball_round_trips():
+    # the apex chart set has 43 charts (2^43 - 1 faces): the nerve document
+    # lists its one maximal face, not every face
+    ball = coned_ball(subdivide_sphere(icosahedron()))
+    c = zero_cochain(ball.nerve(), 1, 2, complex=ball)
+    doc = json.loads(json.dumps(cochain_to_json(c)))
+    assert doc["nerve"] == {"indices": list(ball.vertices), "faces": [list(ball.vertices)]}
+    assert cochain_from_json(doc) == c
 
 
 def test_assignment_and_matrix_round_trip():

@@ -14,6 +14,7 @@ from itertools import combinations
 
 import pytest
 
+from gerbecalc import nerve as nerve_module
 from gerbecalc.deligne import cochain_layout
 from gerbecalc.nerve import (
     FACE_LIMIT,
@@ -31,7 +32,7 @@ from gerbecalc.nerve import (
     subdivide_sphere,
     vertex_star_cover,
 )
-from gerbecalc.serialize import nerve_to_json
+from gerbecalc.serialize import nerve_from_json, nerve_to_json
 
 from test_deligne import RP2_TRIANGLES
 
@@ -150,9 +151,12 @@ def test_nerve_queries_match_the_subset_closure(name, indices, listed, nerve):
         largest = max(oracle, key=len)
         smaller = make_nerve(indices, [f for f in oracle if f != largest])
         assert smaller != nerve
-    assert json.dumps(nerve_to_json(nerve)) == json.dumps(
-        {"indices": list(indices), "faces": sorted(list(f) for f in oracle)}
-    )
+    # a nerve document lists the maximal faces, whose closure is the nerve
+    doc = json.loads(json.dumps(nerve_to_json(nerve)))
+    assert doc == {"indices": list(indices),
+                   "faces": sorted(list(f) for f in oracle - covered)}
+    assert closure_oracle(doc["indices"], doc["faces"]) == oracle
+    assert nerve_from_json(doc) == nerve
 
 
 def all_subset_domains(cc, k):
@@ -177,6 +181,26 @@ def test_face_domains_of_one_size_match_the_all_subset_filing(name):
             assert cc.face_domains(k, size) == {
                 face: simps for face, simps in every.items() if len(face) == size
             }
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_face_domains_are_keyed_by_the_nerves_own_faces(name):
+    cc = COMPLEXES[name]
+    for size in range(1, cc.nerve().dimension + 2):
+        own = {face: face for face in cc.nerve().faces_of_size(size)}
+        for k in range(cc.dim + 1):
+            assert all(face is own[face] for face in cc.face_domains(k, size))
+
+
+def test_face_domains_past_the_face_bound_keep_their_own_tuples(monkeypatch):
+    cc = icosahedron()
+    every = all_subset_domains(cc, 1)
+    monkeypatch.setattr(nerve_module, "FACE_LIMIT", 10)
+    with pytest.raises(NerveSizeError):
+        cc.nerve().faces_of_size(2)
+    assert cc.face_domains(1, 2) == {
+        face: simps for face, simps in every.items() if len(face) == 2
+    }
 
 
 def test_coned_80_triangle_ball_reads_only_small_faces():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -289,6 +290,20 @@ def test_face_centralizer_matches_barycenter_oracle(family, rank):
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_centralizer_indices_match_the_root_lookup(family, rank):
+    # face_centralizer checks negation on the indices it selected; a
+    # subsystem built from its roots alone looks them up and must agree
+    rs = build_root_system(family, rank)
+    alc = alcove(rs)
+    vertices = range(rank + 1)
+    for face in [*combinations(vertices, 1), *combinations(vertices, 2)]:
+        got = face_centralizer(alc, face)
+        looked_up = RootSubsystem(rs, got.roots)
+        assert got == looked_up and got.indices == looked_up.indices
+        assert got.roots == frozenset(rs.roots[i] for i in got.indices)
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_root_system_hash_is_the_type(family, rank):
     rs = build_root_system(family, rank)
     fresh = build_root_system.__wrapped__(family, rank)
@@ -336,6 +351,12 @@ def test_root_subsystem_validation():
         RootSubsystem(rs, frozenset(rs.roots[:2]))
     with pytest.raises(RootSystemError, match="negation"):
         RootSubsystem(rs, frozenset({r, neg, rs.roots[1]}))
+    # given indices are checked for negation in the same words
+    last = len(rs.roots) - 1
+    pair = RootSubsystem(rs, frozenset({r, neg}), indices=frozenset({0, last}))
+    assert pair.indices == {0, last}
+    with pytest.raises(RootSystemError, match="negation"):
+        RootSubsystem(rs, frozenset({r}), indices=frozenset({0}))
 
 
 def test_parse_type():
