@@ -38,11 +38,10 @@ the next degree's once, as an integer CSR matrix (row pointers, columns,
 signs +-1).  Each block of rows is built in bulk, one column per entry
 position: its source keys are made one at a time as the slot index reads
 them, so assembly holds about one column of slot ints beyond the finished
-operator (11 B per nonzero for D_2 of the 320-triangle sphere, where key
-lists made before the lookup held 91 B).  Since a sign depends only on the
-entry's position, it is stored once per block.  It is linear except for
-the branch wrap, which is applied only to the output of the
-U(1)->1-form block; the wrap only adds integers, which the mod-1 tests
+operator (11 B per nonzero for D_2 of the 320-triangle sphere).  Since a
+sign depends only on the entry's position, it is stored once per block.
+It is linear except for the branch wrap, which is applied only to the
+output of the U(1)->1-form block; the wrap only adds integers, which the mod-1 tests
 absorb, so D_{p+1} D_p = 0 holds as an exact integer product of the
 assembled matrices (``tests/test_deligne_operator.py``).
 All rows of one output component have the same width, the delta entries
