@@ -831,7 +831,7 @@ def _solve_u1_layer(nerve, g):
     return {p: val for p, val in zip(pairs, h)}
 
 
-def solve_trivialization(c: DeligneCochain, tol=1e-9) -> TrivializationResult:
+def solve_trivialization(c: DeligneCochain) -> TrivializationResult:
     """Solve (0, 0, rho) = c + D(h, W) for a degree-2, level-2 cocycle.
 
     Returns the trivializing cochain and the global curvature component
@@ -842,10 +842,10 @@ def solve_trivialization(c: DeligneCochain, tol=1e-9) -> TrivializationResult:
     """
     if (c.degree, c.level) != (2, 2):
         raise DeligneError("trivialization needs a degree-2, level-2 cochain")
-    if not is_cocycle(c, tol=0 if c.is_pure_nerve() else tol):
-        raise DeligneError("input is not a cocycle")
     if not c.is_pure_nerve():
         raise DeligneError("trivialization solving requires pure-nerve mode")
+    if not is_cocycle(c):
+        raise DeligneError("input is not a cocycle")
     nerve = c.nerve
     g = c.component(0)
     obstruction = dd_class(nerve, g)
@@ -883,7 +883,7 @@ def solve_trivialization(c: DeligneCochain, tol=1e-9) -> TrivializationResult:
     return TrivializationResult(triv, rho, None)
 
 
-def trivialization_defect(c, result, tol=1e-9):
+def trivialization_defect(c, result):
     """Max-norm of (0, 0, rho) - c - D(h, W), by :func:`cochain_residual`."""
     total = cochain_add(c, deligne_differential(result.trivialization))
     lo = total.layout.bounds(total.n_components - 1)[0]

@@ -216,10 +216,6 @@ class Alcove:
     root_system: RootSystem
     vertices: tuple  # (mu_0, ..., mu_r), mu_0 = 0
 
-    @property
-    def rank(self):
-        return self.root_system.rank
-
 
 @lru_cache(maxsize=None)
 def alcove(rs: RootSystem) -> Alcove:
