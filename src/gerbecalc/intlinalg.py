@@ -68,7 +68,8 @@ def smith_normal_form(mat):
 
     Bound: no step coefficient exceeds the larger entry of its pair, and
     each Bezout step at least halves the pivot.  On dense 6 x 6 matrices
-    with entries in [-20, 20], U and V entries stay under 150 bits.
+    with entries in [-20, 20] (the tests' seeds 1-8), no U or V entry
+    reached 150 bits.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
