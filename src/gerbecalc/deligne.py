@@ -20,12 +20,18 @@ complex's order; pure-nerve mode has one slot per face.  A
 ``array('d')`` for geometric floats and a list otherwise, so exact
 ``Fraction`` values keep their type.  ``components`` is a read-only
 sequence of per-face dicts; ``components[k]`` unpacks component k alone
-from the vector.  A layout asks the complex only for the face domains of
-the one face size each component uses.  Layouts are cached on the complex
-(geometric mode) or the nerve (pure-nerve mode) they describe.  A pullback
-along a bijection of the nerve indices (and of the complex's vertices)
-moves each slot to another up to sign, so :func:`pullback_cochain` is one
-signed gather over the layout.
+from the vector.  The layout is the one owner of the slot map: the slots
+of a face form one run, and a slot is found by arithmetic, the start of
+its face's run plus the place of its simplex within the run.  A layout
+keeps, per component, the faces, their run starts (an ``array('l')``) and
+the nerve's shared face -> position dict, and in geometric mode the
+simplex of every slot; it holds no per-slot index.  It files the
+simplices of the one face size each component uses in one uncached pass
+over the complex.  Layouts are cached on the complex (geometric mode) or
+the nerve (pure-nerve mode) they describe.  A pullback along a bijection
+of the nerve indices (and of the complex's vertices) moves each slot to
+another up to sign, so :func:`pullback_cochain` is one signed gather over
+the layout.
 
 **Operator.**  The total differential is
 D(c)_k = delta(c_k) + (-1)^(p-k+1) d(c_{k-1}), with d = dlog (branch
@@ -36,10 +42,13 @@ degree 2; the sign flip between the two is pure degree parity, the same
 rule produces both.  :class:`DeligneOperator` assembles D from a layout to
 the next degree's once, as an integer CSR matrix (row pointers, columns,
 signs +-1).  Each block of rows is built in bulk, one column per entry
-position: its source keys are made one at a time as the slot index reads
-them, so assembly holds about one column of slot ints beyond the finished
-operator (11 B per nonzero for D_2 of the 320-triangle sphere).  Since a
-sign depends only on the entry's position, it is stored once per block.
+position: the source run of each target face is looked up once, and each
+slot's column is the place of its simplex in that run.  A delta entry
+reads the subface's run, which holds the face's run in the same order;
+a d entry reads the face's own run one form degree down.  Assembly holds
+about one column of slots beyond the finished operator (14 B per nonzero
+for D_2 of the 320-triangle sphere).  Since a sign depends only on the
+entry's position, it is stored once per block.
 It is linear except for the branch wrap, which is applied only to the
 output of the U(1)->1-form block; the wrap only adds integers, which the mod-1 tests
 absorb, so D_{p+1} D_p = 0 holds as an exact integer product of the
@@ -54,7 +63,9 @@ hold a Python int per nonzero.  An exact vector (every value a
 ``Fraction``) is summed on integers over one common denominator, the lcm
 of its denominators, and the wrap runs on those integers; each output
 slot is then one ``Fraction``; :func:`is_cocycle` measures those integer
-numerators directly.  Float arrays and mixed lists are summed as they are.
+numerators directly.  Float arrays and mixed lists are summed as they are;
+:func:`is_cocycle` tests a geometric float vector block by block as its
+rows are summed, and stops at the first block that fails.
 """
 
 from __future__ import annotations
@@ -66,8 +77,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from operator import add, gt, itemgetter, ne, neg, sub
+from itertools import chain, repeat
+from operator import add, gt, itemgetter, le, ne, neg, sub
 
 from .intlinalg import matvec, over_common_denominator, smith_normal_form, solve_rational
 from .nerve import CoverNerve, CoveredComplex, cached, perm_sign
@@ -106,9 +117,14 @@ class Layout:
     """Slot order of the cochains of one (nerve, complex, degree, level).
 
     ``faces[k]`` lists the faces of component k in sorted order and
-    ``starts[k][i]`` is the first slot of ``faces[k][i]`` (with a closing
-    entry), counted over the whole vector.  ``simplices[slot]`` is the
-    simplex of each slot in geometric mode, None in pure-nerve mode.
+    ``starts[k][i]`` (an ``array('l')``) is the first slot of
+    ``faces[k][i]``, with a closing entry, counted over the whole vector;
+    the slots of a face form one run.  ``position[k]`` maps each face of
+    component k to its index in ``faces[k]`` (the nerve's shared
+    :meth:`~gerbecalc.nerve.CoverNerve.face_index`).  ``simplices[slot]`` is
+    the simplex of each slot in geometric mode, and ``simplices`` is None in
+    pure-nerve mode.  A slot is found by arithmetic: the start of its
+    face's run plus the position of its simplex within the run.
     """
 
     def __init__(self, nerve: CoverNerve, complex, degree: int, level: int):
@@ -118,17 +134,18 @@ class Layout:
             raise DeligneError("degree must be >= 0")
         self.nerve, self.complex = nerve, complex
         self.degree, self.level = degree, level
-        self.faces, self.starts = [], []
+        self.faces, self.starts, self.position = [], [], []
         simplices = []
         slot = 0
         for k in range(min(degree, level) + 1):
-            faces = nerve.faces_of_size(degree - k + 1)
-            starts = [slot]
+            size = degree - k + 1
+            faces = nerve.faces_of_size(size)
             if complex is None:
+                starts = array("l", range(slot, slot + len(faces) + 1))
                 slot += len(faces)
-                starts = list(range(starts[0], slot + 1))
             else:
-                domains = complex.face_domains(k, degree - k + 1)
+                domains = complex.file_face_domains(k, size)
+                starts = array("l", [slot])
                 for face in faces:
                     dom = domains.get(face, ())
                     simplices.extend(dom)
@@ -136,6 +153,7 @@ class Layout:
                     starts.append(slot)
             self.faces.append(faces)
             self.starts.append(starts)
+            self.position.append(nerve.face_index(size))
         self.size = slot
         self.simplices = tuple(simplices) if complex is not None else None
 
@@ -157,16 +175,27 @@ class Layout:
                         self.simplices[slot] if self.complex is not None else None
                     )
 
-    @cached_property
-    def slot_index(self):
-        return {key: slot for slot, key in enumerate(self.slots())}
+    def find(self, k, face, simplex=None):
+        """The slot of (k, face, simplex), or None where the layout has none."""
+        if k not in range(self.n_components):
+            return None
+        i = self.position[k].get(face)
+        if i is None:
+            return None
+        lo, hi = self.starts[k][i], self.starts[k][i + 1]
+        if self.simplices is None:
+            return lo if simplex is None else None
+        try:
+            return self.simplices.index(simplex, lo, hi)
+        except ValueError:
+            return None
 
     def slot(self, k, face, simplex=None):
-        try:
-            return self.slot_index[(k, face, simplex)]
-        except KeyError:
+        slot = self.find(k, face, simplex)
+        if slot is None:
             where = f" on {simplex}" if simplex is not None else ""
             raise DeligneError(f"no slot for component {k} at face {face}{where}")
+        return slot
 
     def where(self, slot):
         """Where ``slot`` lies, in the words of :meth:`slot`'s error."""
@@ -181,17 +210,17 @@ class Layout:
             raise DeligneError(
                 f"expected {self.n_components} components, got {len(components)}"
             )
-        cc = self.complex
+        cc, simplices = self.complex, self.simplices
         vals = []
         for k, comp in enumerate(components):
             size = self.degree - k + 1
-            if not isinstance(comp, dict) or comp.keys() != self.nerve.face_set(size):
+            if not isinstance(comp, dict) or comp.keys() != self.position[k].keys():
                 raise DeligneError(
                     f"component {k} must be defined on exactly the "
                     f"{size}-index faces"
                 )
-            domains = cc.face_domains(k, size) if cc is not None else None
-            for face in self.faces[k]:
+            starts = self.starts[k].tolist()
+            for face, lo, hi in zip(self.faces[k], starts, starts[1:]):
                 val = comp[face]
                 if cc is None:
                     if isinstance(val, dict):
@@ -202,7 +231,7 @@ class Layout:
                     vals.append(val)
                 elif isinstance(val, dict):
                     try:
-                        vals.extend([val[s] for s in domains.get(face, ())])
+                        vals.extend(map(val.__getitem__, simplices[lo:hi]))
                     except KeyError as exc:
                         raise DeligneError(
                             f"component {k} at face {face} has no value on "
@@ -210,7 +239,7 @@ class Layout:
                         ) from None
                 elif k == 0:
                     # a constant U(1) function: the same turn at every vertex
-                    vals.extend([val] * len(domains.get(face, ())))
+                    vals.extend([val] * (hi - lo))
                 else:
                     raise DeligneError(
                         f"component {k} at face {face}: a {k}-form needs one "
@@ -223,12 +252,15 @@ class Layout:
     def unpack(self, values, k):
         """Component k of a value vector as a dict face -> value."""
         lo, hi = self.bounds(k)
+        vals = values[lo:hi]
         if self.complex is None:
-            return dict(zip(self.faces[k], values[lo:hi]))
+            return dict(zip(self.faces[k], vals))
+        if isinstance(vals, array):
+            vals = vals.tolist()
         starts, simps = self.starts[k], self.simplices
         return {
-            face: dict(zip(simps[starts[i] : starts[i + 1]], values[starts[i] : starts[i + 1]]))
-            for i, face in enumerate(self.faces[k])
+            face: dict(zip(simps[a:b], vals[a - lo : b - lo]))
+            for face, a, b in zip(self.faces[k], starts, starts[1:])
         }
 
     @cached_property
@@ -262,6 +294,19 @@ def _d_terms(k):
         return ((itemgetter(slice(0, 2)), 1), (itemgetter(slice(1, 3)), 1),
                 (itemgetter(0, 2), -1))
     raise DeligneError(f"unsupported form degree {k}")
+
+
+def _omit(j, size):
+    """face -> the face without its j-th index, for faces of ``size``."""
+    rest = [m for m in range(size) if m != j]
+    return itemgetter(slice(rest[0], rest[0] + 1)) if size == 2 else itemgetter(*rest)
+
+
+def _per_slot(values, owner):
+    """Per-face ``values`` read once per slot, ``owner`` naming each slot's
+    face."""
+    values = list(values)
+    return map(values.__getitem__, owner)
 
 
 def _fractional_parts(xs):
@@ -309,8 +354,7 @@ class DeligneOperator:
         self.target = target
         p, n = source.degree, source.level
         geometric = source.complex is not None
-        index = source.slot_index
-        simplices = target.simplices if geometric else (None,) * target.size
+        find = source.simplices.index if geometric else None
         indptr, cols = array("l", [0]), array("l")
         blocks, patterns = [], []
         for k in range(target.n_components):
@@ -319,34 +363,50 @@ class DeligneOperator:
             d_sign = (-1) ** (p - k + 1)
             width = n_delta + n_d
             r0, r1 = target.bounds(k)
-            starts = target.starts[k]
-            rows = list(zip(target.faces[k], starts, starts[1:]))
+            faces, starts = target.faces[k], target.starts[k]
+            # the face of each target slot, as an index into ``faces``
+            owner = list(chain.from_iterable(
+                map(repeat, range(len(faces)), map(sub, starts[1:], starts))
+            ))
             d_terms = _d_terms(k) if n_d else ()
-
-            def keys(j):
-                # the source keys of entry position j in row order, made one
-                # at a time as the slot lookup reads them (called only
-                # within this block)
-                if j < n_delta:
-                    return ((k, sub, s) for face, lo, hi in rows
-                            for sub in (face[:j] + face[j + 1 :],) for s in simplices[lo:hi])
-                pick = d_terms[j - n_delta][0]
-                return ((k - 1, face, b) for face, lo, hi in rows
-                        for b in map(pick, simplices[lo:hi]))
-
             pattern = [(-1) ** j for j in range(n_delta)]
             pattern += [d_sign * coeff for _, coeff in d_terms]
             e0 = len(cols)
             cols += array("l", [0]) * (width * (r1 - r0))
-            try:
-                for j in range(width):
-                    cols[e0 + j :: width] = array("l", map(index.__getitem__, keys(j)))
-            except KeyError:
-                terms = [list(keys(j)) for j in range(width)]
-                missing = next(key for row in zip(*terms) for key in row if key not in index)
-                raise DeligneError(
-                    f"chart membership not monotone: no slot {missing}"
-                ) from None
+            for j in range(width):
+                # the source run of each target face: its subface's run in
+                # component k for a delta entry, its own run in component
+                # k - 1 for a d entry
+                rank = k if j < n_delta else k - 1
+                heads = source.starts[rank].tolist()
+                at = list(map(source.position[rank].__getitem__,
+                              map(_omit(j, p - k + 2), faces) if j < n_delta else faces))
+                if not geometric:  # one slot per face
+                    cols[e0 + j :: width] = array("l", map(heads.__getitem__, at))
+                    continue
+                # then each slot's place in its face's run.  A subface's run
+                # holds the face's simplices in the same order, so a delta
+                # entry's search needs no end; a d entry's run may lack the
+                # simplex it picks.
+                lo = _per_slot(map(heads.__getitem__, at), owner)
+                if j < n_delta:
+                    col = map(find, target.simplices[r0:r1], lo)
+                else:
+                    hi = _per_slot(map(heads.__getitem__, map(add, at, repeat(1))), owner)
+                    col = map(find, map(d_terms[j - n_delta][0], target.simplices[r0:r1]),
+                              lo, hi)
+                try:
+                    cols[e0 + j :: width] = array("l", col)
+                except ValueError:
+                    missing = next(
+                        key for face, a, b in zip(faces, starts, starts[1:])
+                        for s in target.simplices[a:b]
+                        for key in [(k - 1, face, pick(s)) for pick, _ in d_terms]
+                        if source.find(*key) is None
+                    )
+                    raise DeligneError(
+                        f"chart membership not monotone: no slot {missing}"
+                    ) from None
             indptr.extend(range(e0 + width, len(cols) + 1, width) if width
                           else repeat(e0, r1 - r0))
             # two d entries per row: d eats the U(1) layer (k = 1)
@@ -376,12 +436,22 @@ class DeligneOperator:
         """(den, y): D(x) = y / den as integer numerators when every value of
         ``x`` is a ``Fraction``, else (None, D(x))."""
         floats = isinstance(x, array)
-        exact = not floats and all(type(v) is Fraction for v in x)
         den = None
-        if exact:
+        if not floats and all(type(v) is Fraction for v in x):
             den, x = over_common_denominator(x)
         out = array("d") if floats else []
-        xs = x.tolist() if floats else x
+        for rows in self._block_rows(x.tolist() if floats else x, floats, den):
+            out.extend(rows)
+        return den, out
+
+    def _block_rows(self, xs, floats, den):
+        """The rows of D(x), one iterator per block of rows in order.
+
+        ``xs`` lists the values of x: the floats of a float array
+        (``floats``), integer numerators over ``den``, or else any numbers
+        (``den`` None).
+        """
+        exact = den is not None
         indptr, cols = self.indptr, self.cols
         for (r0, r1, n_delta, n_d, d_sign, wrap), signs in zip(self.blocks, self.patterns):
             if r0 == r1:
@@ -389,7 +459,7 @@ class DeligneOperator:
             e0, e1 = indptr[r0], indptr[r1]
             width = n_delta + n_d
             if width == 0:  # pure-nerve top layer: d vanishes on constants
-                out.extend([0 if exact else Fraction(0)] * (r1 - r0))
+                yield [0 if exact else Fraction(0)] * (r1 - r0)
                 continue
 
             def column(j):
@@ -423,8 +493,7 @@ class DeligneOperator:
                 else:
                     term = fold(n_delta, width, 1)
                     total = term if total is None else map(add, total, term)
-            out.extend(total)
-        return den, out
+            yield total
 
 
 # -- cochains --------------------------------------------------------------
@@ -649,6 +718,16 @@ def is_cocycle(c: DeligneCochain, tol=0) -> bool:
     # D(c) applied here, not by deligne_differential, which perfbench wraps
     # and counts; its U(1) layer is measured mod 1, so it is left unreduced
     op = c.layout.differential
+    if isinstance(c.values, array) and c.complex is not None:
+        # every layer is measured mod 1; each block is tested as it is
+        # summed, and the first block that fails ends the test
+        try:
+            return all(
+                all(map(le, map(abs, map(math.remainder, rows, repeat(1.0))), repeat(tol)))
+                for rows in op._block_rows(c.values.tolist(), True, None)
+            )
+        except ValueError:  # remainder() of an infinity: an infinite residual
+            return math.inf <= tol
     den, out = op.sums(c.values)
     if den is None:
         return _residual(op.target, out)[0] <= tol
@@ -964,7 +1043,7 @@ def pullback_cochain(c: DeligneCochain, index_map, simplex_map=None):
                 if vertex_map is not None:
                     s = tuple(vertex_map[v] for v in s)
                     s, sign = tuple(sorted(s)), sign * perm_sign(s)
-                src = layout.slot_index.get((k, img, s))
+                src = layout.find(k, img, s)
                 if src is None:
                     raise DeligneError(f"vertex map disagrees with the index map:"
                                        f" face {img} does not carry {s}")

@@ -23,9 +23,10 @@ h.D_1 = 0 with the assembled differential of :mod:`gerbecalc.deligne`
 
 :func:`holonomy_exponent` sums these terms in one pass in the order
 above, triangles first and then per edge the pair term, the head corner
-and the tail corner, reading each value from the layout's slot index.
-The chart assignment is validated on every call, its edge faces inside
-that pass.
+and the tail corner.  Each value is read from its slot in the cochain's
+layout: the start of the face's run plus the place of the simplex in the
+run.  The chart assignment is validated on every call, its edge faces
+inside that pass.
 
 The result is exp(2pi i S).  The formula is pinned by its invariances
 (gauge shifts, chart reassignment, trivial-gerbe reduction) rather than
@@ -98,13 +99,13 @@ def random_assignment(cc: CoveredComplex, rng) -> ChartAssignment:
 def holonomy_exponent(cc: CoveredComplex, c: DeligneCochain, asg: ChartAssignment):
     """The sum S with surface holonomy exp(2pi i S).
 
-    One pass reads every term from the slot index: the triangles, then per
-    edge the pair term, the head corner and the tail corner.  A term with a
-    repeated chart vanishes and is skipped.  The same pass makes the edge
-    face check of :meth:`ChartAssignment.validate`, edge by edge: a face
-    the nerve lacks has no slot, so its read fails; only the corner faces
-    of an edge whose triangles share a chart are read by no term and are
-    looked up.
+    One pass reads every term from its slot in the layout's face runs: the
+    triangles, then per edge the pair term, the head corner and the tail
+    corner.  A term with a repeated chart vanishes and is skipped.  The
+    same pass makes the edge face check of :meth:`ChartAssignment.validate`,
+    edge by edge: a face the nerve lacks has no run, so its read fails;
+    only the corner faces of an edge whose triangles share a chart are read
+    by no term and are looked up.
     """
     if cc.dim != 2:
         raise HolonomyError("holonomy needs a closed oriented surface")
@@ -126,13 +127,24 @@ def holonomy_exponent(cc: CoveredComplex, c: DeligneCochain, asg: ChartAssignmen
 
 
 def _exponent(cc, c, asg):
-    index, values, pairs = c.layout.slot_index, c.values, c.nerve.face_set(2)
+    layout, values = c.layout, c.values
+    # a slot is the start of its face's run plus the simplex's place in the
+    # run; a pure-nerve cochain has no simplices, so no term finds its slot
+    index = (layout.simplices or ()).index
+    (pos0, pos1, pos2), (st0, st1, st2) = layout.position, layout.starts
+    pairs = c.nerve.face_index(2)
     tri_chart, vertex_chart = asg.triangle_chart, asg.vertex_chart
     total = 0
     # values are stored on canonical (sorted) simplices; the surface
     # integral weights each by the orientation of its mesh triangle
     for t in cc.tri_keys:
-        total += cc.tri_sign[t] * values[index[2, (tri_chart[t],), t]]
+        face = (tri_chart[t],)
+        try:
+            i = pos2[face]
+            slot = index(t, st2[i], st2[i + 1])
+        except (KeyError, ValueError):
+            raise KeyError((2, face, t)) from None
+        total += cc.tri_sign[t] * values[slot]
     for e, ((t1, s1), (t2, _)) in cc.edge_tris.items():
         t_plus, t_minus = (t1, t2) if s1 > 0 else (t2, t1)
         i_plus, i_minus = tri_chart[t_plus], tri_chart[t_minus]
@@ -144,7 +156,12 @@ def _exponent(cc, c, asg):
                     raise HolonomyError(_undeclared(e))
             continue
         lo, hi, sign = (i_plus, i_minus, 1) if i_plus < i_minus else (i_minus, i_plus, -1)
-        total += sign * values[index[1, (lo, hi), e]]
+        try:
+            i = pos1[lo, hi]
+            slot = index(e, st1[i], st1[i + 1])
+        except (KeyError, ValueError):
+            raise KeyError((1, (lo, hi), e)) from None
+        total += sign * values[slot]
         for w, eps in ((head, sign), (tail, -sign)):
             # sort (i+, i-, j), flipping the sign when j lands in the middle
             j = vertex_chart[w]
@@ -156,7 +173,12 @@ def _exponent(cc, c, asg):
                 face, eps = (lo, j, hi), -eps
             else:
                 continue
-            total += eps * values[index[0, face, (w,)]]
+            try:
+                i = pos0[face]
+                slot = index((w,), st0[i], st0[i + 1])
+            except (KeyError, ValueError):
+                raise KeyError((0, face, (w,))) from None
+            total += eps * values[slot]
     return total
 
 
@@ -195,11 +217,11 @@ def _stokes_slots(ball, layout):
     has none.  Built once per (ball, layout) and cached on the ball."""
 
     def build():
-        index, out = layout.slot_index, []
+        out = []
         for face in layout.nerve.faces_of_size(1):
             for tet in _face_domain(ball, face, 3):
                 keys = [(2, face, tet[:j] + tet[j + 1 :]) for j in range(4)]
-                out.append((tet, keys, [index.get(key) for key in keys]))
+                out.append((tet, keys, [layout.find(*key) for key in keys]))
         return out
 
     return cached(ball, ("stokes slots", layout), build)

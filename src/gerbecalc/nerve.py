@@ -149,9 +149,15 @@ class CoverNerve:
 
         return cached(self, ("faces of size", k), build)
 
+    def face_index(self, k):
+        """Each k-index face -> its position in :meth:`faces_of_size` (a
+        shared dict)."""
+        return cached(self, ("face index", k),
+                      lambda: {face: i for i, face in enumerate(self.faces_of_size(k))})
+
     def face_set(self, k):
-        """The k-index faces as a frozenset."""
-        return cached(self, ("face set", k), lambda: frozenset(self.faces_of_size(k)))
+        """The k-index faces, a set-like view of :meth:`face_index`."""
+        return self.face_index(k).keys()
 
     @property
     def faces(self):
@@ -317,27 +323,37 @@ class CoveredComplex:
         except KeyError:
             raise ComplexError(f"simplex has no chart table entry: {key}")
 
-    def face_domains(self, k, size):
+    def file_face_domains(self, k, size):
         """Map each ``size``-index face to the k-simplices carried by all its
-        charts.
+        charts, in one uncached pass.
 
-        One pass files every k-simplex under each ``size``-subset of its
-        chart set, so simplices keep their order within each domain.  Each
-        face is keyed by the nerve's own tuple from
-        :meth:`CoverNerve.faces_of_size`, so one tuple per face serves every
-        table; where the nerve cannot be built or enumerated, each face keeps a
-        tuple of its own.
+        Every k-simplex is filed under each ``size``-subset of its chart set,
+        so simplices keep the complex's order within each domain.  A
+        :class:`~gerbecalc.deligne.Layout` reads its slot runs from this
+        filing and keeps only those runs.
+        """
+        if k == 0:
+            simplices = [(v,) for v in self.vertices]
+        else:
+            simplices = (self.edges, self.tri_keys, self.tet_keys)[k - 1]
+        domains = {}
+        for s in simplices:
+            for face in combinations(sorted(self.charts_of(s)), size):
+                domains.setdefault(face, []).append(s)
+        return domains
+
+    def face_domains(self, k, size):
+        """:meth:`file_face_domains` as tuples, cached on the complex.
+
+        For checkers, discrete Stokes, scripts and tests; Deligne layouts do
+        not cache through it.  Each face is keyed by the nerve's own tuple
+        from :meth:`CoverNerve.faces_of_size`, so one tuple per face serves
+        every table; where the nerve cannot be built or enumerated, each
+        face keeps a tuple of its own.
         """
 
         def build():
-            if k == 0:
-                simplices = [(v,) for v in self.vertices]
-            else:
-                simplices = (self.edges, self.tri_keys, self.tet_keys)[k - 1]
-            domains = {}
-            for s in simplices:
-                for face in combinations(sorted(self.charts_of(s)), size):
-                    domains.setdefault(face, []).append(s)
+            domains = self.file_face_domains(k, size)
             try:
                 shared = {face: face for face in self.nerve().faces_of_size(size)}
             except ComplexError:  # a chart missing, or past FACE_LIMIT

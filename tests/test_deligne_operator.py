@@ -34,9 +34,11 @@ from gerbecalc.deligne import (
     cochain_residual,
     cochain_sub,
     deligne_differential,
+    is_cocycle,
     random_cochain,
     zero_cochain,
 )
+from gerbecalc.holonomy import holonomy_exponent, random_assignment
 from gerbecalc.nerve import (
     coned_ball,
     icosahedron,
@@ -576,15 +578,69 @@ def test_layout_where_names_each_slot(nerve_name, mesh_name):
         layout.slot(2, face, (-1, -2, -3) if cc is not None else None)
 
 
+SLOT_SPACES = ("sphere20", "sphere80", "sphere320", "ball20", "ball20-boundary",
+               *(f"simplex{n}" for n in range(4, 9)))
+
+
+def _slot_space(gather_meshes, name):
+    """(nerve, complex or None) of a gather fixture or a pure-nerve simplex."""
+    if name.startswith("simplex"):
+        return simplex_nerve(int(name[len("simplex"):])), None
+    if name == "ball20-boundary":
+        cc = gather_meshes.setdefault(name, gather_meshes["ball20"].boundary_surface())
+    else:
+        cc = MESHES.get(name) or gather_meshes[name]
+    return cc.nerve(), cc
+
+
+@pytest.mark.parametrize("name", SLOT_SPACES)
+def test_slot_arithmetic_matches_the_slot_order(gather_meshes, name):
+    # slot = start of the face's run + place of the simplex in the run, on
+    # every slot; each run is the cached filing of its face
+    nerve, cc = _slot_space(gather_meshes, name)
+    for p in range(4):
+        layout = cochain_layout(nerve, cc, p, 2)
+        index = {key: slot for slot, key in enumerate(layout.slots())}
+        assert len(index) == layout.size
+        assert [layout.slot(*key) for key in index] == list(index.values())
+        if cc is None:
+            continue
+        for k, (faces, starts) in enumerate(zip(layout.faces, layout.starts)):
+            runs = {face: layout.simplices[a:b]
+                    for face, a, b in zip(faces, starts, starts[1:]) if a < b}
+            assert runs == cc.face_domains(k, p - k + 1)
+
+
+def test_slot_misses_name_the_missing_slot():
+    cc = MESHES["sphere20"]
+    layout = cochain_layout(cc.nerve(), cc, 2, 2)
+    off = next(t for t in cc.tri_keys if 0 not in cc.charts_of(t))
+    pure = cochain_layout(simplex_nerve(4), None, 2, 2)
+    cases = [
+        (layout, (0, (97, 98, 99), (0,)), "component 0 at face (97, 98, 99) on (0,)"),
+        (layout, (2, (0,), off), f"component 2 at face (0,) on {off}"),
+        (layout, (2, (0,), None), "component 2 at face (0,)"),
+        (layout, (3, (0,), cc.tri_keys[0]), f"component 3 at face (0,) on {cc.tri_keys[0]}"),
+        (layout, (-1, (0,), cc.tri_keys[0]), f"component -1 at face (0,) on {cc.tri_keys[0]}"),
+        (pure, (2, (0,), (0, 1, 2)), "component 2 at face (0,) on (0, 1, 2)"),
+        (pure, (0, (0, 1, 7), None), "component 0 at face (0, 1, 7)"),
+    ]
+    for lay, key, where in cases:
+        with pytest.raises(DeligneError, match=re.escape(f"no slot for {where}")):
+            lay.slot(*key)
+        assert lay.find(*key) is None
+
+
 # -- bulk assembly ---------------------------------------------------------
 
 
 def entry_loop_operator(source, target):
     """(indptr, cols, signs, blocks) of D as first assembled: one slot-index
-    lookup and one append per entry, row by row."""
+    lookup and one append per entry, row by row, the index built here from
+    the layout's slot order."""
     p, n = source.degree, source.level
     geometric = source.complex is not None
-    index = source.slot_index
+    index = {key: slot for slot, key in enumerate(source.slots())}
     indptr, cols, signs = array("l", [0]), array("l"), array("b")
     blocks = []
     for k in range(target.n_components):
@@ -661,14 +717,13 @@ def test_bulk_assembly_names_the_first_missing_slot_in_row_order():
 
 
 def test_bulk_assembly_holds_little_beyond_the_operator(gather_meshes):
-    # D_2 of the 320-triangle sphere: each entry position's source keys are
-    # made one at a time as the slot lookup reads them, so assembly holds
-    # about a column of slot ints beyond the finished operator.  Key lists
-    # built before the lookup held about 91 B per nonzero here.
+    # D_2 of the 320-triangle sphere: each entry position's column is found
+    # run by run in the source layout, so assembly holds about one column of
+    # slots beyond the finished operator.  Key lists built before the lookup
+    # held about 91 B per nonzero here.
     cc = gather_meshes["sphere320"]
     source = cochain_layout(cc.nerve(), cc, 2, 2)
     target = cochain_layout(cc.nerve(), cc, 3, 2)
-    assert source.slot_index  # cached on the layout, built before the count
     tracemalloc.start()
     try:
         op = DeligneOperator(source, target)
@@ -677,6 +732,67 @@ def test_bulk_assembly_holds_little_beyond_the_operator(gather_meshes):
         tracemalloc.stop()
     assert len(op.cols) == 36120
     assert (peak - kept) / len(op.cols) < 30
+
+
+def test_layouts_keep_few_bytes_per_slot():
+    # a layout finds a slot from its face's run: it keeps no per-slot index
+    # and caches no face domains on the complex.  With both, this kept
+    # 242 B per slot; without them, 121 B.
+    cc = subdivide_sphere(MESHES["sphere80"])  # fresh: nothing cached on it
+    nerve = cc.nerve()
+    asg = random_assignment(cc, random.Random(64))
+    tracemalloc.start()
+    try:
+        c = zero_cochain(nerve, 2, 2, complex=cc)
+        cochain_layout(nerve, cc, 1, 2).differential
+        holonomy_exponent(cc, c, asg)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    slots = sum(cochain_layout(nerve, cc, p, 2).size for p in (1, 2, 3))
+    assert slots == 22890
+    assert kept / slots < 170
+
+
+# -- the streamed float cocycle test ---------------------------------------
+
+
+@pytest.mark.parametrize("name", ("sphere20", "sphere80", "sphere320", "ball20"))
+def test_streamed_float_cocycle_test_matches_the_residual(gather_meshes, name):
+    # is_cocycle stops at the first failing block of D(c); the oracle sums
+    # all of D(c) and measures it with _residual
+    cc = MESHES.get(name) or gather_meshes[name]
+    nerve = cc.nerve()
+    rng = random.Random(f"streamed {name}")
+    tol = 2.0 ** -30
+    plants = [tol, -tol, 1 - tol, 2 + tol, math.nextafter(tol, 1),
+              -math.nextafter(tol, 1), 0.25, math.nan, math.inf, -math.inf]
+    outcomes = set()
+    for p in (1, 2):
+        layout = cochain_layout(nerve, cc, p, 2)
+        op = layout.differential
+        coboundary = deligne_differential(DeligneCochain(
+            nerve, p - 1, 2, random_geometric(cc, nerve, p - 1, 2, rng), complex=cc
+        ))
+        cases = [coboundary.values, array("d", [rng.uniform(-2, 2) for _ in range(layout.size)])]
+        for k in range(layout.n_components):
+            lo, hi = layout.bounds(k)
+            for value in plants:
+                if k == 0 and not math.isfinite(value):
+                    continue  # a U(1) value is reduced mod 1 when packed
+                # on zeros, the rows that read the slot are exactly +-value
+                values = array("d", bytes(8 * layout.size))
+                values[rng.randrange(lo, hi)] = value
+                noisy = array("d", coboundary.values)
+                noisy[rng.randrange(lo, hi)] += value
+                cases += [values, noisy]
+        for values in cases:
+            c = DeligneCochain.packed(layout, array("d", values))
+            for t in (0, tol, 1e-9):
+                want = deligne._residual(op.target, op.sums(c.values)[1])[0] <= t
+                assert is_cocycle(c, t) is want
+                outcomes.add((t, want))
+    assert outcomes == {(t, want) for t in (0, tol, 1e-9) for want in (False, True)}
 
 
 # -- float wraps and residuals without int round trips ---------------------
