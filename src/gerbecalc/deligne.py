@@ -20,18 +20,15 @@ complex's order; pure-nerve mode has one slot per face.  A
 ``array('d')`` for geometric floats and a list otherwise, so exact
 ``Fraction`` values keep their type.  ``components`` is a read-only
 sequence of per-face dicts; ``components[k]`` unpacks component k alone
-from the vector.  The layout is the one owner of the slot map: the slots
-of a face form one run, and a slot is found by arithmetic, the start of
-its face's run plus the place of its simplex within the run.  A layout
-keeps, per component, the faces, their run starts (an ``array('l')``) and
-the nerve's shared face -> position dict, and in geometric mode the
-simplex of every slot; it holds no per-slot index.  It files the
-simplices of the one face size each component uses in one uncached pass
-over the complex.  Layouts are cached on the complex (geometric mode) or
-the nerve (pure-nerve mode) they describe.  A pullback along a bijection
-of the nerve indices (and of the complex's vertices) moves each slot to
-another up to sign, so :func:`pullback_cochain` is one signed gather over
-the layout.
+from the vector.  The layout is the one owner of the slot map, and it
+holds no per-slot index: the slots of a face form one run, and a slot is
+the start of its face's run plus the place of its simplex in the run.  It
+reads the simplices of each component's face size from one uncached
+filing of the complex.  Layouts are cached on the complex (geometric
+mode) or the nerve (pure-nerve mode) they describe.  A pullback along a
+bijection of the nerve indices (and of the complex's vertices) moves each
+slot to another up to sign, so :func:`pullback_cochain` is one signed
+gather over the layout.
 
 **Operator.**  The total differential is
 D(c)_k = delta(c_k) + (-1)^(p-k+1) d(c_{k-1}), with d = dlog (branch

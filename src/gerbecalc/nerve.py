@@ -155,10 +155,6 @@ class CoverNerve:
         return cached(self, ("face index", k),
                       lambda: {face: i for i, face in enumerate(self.faces_of_size(k))})
 
-    def face_set(self, k):
-        """The k-index faces, a set-like view of :meth:`face_index`."""
-        return self.face_index(k).keys()
-
     @property
     def faces(self):
         """Every face, a frozenset of sorted tuples, enumerated once.

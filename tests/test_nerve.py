@@ -125,7 +125,7 @@ def test_nerve_queries_match_the_subset_closure(name, indices, listed, nerve):
     for k in range(top + 2):
         want = tuple(sorted(f for f in oracle if len(f) == k))
         assert nerve.faces_of_size(k) == want
-        assert nerve.face_set(k) == frozenset(want)
+        assert nerve.face_index(k) == {face: i for i, face in enumerate(want)}
     # maximal faces are canonical: sorted, and none inside another
     assert list(nerve.maximal_faces) == sorted(nerve.maximal_faces)
     # in a subset-closed family, a face is maximal when it is no
@@ -226,7 +226,8 @@ def test_faces_of_size_is_cached_and_read_only():
     pairs = nerve.faces_of_size(2)
     assert isinstance(pairs, tuple) and pairs is nerve.faces_of_size(2)
     assert list(pairs) == sorted(f for f in nerve.faces if len(f) == 2)
-    assert nerve.face_set(2) == frozenset(pairs)
+    assert nerve.face_index(2) == {face: i for i, face in enumerate(pairs)}
+    assert nerve.face_index(2) is nerve.face_index(2)
     assert nerve.faces_of_size(7) == ()
 
 
