@@ -21,11 +21,14 @@ complex's order; pure-nerve mode has one slot per face.  A
 ``Fraction`` values keep their type.  ``components`` is a read-only
 sequence of per-face dicts; ``components[k]`` unpacks component k alone
 from the vector.  The layout is the one owner of the slot map, and it
-holds no per-slot index: the slots of a face form one run, and a slot is
-the start of its face's run plus the place of its simplex in the run.  It
-reads the simplices of each component's face size from one uncached
-filing of the complex.  Layouts are cached on the complex (geometric
-mode) or the nerve (pure-nerve mode) they describe.  A pullback along a
+holds no per-slot index: the slots of a face form one run, listing its
+simplices in the complex's order, and the layout keeps each slot's place
+in that order (about 8 bytes a slot).  A slot is found by bisecting its
+face's run for the place of its simplex, in O(log run) however long the
+run: a coned ball's apex chart, or a cover by a few charts, makes runs
+as long as the complex.  The layout reads each component's runs from one
+uncached filing of the complex.  Layouts are cached on the complex
+(geometric mode) or the nerve (pure-nerve mode) they describe.  A pullback along a
 bijection of the nerve indices (and of the complex's vertices) moves each
 slot to another up to sign, so :func:`pullback_cochain` is one signed
 gather over the layout.
@@ -40,11 +43,11 @@ rule produces both.  :class:`DeligneOperator` assembles D from a layout to
 the next degree's once, as an integer CSR matrix (row pointers, columns,
 signs +-1).  Each block of rows is built in bulk, one column per entry
 position: the source run of each target face is looked up once, and each
-slot's column is the place of its simplex in that run.  A delta entry
-reads the subface's run, which holds the face's run in the same order;
-a d entry reads the face's own run one form degree down.  Assembly holds
-about one column of slots beyond the finished operator (14 B per nonzero
-for D_2 of the 320-triangle sphere).  Since a sign depends only on the
+slot's column is bisected in that run.  A delta entry reads the
+subface's run, which holds the face's run; a d entry reads the face's
+own run one form degree down, which may lack the simplex it picks.
+Assembly holds about one column of slots beyond the finished operator
+(13 B per nonzero for D_2 of the 320-triangle sphere).  Since a sign depends only on the
 entry's position, it is stored once per block.
 It is linear except for the branch wrap, which is applied only to the
 output of the U(1)->1-form block; the wrap only adds integers, which the mod-1 tests
@@ -69,13 +72,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
-from operator import add, gt, itemgetter, le, ne, neg, sub
+from itertools import accumulate, chain, repeat
+from operator import add, eq, gt, itemgetter, le, lt, ne, neg, sub
 
 from .intlinalg import matvec, over_common_denominator, smith_normal_form, solve_rational
 from .nerve import CoverNerve, CoveredComplex, cached, perm_sign
@@ -118,10 +121,14 @@ class Layout:
     ``faces[k][i]``, with a closing entry, counted over the whole vector;
     the slots of a face form one run.  ``position[k]`` maps each face of
     component k to its index in ``faces[k]`` (the nerve's shared
-    :meth:`~gerbecalc.nerve.CoverNerve.face_index`).  ``simplices[slot]`` is
-    the simplex of each slot in geometric mode, and ``simplices`` is None in
-    pure-nerve mode.  A slot is found by arithmetic: the start of its
-    face's run plus the position of its simplex within the run.
+    :meth:`~gerbecalc.nerve.CoverNerve.face_index`).  In geometric mode
+    ``simplices[slot]`` is the simplex of each slot and ``order[slot]`` its
+    place in the complex's k-simplices, both tuples, and ``rank[k]`` maps
+    each k-simplex to its place (the complex's shared
+    :meth:`~gerbecalc.nerve.CoveredComplex.simplex_rank`); all three are
+    None in pure-nerve mode.  A face's run lists its simplices in the
+    complex's order, so :meth:`find` bisects the run's ``order`` for the
+    simplex's place.
     """
 
     def __init__(self, nerve: CoverNerve, complex, degree: int, level: int):
@@ -132,7 +139,7 @@ class Layout:
         self.nerve, self.complex = nerve, complex
         self.degree, self.level = degree, level
         self.faces, self.starts, self.position = [], [], []
-        simplices = []
+        simplices, order, rank = [], [], []
         slot = 0
         for k in range(min(degree, level) + 1):
             size = degree - k + 1
@@ -141,18 +148,21 @@ class Layout:
                 starts = array("l", range(slot, slot + len(faces) + 1))
                 slot += len(faces)
             else:
-                domains = complex.file_face_domains(k, size)
-                starts = array("l", [slot])
-                for face in faces:
-                    dom = domains.get(face, ())
-                    simplices.extend(dom)
-                    slot += len(dom)
-                    starts.append(slot)
+                runs = list(map(complex.file_face_ranks(k, size).get, faces, repeat(())))
+                starts = array("l", accumulate(map(len, runs), initial=slot))
+                slot = starts[-1]
+                runs = list(chain.from_iterable(runs))
+                order += runs
+                simplices += map(complex.simplices_of(k).__getitem__, runs)
+                rank.append(complex.simplex_rank(k))
             self.faces.append(faces)
             self.starts.append(starts)
             self.position.append(nerve.face_index(size))
         self.size = slot
-        self.simplices = tuple(simplices) if complex is not None else None
+        if complex is None:
+            self.simplices = self.order = self.rank = None
+        else:
+            self.simplices, self.order, self.rank = tuple(simplices), tuple(order), rank
 
     @property
     def n_components(self):
@@ -174,18 +184,19 @@ class Layout:
 
     def find(self, k, face, simplex=None):
         """The slot of (k, face, simplex), or None where the layout has none."""
-        if k not in range(self.n_components):
+        if not 0 <= k < len(self.faces):
             return None
         i = self.position[k].get(face)
         if i is None:
             return None
-        lo, hi = self.starts[k][i], self.starts[k][i + 1]
-        if self.simplices is None:
+        starts = self.starts[k]
+        lo, hi = starts[i], starts[i + 1]
+        order = self.order
+        if order is None:
             return lo if simplex is None else None
-        try:
-            return self.simplices.index(simplex, lo, hi)
-        except ValueError:
-            return None
+        r = self.rank[k].get(simplex, -1)  # no simplex has place -1
+        slot = bisect_left(order, r, lo, hi)
+        return slot if slot < hi and order[slot] == r else None
 
     def slot(self, k, face, simplex=None):
         slot = self.find(k, face, simplex)
@@ -351,7 +362,7 @@ class DeligneOperator:
         self.target = target
         p, n = source.degree, source.level
         geometric = source.complex is not None
-        find = source.simplices.index if geometric else None
+        order = source.order
         indptr, cols = array("l", [0]), array("l")
         blocks, patterns = [], []
         for k in range(target.n_components):
@@ -374,27 +385,32 @@ class DeligneOperator:
                 # the source run of each target face: its subface's run in
                 # component k for a delta entry, its own run in component
                 # k - 1 for a d entry
-                rank = k if j < n_delta else k - 1
-                heads = source.starts[rank].tolist()
-                at = list(map(source.position[rank].__getitem__,
+                comp = k if j < n_delta else k - 1
+                heads = source.starts[comp].tolist()
+                at = list(map(source.position[comp].__getitem__,
                               map(_omit(j, p - k + 2), faces) if j < n_delta else faces))
                 if not geometric:  # one slot per face
                     cols[e0 + j :: width] = array("l", map(heads.__getitem__, at))
                     continue
-                # then each slot's place in its face's run.  A subface's run
-                # holds the face's simplices in the same order, so a delta
-                # entry's search needs no end; a d entry's run may lack the
-                # simplex it picks.
-                lo = _per_slot(map(heads.__getitem__, at), owner)
+                # then each slot's place in its face's run, bisected by the
+                # place of its simplex in the complex: the target slot's own
+                # simplex for a delta entry (a subface's run holds the face's
+                # run), the simplex its d term picks for a d entry (a face's
+                # run may lack it)
+                tails = list(map(heads.__getitem__, map(add, at, repeat(1))))
                 if j < n_delta:
-                    col = map(find, target.simplices[r0:r1], lo)
+                    want = target.order[r0:r1]
                 else:
-                    hi = _per_slot(map(heads.__getitem__, map(add, at, repeat(1))), owner)
-                    col = map(find, map(d_terms[j - n_delta][0], target.simplices[r0:r1]),
-                              lo, hi)
-                try:
-                    cols[e0 + j :: width] = array("l", col)
-                except ValueError:
+                    want = array("l", map(source.rank[comp].__getitem__,
+                                          map(d_terms[j - n_delta][0],
+                                              target.simplices[r0:r1])))
+                col = array("l", map(bisect_left, repeat(order), want,
+                                     _per_slot(map(heads.__getitem__, at), owner),
+                                     _per_slot(tails, owner)))
+                if j >= n_delta and not (
+                    all(map(lt, col, _per_slot(tails, owner)))
+                    and all(map(eq, map(order.__getitem__, col), want))
+                ):
                     missing = next(
                         key for face, a, b in zip(faces, starts, starts[1:])
                         for s in target.simplices[a:b]
@@ -403,7 +419,8 @@ class DeligneOperator:
                     )
                     raise DeligneError(
                         f"chart membership not monotone: no slot {missing}"
-                    ) from None
+                    )
+                cols[e0 + j :: width] = col
             indptr.extend(range(e0 + width, len(cols) + 1, width) if width
                           else repeat(e0, r1 - r0))
             # two d entries per row: d eats the U(1) layer (k = 1)
@@ -673,6 +690,17 @@ def cochain_residual(c: DeligneCochain):
     return _residual(c.layout, c.values)
 
 
+def _turn_distances(xs):
+    """|x - round(x)| of each float, lazily: the distance from zero modulo 1.
+
+    math.remainder(x, 1) is exact and equals x - round(x).  A NaN passes
+    through as a NaN, which compares false with any tolerance; an infinity
+    raises ValueError when its distance is reached, and measures as an
+    infinite residual.
+    """
+    return map(abs, map(math.remainder, xs, repeat(1.0)))
+
+
 def _residual(layout, values):
     """:func:`cochain_residual` of a value vector over ``layout``; the U(1)
     layer need not be reduced into [0, 1)."""
@@ -681,9 +709,7 @@ def _residual(layout, values):
     head, tail = values[:cut], values[cut:]
     try:
         if isinstance(values, array):
-            # remainder(x, 1) is exact and equals x - round(x); it raises on
-            # an infinity but passes a NaN through
-            dist = [*map(abs, map(math.remainder, head, repeat(1.0))), *map(abs, tail)]
+            dist = [*_turn_distances(head), *map(abs, tail)]
             clean = not math.isnan(sum(dist))
         else:
             dist = [*map(abs, map(sub, head, map(round, head))), *map(abs, tail)]
@@ -720,10 +746,10 @@ def is_cocycle(c: DeligneCochain, tol=0) -> bool:
         # summed, and the first block that fails ends the test
         try:
             return all(
-                all(map(le, map(abs, map(math.remainder, rows, repeat(1.0))), repeat(tol)))
+                all(map(le, _turn_distances(rows), repeat(tol)))
                 for rows in op._block_rows(c.values.tolist(), True, None)
             )
-        except ValueError:  # remainder() of an infinity: an infinite residual
+        except ValueError:  # an infinity: an infinite residual
             return math.inf <= tol
     den, out = op.sums(c.values)
     if den is None:

@@ -24,9 +24,9 @@ h.D_1 = 0 with the assembled differential of :mod:`gerbecalc.deligne`
 :func:`holonomy_exponent` sums these terms in one pass in the order
 above, triangles first and then per edge the pair term, the head corner
 and the tail corner.  Each value is read from its slot in the cochain's
-layout: the start of the face's run plus the place of the simplex in the
-run.  The chart assignment is validated on every call, its edge faces
-inside that pass.
+layout by :meth:`~gerbecalc.deligne.Layout.find`, which bisects the
+face's run for the simplex.  The chart assignment is validated on every
+call, its edge faces inside that pass.
 
 The result is exp(2pi i S).  The formula is pinned by its invariances
 (gauge shifts, chart reassignment, trivial-gerbe reduction) rather than
@@ -99,7 +99,7 @@ def random_assignment(cc: CoveredComplex, rng) -> ChartAssignment:
 def holonomy_exponent(cc: CoveredComplex, c: DeligneCochain, asg: ChartAssignment):
     """The sum S with surface holonomy exp(2pi i S).
 
-    One pass reads every term from its slot in the layout's face runs: the
+    One pass reads every term from its slot, found by the layout: the
     triangles, then per edge the pair term, the head corner and the tail
     corner.  A term with a repeated chart vanishes and is skipped.  The
     same pass makes the edge face check of :meth:`ChartAssignment.validate`,
@@ -128,10 +128,8 @@ def holonomy_exponent(cc: CoveredComplex, c: DeligneCochain, asg: ChartAssignmen
 
 def _exponent(cc, c, asg):
     layout, values = c.layout, c.values
-    # a slot is the start of its face's run plus the simplex's place in the
-    # run; a pure-nerve cochain has no simplices, so no term finds its slot
-    index = (layout.simplices or ()).index
-    (pos0, pos1, pos2), (st0, st1, st2) = layout.position, layout.starts
+    # a pure-nerve cochain has no simplices, so no term finds its slot
+    find = layout.find
     pairs = c.nerve.face_index(2)
     tri_chart, vertex_chart = asg.triangle_chart, asg.vertex_chart
     total = 0
@@ -139,11 +137,9 @@ def _exponent(cc, c, asg):
     # integral weights each by the orientation of its mesh triangle
     for t in cc.tri_keys:
         face = (tri_chart[t],)
-        try:
-            i = pos2[face]
-            slot = index(t, st2[i], st2[i + 1])
-        except (KeyError, ValueError):
-            raise KeyError((2, face, t)) from None
+        slot = find(2, face, t)
+        if slot is None:
+            raise KeyError((2, face, t))
         total += cc.tri_sign[t] * values[slot]
     for e, ((t1, s1), (t2, _)) in cc.edge_tris.items():
         t_plus, t_minus = (t1, t2) if s1 > 0 else (t2, t1)
@@ -156,11 +152,9 @@ def _exponent(cc, c, asg):
                     raise HolonomyError(_undeclared(e))
             continue
         lo, hi, sign = (i_plus, i_minus, 1) if i_plus < i_minus else (i_minus, i_plus, -1)
-        try:
-            i = pos1[lo, hi]
-            slot = index(e, st1[i], st1[i + 1])
-        except (KeyError, ValueError):
-            raise KeyError((1, (lo, hi), e)) from None
+        slot = find(1, (lo, hi), e)
+        if slot is None:
+            raise KeyError((1, (lo, hi), e))
         total += sign * values[slot]
         for w, eps in ((head, sign), (tail, -sign)):
             # sort (i+, i-, j), flipping the sign when j lands in the middle
@@ -173,11 +167,9 @@ def _exponent(cc, c, asg):
                 face, eps = (lo, j, hi), -eps
             else:
                 continue
-            try:
-                i = pos0[face]
-                slot = index((w,), st0[i], st0[i + 1])
-            except (KeyError, ValueError):
-                raise KeyError((0, face, (w,))) from None
+            slot = find(0, face, (w,))
+            if slot is None:
+                raise KeyError((0, face, (w,)))
             total += eps * values[slot]
     return total
 

@@ -319,27 +319,36 @@ class CoveredComplex:
         except KeyError:
             raise ComplexError(f"simplex has no chart table entry: {key}")
 
-    def file_face_domains(self, k, size):
-        """Map each ``size``-index face to the k-simplices carried by all its
-        charts, in one uncached pass.
+    def simplices_of(self, k):
+        """The k-simplices in the complex's order, vertices as 1-tuples made
+        once and cached, so every table shares them."""
+        if k == 0:
+            return cached(self, "vertex simplices", lambda: [(v,) for v in self.vertices])
+        return (self.edges, self.tri_keys, self.tet_keys)[k - 1]
+
+    def simplex_rank(self, k):
+        """Each k-simplex -> its place in :meth:`simplices_of` (a shared dict)."""
+        return cached(self, ("simplex rank", k),
+                      lambda: {s: r for r, s in enumerate(self.simplices_of(k))})
+
+    def file_face_ranks(self, k, size):
+        """Map each ``size``-index face to the places, in
+        :meth:`simplices_of`, of the k-simplices carried by all its charts,
+        in one uncached pass.
 
         Every k-simplex is filed under each ``size``-subset of its chart set,
-        so simplices keep the complex's order within each domain.  A
-        :class:`~gerbecalc.deligne.Layout` reads its slot runs from this
-        filing and keeps only those runs.
+        so each face's places increase.  A :class:`~gerbecalc.deligne.Layout`
+        reads its slot runs from this filing and keeps only those runs.
         """
-        if k == 0:
-            simplices = [(v,) for v in self.vertices]
-        else:
-            simplices = (self.edges, self.tri_keys, self.tet_keys)[k - 1]
         domains = {}
-        for s in simplices:
+        for r, s in enumerate(self.simplices_of(k)):
             for face in combinations(sorted(self.charts_of(s)), size):
-                domains.setdefault(face, []).append(s)
+                domains.setdefault(face, []).append(r)
         return domains
 
     def face_domains(self, k, size):
-        """:meth:`file_face_domains` as tuples, cached on the complex.
+        """:meth:`file_face_ranks` as tuples of simplices, cached on the
+        complex.
 
         For checkers, discrete Stokes, scripts and tests; Deligne layouts do
         not cache through it.  Each face is keyed by the nerve's own tuple
@@ -349,12 +358,14 @@ class CoveredComplex:
         """
 
         def build():
-            domains = self.file_face_domains(k, size)
+            domains = self.file_face_ranks(k, size)
             try:
                 shared = {face: face for face in self.nerve().faces_of_size(size)}
             except ComplexError:  # a chart missing, or past FACE_LIMIT
                 shared = {}
-            return {shared.get(face, face): tuple(simps) for face, simps in domains.items()}
+            simps = self.simplices_of(k)
+            return {shared.get(face, face): tuple(map(simps.__getitem__, ranks))
+                    for face, ranks in domains.items()}
 
         return cached(self, ("face domains", k, size), build)
 

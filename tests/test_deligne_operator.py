@@ -579,13 +579,29 @@ def test_layout_where_names_each_slot(nerve_name, mesh_name):
 
 
 SLOT_SPACES = ("sphere20", "sphere80", "sphere320", "ball20", "ball20-boundary",
-               *(f"simplex{n}" for n in range(4, 9)))
+               "caps320", *(f"simplex{n}" for n in range(4, 9)))
+
+
+def _two_caps_sphere():
+    """The 320-triangle sphere under two charts, a northern and a southern
+    cap overlapping in a band, so each chart's runs hold about half the
+    complex; a simplex carries the charts of all its vertices."""
+    cc = subdivide_sphere(MESHES["sphere80"])
+    caps = {v: frozenset(i for i, inside in enumerate((z > -0.3, z < 0.3)) if inside)
+            for v, (_, _, z) in cc.coords.items()}
+    cc.charts = {s: frozenset.intersection(*map(caps.__getitem__, s))
+                 for s in cc.all_simplices()}
+    return cc
 
 
 def _slot_space(gather_meshes, name):
-    """(nerve, complex or None) of a gather fixture or a pure-nerve simplex."""
+    """(nerve, complex or None) of a gather fixture, the two-cap sphere or
+    a pure-nerve simplex."""
     if name.startswith("simplex"):
         return simplex_nerve(int(name[len("simplex"):])), None
+    if name == "caps320":
+        cc = gather_meshes.setdefault(name, _two_caps_sphere())
+        return cc.nerve(), cc
     if name == "ball20-boundary":
         cc = gather_meshes.setdefault(name, gather_meshes["ball20"].boundary_surface())
     else:
@@ -609,6 +625,40 @@ def test_slot_arithmetic_matches_the_slot_order(gather_meshes, name):
             runs = {face: layout.simplices[a:b]
                     for face, a, b in zip(faces, starts, starts[1:]) if a < b}
             assert runs == cc.face_domains(k, p - k + 1)
+
+
+class _Reads(tuple):
+    """A tuple that counts the items read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_slot_lookups_bisect_long_runs():
+    # under two caps a face's run holds about half the complex.  A lookup
+    # bisects the run's places in the complex, reading O(log run) of them
+    # where a scan would read about half the run: in Layout.find, in the
+    # assembly of D and in the holonomy exponent's term pass
+    cc = _two_caps_sphere()
+    nerve = cc.nerve()
+    layout = cochain_layout(nerve, cc, 2, 2)
+    longest = max(b - a for starts in layout.starts for a, b in zip(starts, starts[1:]))
+    assert longest > 150
+    most = longest.bit_length() + 1  # bisection steps, then one check
+    layout.order = places = _Reads(layout.order)
+    keys = list(layout.slots())
+    assert [layout.find(*key) for key in keys] == list(range(layout.size))
+    assert 0 < places.reads <= most * len(keys)
+    places.reads = 0
+    op = layout.differential
+    assert 0 < places.reads <= most * len(op.cols)
+    places.reads = 0
+    c = zero_cochain(nerve, 2, 2, complex=cc)
+    assert holonomy_exponent(cc, c, random_assignment(cc, random.Random(5))) == 0
+    assert 0 < places.reads <= most * (len(cc.tri_keys) + 3 * len(cc.edges))
 
 
 def test_slot_misses_name_the_missing_slot():
@@ -735,9 +785,10 @@ def test_bulk_assembly_holds_little_beyond_the_operator(gather_meshes):
 
 
 def test_layouts_keep_few_bytes_per_slot():
-    # a layout finds a slot from its face's run: it keeps no per-slot index
-    # and caches no face domains on the complex.  With both, this kept
-    # 242 B per slot; without them, 121 B.
+    # a layout finds a slot by bisecting its face's run: it keeps each
+    # slot's place in the complex (8 B), no per-slot index and no face
+    # domains cached on the complex.  With both, this kept 242 B per slot;
+    # without them, 133 B.
     cc = subdivide_sphere(MESHES["sphere80"])  # fresh: nothing cached on it
     nerve = cc.nerve()
     asg = random_assignment(cc, random.Random(64))
