@@ -20,15 +20,13 @@ complex's order; pure-nerve mode has one slot per face.  A
 ``array('d')`` for geometric floats and a list otherwise, so exact
 ``Fraction`` values keep their type.  ``components`` is a read-only
 sequence of per-face dicts; ``components[k]`` unpacks component k alone
-from the vector.  The layout is the one owner of the slot map, and it
-holds no per-slot index: the slots of a face form one run, listing its
-simplices in the complex's order, and the layout keeps each slot's place
-in that order (about 8 bytes a slot).  A slot is found by bisecting its
-face's run for the place of its simplex, in O(log run) however long the
-run: a coned ball's apex chart, or a cover by a few charts, makes runs
-as long as the complex.  The layout reads each component's runs from one
-uncached filing of the complex.  Layouts are cached on the complex
-(geometric mode) or the nerve (pure-nerve mode) they describe.  A pullback along a
+from the vector.  The layout is the one owner of the slot map and holds
+no per-slot index: the slots of a face form one run, in the complex's
+order of their simplices, and the layout keeps each slot's place in that
+order, so a slot is found by bisecting its face's run.  That is O(log
+run), and runs can be as long as the complex (a cover by a few charts, a
+coned ball's apex chart).  Layouts are cached on the complex (geometric
+mode) or the nerve (pure-nerve mode) they describe.  A pullback along a
 bijection of the nerve indices (and of the complex's vertices) moves each
 slot to another up to sign, so :func:`pullback_cochain` is one signed
 gather over the layout.
@@ -43,12 +41,10 @@ rule produces both.  :class:`DeligneOperator` assembles D from a layout to
 the next degree's once, as an integer CSR matrix (row pointers, columns,
 signs +-1).  Each block of rows is built in bulk, one column per entry
 position: the source run of each target face is looked up once, and each
-slot's column is bisected in that run.  A delta entry reads the
-subface's run, which holds the face's run; a d entry reads the face's
-own run one form degree down, which may lack the simplex it picks.
-Assembly holds about one column of slots beyond the finished operator
-(13 B per nonzero for D_2 of the 320-triangle sphere).  Since a sign depends only on the
-entry's position, it is stored once per block.
+slot's column is bisected in that run.  Assembly holds about one column
+of slots beyond the finished operator (13 B per nonzero for D_2 of the
+320-triangle sphere).  Since a sign depends only on the entry's
+position, it is stored once per block.
 It is linear except for the branch wrap, which is applied only to the
 output of the U(1)->1-form block; the wrap only adds integers, which the mod-1 tests
 absorb, so D_{p+1} D_p = 0 holds as an exact integer product of the
@@ -116,19 +112,14 @@ def _face_domain(cc: CoveredComplex, face, k):
 class Layout:
     """Slot order of the cochains of one (nerve, complex, degree, level).
 
-    ``faces[k]`` lists the faces of component k in sorted order and
-    ``starts[k][i]`` (an ``array('l')``) is the first slot of
-    ``faces[k][i]``, with a closing entry, counted over the whole vector;
-    the slots of a face form one run.  ``position[k]`` maps each face of
-    component k to its index in ``faces[k]`` (the nerve's shared
-    :meth:`~gerbecalc.nerve.CoverNerve.face_index`).  In geometric mode
-    ``simplices[slot]`` is the simplex of each slot and ``order[slot]`` its
-    place in the complex's k-simplices, both tuples, and ``rank[k]`` maps
-    each k-simplex to its place (the complex's shared
-    :meth:`~gerbecalc.nerve.CoveredComplex.simplex_rank`); all three are
-    None in pure-nerve mode.  A face's run lists its simplices in the
-    complex's order, so :meth:`find` bisects the run's ``order`` for the
-    simplex's place.
+    ``faces[k]`` lists the faces of component k in sorted order,
+    ``position[k]`` maps each to its index there (the nerve's shared
+    :meth:`~gerbecalc.nerve.CoverNerve.face_index`), and ``starts[k][i]``
+    (an ``array('l')``) is the first slot of ``faces[k][i]``, with a
+    closing entry, counted over the whole vector.  In geometric mode
+    ``simplices[slot]`` is each slot's simplex, ``order[slot]`` its place
+    among the complex's k-simplices, and ``rank[k]`` the complex's shared
+    simplex -> place dict; all three are None in pure-nerve mode.
     """
 
     def __init__(self, nerve: CoverNerve, complex, degree: int, level: int):
@@ -183,7 +174,8 @@ class Layout:
                     )
 
     def find(self, k, face, simplex=None):
-        """The slot of (k, face, simplex), or None where the layout has none."""
+        """The slot of (k, face, simplex), bisected in the face's run, or None
+        where the layout has none."""
         if not 0 <= k < len(self.faces):
             return None
         i = self.position[k].get(face)
@@ -691,12 +683,10 @@ def cochain_residual(c: DeligneCochain):
 
 
 def _turn_distances(xs):
-    """|x - round(x)| of each float, lazily: the distance from zero modulo 1.
+    """|x - round(x)| of each float, lazily, by the exact math.remainder.
 
-    math.remainder(x, 1) is exact and equals x - round(x).  A NaN passes
-    through as a NaN, which compares false with any tolerance; an infinity
-    raises ValueError when its distance is reached, and measures as an
-    infinite residual.
+    A NaN stays a NaN, which no tolerance accepts; an infinity raises
+    ValueError, and its residual is infinite.
     """
     return map(abs, map(math.remainder, xs, repeat(1.0)))
 
