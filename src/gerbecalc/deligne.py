@@ -16,9 +16,11 @@ given per simplex.
 level), the order of the slots of a cochain: component by component, the
 faces in sorted order and, in geometric mode, each face's simplices in the
 complex's order; pure-nerve mode has one slot per face.  A
-:class:`DeligneCochain` stores one flat value vector over its layout, an
-``array('d')`` for geometric floats and a list otherwise, so exact
-``Fraction`` values keep their type.  ``components`` is a read-only
+:class:`DeligneCochain` stores one flat value vector over its layout, of
+one of two kinds that :meth:`Layout.pack` chooses once, alike in both
+modes: a list of ``Fraction``s when every value is a ``Fraction`` or an int
+and one at least is a ``Fraction`` (ints promoted), else an
+``array('d')`` of floats.  ``components`` is a read-only
 sequence of per-face dicts; ``components[k]`` unpacks component k alone
 from the vector.  The layout is the one owner of the slot map and holds
 no per-slot index: the slots of a face form one run, in the complex's
@@ -55,13 +57,14 @@ per-face definition, so it is bit-identical to it; the test module keeps
 that definition as its oracle.  Each column of a block is gathered with
 one ``operator.itemgetter`` call on a list of the values (``tolist()`` of
 a float array); the getters are built per call, since keeping them would
-hold a Python int per nonzero.  An exact vector (every value a
-``Fraction``) is summed on integers over one common denominator, the lcm
-of its denominators, and the wrap runs on those integers; each output
-slot is then one ``Fraction``; :func:`is_cocycle` measures those integer
-numerators directly.  Float arrays and mixed lists are summed as they are;
-:func:`is_cocycle` tests a geometric float vector block by block as its
-rows are summed, and stops at the first block that fails.
+hold a Python int per nonzero.  A ``Fraction`` vector is summed on
+integers over one common denominator, the lcm of its denominators, and
+the wrap runs on those integers; each output slot is then one
+``Fraction``; :func:`is_cocycle` and :func:`cochain_residual` measure
+those integer numerators directly.  A float array is summed as it is,
+into a float array; :func:`is_cocycle` tests a geometric float vector
+block by block as its rows are summed, and stops at the first block that
+fails.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import add, eq, gt, itemgetter, le, lt, ne, neg, sub
+from operator import add, eq, gt, itemgetter, le, lt, neg, sub
 
 from .intlinalg import matvec, over_common_denominator, smith_normal_form, solve_rational
 from .nerve import CoverNerve, CoveredComplex, cached, perm_sign
@@ -85,19 +88,9 @@ class DeligneError(ValueError):
 
 
 def _mod1(x):
-    """Reduce a turn value into [0, 1)."""
-    if isinstance(x, Fraction):
-        # x % 1 on the numerator: the same Fraction without Fraction arithmetic
-        return Fraction(x.numerator % x.denominator, x.denominator)
-    return x - math.floor(x)
-
-
-def _wrap_half(x):
-    """Wrap into the branch interval (-1/2, 1/2]."""
-    y = _mod1(x)
-    if isinstance(y, Fraction):
-        return y - 1 if y > Fraction(1, 2) else y
-    return y - 1.0 if y > 0.5 else y
+    """Reduce an exact turn value into [0, 1): x % 1 on the numerator, the
+    same Fraction without Fraction arithmetic."""
+    return Fraction(x.numerator % x.denominator, x.denominator)
 
 
 def _face_domain(cc: CoveredComplex, face, k):
@@ -205,7 +198,9 @@ class Layout:
         return f"component {k} at face {face}{on}"
 
     def pack(self, components):
-        """Flat value vector of per-face component dicts (validated)."""
+        """Flat value vector of per-face component dicts (validated): a list
+        of ``Fraction``s when every value is a ``Fraction`` or an int and one
+        at least is a ``Fraction`` (ints promoted), else an ``array('d')``."""
         if len(components) != self.n_components:
             raise DeligneError(
                 f"expected {self.n_components} components, got {len(components)}"
@@ -245,9 +240,10 @@ class Layout:
                         f"component {k} at face {face}: a {k}-form needs one "
                         f"value per {k}-simplex, not a single number"
                     )
-        if cc is not None and Fraction not in set(map(type, vals)):
-            return array("d", vals)
-        return vals
+        kinds = set(map(type, vals))
+        if Fraction in kinds and kinds <= {Fraction, int}:
+            return list(map(Fraction, vals)) if int in kinds else vals
+        return array("d", vals)
 
     def unpack(self, values, k):
         """Component k of a value vector as a dict face -> value."""
@@ -268,6 +264,14 @@ class Layout:
         return DeligneOperator(
             self, cochain_layout(self.nerve, self.complex, self.degree + 1, self.level)
         )
+
+
+def _like(values, *vectors):
+    """``values`` rebuilt in the kind of ``vectors``: a float array where one
+    of them is a float array, else a list."""
+    if any(isinstance(v, array) for v in vectors):
+        return array("d", values)
+    return list(values)
 
 
 def cochain_layout(nerve, complex, degree, level) -> Layout:
@@ -310,11 +314,12 @@ def _per_slot(values, owner):
 
 
 def _fractional_parts(xs):
-    """[x - floor(x) for x in xs], each as ``_mod1`` computes it.
+    """[x - floor(x) for x in xs]: the U(1) reduction into [0, 1) of a
+    float vector, as ``_mod1`` is of a ``Fraction`` one.
 
     x % 1.0 is exact and equal to it for every finite x but -0.0, which is
     kept as it is.  A NaN or an infinity makes a NaN there, and then
-    math.floor raises at the first of them, as ``_mod1`` does.
+    math.floor raises at the first of them.
     """
     xs = list(xs)
     ys = [x % 1.0 if x else x for x in xs]
@@ -324,13 +329,13 @@ def _fractional_parts(xs):
 
 
 def _wrap_floats(xs):
-    """``_wrap_half`` of each float: y - 1 exactly where y > 1/2."""
+    """Each float wrapped into (-1/2, 1/2]: y - 1 exactly where y > 1/2."""
     ys = _fractional_parts(xs)
     return map(sub, ys, map(gt, ys, repeat(0.5)))
 
 
 def _wrap_over(xs, den):
-    """``_wrap_half`` of each x / den, as numerators over ``den``."""
+    """Each x / den wrapped into (-1/2, 1/2], as numerators over ``den``."""
     ys = [x % den for x in xs]
     return [y - den if 2 * y > den else y for y in ys]
 
@@ -430,34 +435,30 @@ class DeligneOperator:
         return signs
 
     def apply(self, x):
-        """D applied to a value vector of the source layout.
-
-        A list of ``Fraction``s is summed on integers over the lcm of its
-        denominators, and each output slot becomes one ``Fraction``.
-        """
+        """D applied to a value vector of the source layout, of the same
+        kind: a float array, or a list of ``Fraction``s, which is summed on
+        integers over the lcm of its denominators."""
         den, out = self.sums(x)
         return out if den is None else list(map(Fraction, out, repeat(den)))
 
     def sums(self, x):
-        """(den, y): D(x) = y / den as integer numerators when every value of
-        ``x`` is a ``Fraction``, else (None, D(x))."""
-        floats = isinstance(x, array)
-        den = None
-        if not floats and all(type(v) is Fraction for v in x):
-            den, x = over_common_denominator(x)
-        out = array("d") if floats else []
-        for rows in self._block_rows(x.tolist() if floats else x, floats, den):
+        """(den, y): D(x) = y / den as integer numerators for a ``Fraction``
+        list ``x``, (None, D(x)) for a float array."""
+        if isinstance(x, array):
+            den, xs, out = None, x.tolist(), array("d")
+        else:
+            den, xs = over_common_denominator(x)
+            out = []
+        for rows in self._block_rows(xs, den):
             out.extend(rows)
         return den, out
 
-    def _block_rows(self, xs, floats, den):
+    def _block_rows(self, xs, den):
         """The rows of D(x), one iterator per block of rows in order.
 
-        ``xs`` lists the values of x: the floats of a float array
-        (``floats``), integer numerators over ``den``, or else any numbers
-        (``den`` None).
+        ``xs`` lists the values of x: integer numerators over ``den``, or
+        the floats of a float array (``den`` None).
         """
-        exact = den is not None
         indptr, cols = self.indptr, self.cols
         for (r0, r1, n_delta, n_d, d_sign, wrap), signs in zip(self.blocks, self.patterns):
             if r0 == r1:
@@ -465,7 +466,7 @@ class DeligneOperator:
             e0, e1 = indptr[r0], indptr[r1]
             width = n_delta + n_d
             if width == 0:  # pure-nerve top layer: d vanishes on constants
-                yield [0 if exact else Fraction(0)] * (r1 - r0)
+                yield repeat(0.0 if den is None else 0, r1 - r0)
                 continue
 
             def column(j):
@@ -486,12 +487,7 @@ class DeligneOperator:
             if n_d:
                 if wrap:
                     term = fold(n_delta, width, d_sign)
-                    if floats:
-                        term = _wrap_floats(term)
-                    elif exact:
-                        term = _wrap_over(term, den)
-                    else:
-                        term = map(_wrap_half, term)
+                    term = _wrap_floats(term) if den is None else _wrap_over(term, den)
                     if total is None:
                         total = term if d_sign > 0 else map(neg, term)
                     else:
@@ -535,7 +531,9 @@ class DeligneCochain:
 
     @classmethod
     def packed(cls, layout: Layout, values):
-        """Cochain over ``layout`` owning the vector ``values`` (no checks)."""
+        """Cochain over ``layout`` owning the vector ``values`` (no checks),
+        which is of one of the two kinds :meth:`Layout.pack` makes: an
+        ``array('d')`` or a list of ``Fraction``s."""
         c = object.__new__(cls)
         object.__setattr__(c, "layout", layout)
         object.__setattr__(c, "values", _normalize_u1(layout, values))
@@ -630,23 +628,14 @@ def _check_compatible(c1, c2):
 
 
 def cochain_add(c1: DeligneCochain, c2: DeligneCochain) -> DeligneCochain:
+    """c1 + c2, exact only when both are: floats where either is."""
     _check_compatible(c1, c2)
-    if isinstance(c1.values, array) and isinstance(c2.values, array):
-        values = array("d", map(add, c1.values, c2.values))
-    else:
-        values = list(map(add, c1.values, c2.values))
-    return DeligneCochain.packed(c1.layout, values)
-
-
-def cochain_scale(s, c: DeligneCochain) -> DeligneCochain:
-    values = [s * x for x in c.values]
-    if isinstance(c.values, array):
-        values = array("d", values)
-    return DeligneCochain.packed(c.layout, values)
+    values = map(add, c1.values, c2.values)
+    return DeligneCochain.packed(c1.layout, _like(values, c1.values, c2.values))
 
 
 def cochain_neg(c: DeligneCochain) -> DeligneCochain:
-    return cochain_scale(-1, c)
+    return DeligneCochain.packed(c.layout, _like(map(neg, c.values), c.values))
 
 
 def cochain_sub(c1, c2):
@@ -677,7 +666,8 @@ def cochain_residual(c: DeligneCochain):
     The U(1) layer is measured modulo 1, as |x - round(x)|, and so is every
     layer in geometric mode (integer ambiguities arise from the dlog branch
     and exponentiate away); pure-nerve form layers are measured as |x|.
-    ``Fraction``s stay exact.  The first NaN or infinite value is returned.
+    A ``Fraction`` vector is measured exactly; of a float vector, the first
+    NaN or infinite value is returned.
     """
     return _residual(c.layout, c.values)
 
@@ -694,20 +684,17 @@ def _turn_distances(xs):
 def _residual(layout, values):
     """:func:`cochain_residual` of a value vector over ``layout``; the U(1)
     layer need not be reduced into [0, 1)."""
+    if not isinstance(values, array):
+        den, nums = over_common_denominator(values)
+        return _residual_over(layout, nums, den)
     # the U(1) layer comes first; in geometric mode every layer is mod 1
     cut = len(values) if layout.complex is not None else layout.bounds(0)[1]
-    head, tail = values[:cut], values[cut:]
     try:
-        if isinstance(values, array):
-            dist = [*_turn_distances(head), *map(abs, tail)]
-            clean = not math.isnan(sum(dist))
-        else:
-            dist = [*map(abs, map(sub, head, map(round, head))), *map(abs, tail)]
-            clean = not any(map(ne, tail, tail))
-        if clean:  # no NaN
+        dist = [*_turn_distances(values[:cut]), *map(abs, values[cut:])]
+        if not math.isnan(sum(dist)):
             residual = max(dist, default=0.0)
             return residual, dist.index(residual) if dist else None
-    except (ValueError, OverflowError):  # round() of a NaN or an infinity
+    except ValueError:  # the remainder of an infinity
         pass
     slot = next(i for i, x in enumerate(values) if x != x or abs(x) == math.inf)
     return abs(values[slot]), slot
@@ -737,7 +724,7 @@ def is_cocycle(c: DeligneCochain, tol=0) -> bool:
         try:
             return all(
                 all(map(le, _turn_distances(rows), repeat(tol)))
-                for rows in op._block_rows(c.values.tolist(), True, None)
+                for rows in op._block_rows(c.values.tolist(), None)
             )
         except ValueError:  # an infinity: an infinite residual
             return math.inf <= tol
@@ -979,7 +966,8 @@ def trivialization_defect(c, result):
     """Max-norm of (0, 0, rho) - c - D(h, W), by :func:`cochain_residual`."""
     total = cochain_add(c, deligne_differential(result.trivialization))
     lo = total.layout.bounds(total.n_components - 1)[0]
-    values = total.values[:lo] + [x - result.rho for x in total.values[lo:]]
+    values = total.values[:lo]
+    values.extend(map(sub, total.values[lo:], repeat(result.rho)))
     return _residual(total.layout, values)[0]
 
 
@@ -1018,11 +1006,11 @@ def random_u1_cocycle(nerve, rng, denominator=12):
 
 def mul_u1(g1, g2):
     """Pointwise product of U(1) cochains (sum of turns mod 1)."""
-    return {f: _mod1(g1[f] + g2[f]) for f in g1}
+    return {f: (g1[f] + g2[f]) % 1 for f in g1}
 
 
 def inv_u1(g):
-    return {f: _mod1(-g[f]) for f in g}
+    return {f: -g[f] % 1 for f in g}
 
 
 # -- pullback along index maps (group actions, involutions) ----------------
@@ -1061,6 +1049,4 @@ def pullback_cochain(c: DeligneCochain, index_map, simplex_map=None):
                     raise DeligneError(f"vertex map disagrees with the index map:"
                                        f" face {img} does not carry {s}")
                 out.append(sign * values[src])
-    return DeligneCochain.packed(
-        layout, array("d", out) if isinstance(values, array) else out
-    )
+    return DeligneCochain.packed(layout, _like(out, values))

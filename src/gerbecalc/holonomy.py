@@ -45,6 +45,7 @@ from .deligne import (
     DeligneCochain,
     DeligneError,
     _face_domain,
+    _like,
     cochain_layout,
     is_cocycle,
 )
@@ -196,9 +197,7 @@ def restrict_to_boundary(ball: CoveredComplex, c: DeligneCochain):
         ball, ("boundary slots", c.layout),
         lambda: array("l", [c.layout.slot(*key) for key in layout.slots()]),
     )
-    values = c.values
-    restricted = array("d") if isinstance(values, array) else []
-    restricted.extend(map(values.__getitem__, picks))
+    restricted = _like(map(c.values.__getitem__, picks), c.values)
     return boundary, DeligneCochain.packed(layout, restricted)
 
 

@@ -3,7 +3,8 @@ assignments, and checker bundles.
 
 Conventions:
 * rationals are serialized as "p/q" strings (or bare integer strings);
-* floating reals as JSON numbers;
+* floating reals as JSON numbers; in a cochain, a JSON integer is read as
+  an int, so that it stays exact beside "p/q" strings;
 * nerves as their indices and sorted maximal faces;
 * faces and simplices as comma-joined strings of their vertex/index labels
   ("0,2,3") used as object keys;
@@ -129,13 +130,20 @@ def _value_to_json(val):
     return number_to_json(val)
 
 
+def _cochain_number(v):
+    """``number_from_json``, but a JSON integer stays an int: ``Layout.pack``
+    promotes it to a ``Fraction`` beside ``Fraction``s, else to a float."""
+    x = number_from_json(v)
+    return v if type(v) is int else x
+
+
 def _value_from_json(v):
     if isinstance(v, dict):
         return {
-            _key_to_tuple(k): number_from_json(x)
+            _key_to_tuple(k): _cochain_number(x)
             for k, x in v["per-simplex"].items()
         }
-    return number_from_json(v)
+    return _cochain_number(v)
 
 
 def cochain_to_json(c: DeligneCochain, include_spaces=True) -> dict:

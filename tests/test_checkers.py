@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -185,7 +186,7 @@ def test_a_nan_residual_fails_its_check():
     cc = icosahedron()
     for c in (zero_cochain(simplex_nerve(3), 1, 2),
               zero_cochain(cc.nerve(), 1, 2, complex=cc)):
-        values = [float(x) for x in c.values]
+        values = array("d", c.values)
         slot = c.layout.bounds(1)[0]
         values[slot] = nan
         residual, at = cochain_residual(DeligneCochain.packed(c.layout, values))

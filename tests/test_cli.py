@@ -3,6 +3,7 @@ determinism, JSON reports)."""
 
 import json
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,23 @@ def test_json_boolean_is_not_a_number(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "--json", "deligne", "check", str(path))
     assert (code, out, err) == (2, "", "error: JSON value true is not a number\n")
+
+
+def test_json_integers_in_a_cochain_stay_exact_beside_rationals():
+    doc = cochain_to_json(zero_cochain(simplex_nerve(4), 2, 2))
+    doc["components"][0]["0,1,2"] = "1/3"
+    for k, n in ((1, 0), (2, -2)):
+        doc["components"][k] = dict.fromkeys(doc["components"][k], n)
+    c = cochain_from_json(doc)
+    assert set(map(type, c.values)) == {Fraction}
+    assert c.components[0][(0, 1, 2)] == Fraction(1, 3)
+    assert c.components[2][(3,)] == -2
+    # beside a JSON float, or with no "p/q" string, the values are floats
+    doc["components"][2]["3"] = 0.5
+    assert type(cochain_from_json(doc).values) is array
+    doc["components"][0] = dict.fromkeys(doc["components"][0], 0)
+    doc["components"][2]["3"] = 1
+    assert type(cochain_from_json(doc).values) is array
 
 
 @pytest.mark.parametrize("key, value", [("degree", True), ("level", 2.0), ("degree", None)])

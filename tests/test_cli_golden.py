@@ -15,6 +15,7 @@ build.
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -43,10 +44,24 @@ GOLDEN = {
         "37e89a2e26b2301df27b870fbde3f853caf30dc466536f3de97dc2cb371f2e3f",
     "deligne check cocycle.json":
         "be97f9363e012c18a361b9691b08f81756b5cf8c00926a2ebf98e172c5a1de51",
+    "deligne check float_gerbe.json":
+        "be97f9363e012c18a361b9691b08f81756b5cf8c00926a2ebf98e172c5a1de51",
+    "deligne check mixed_gerbe.json":
+        "be97f9363e012c18a361b9691b08f81756b5cf8c00926a2ebf98e172c5a1de51",
+    "deligne check sixtieths_gerbe.json":
+        "be97f9363e012c18a361b9691b08f81756b5cf8c00926a2ebf98e172c5a1de51",
+    "deligne dd sixtieths_gerbe.json":
+        "814235ec1ade008689dd65173ca804c4d23742763e5d0652dba95bbd31d57393",
     "deligne dd twisted.json":
         "563fb71e9913c6c24135c745bb96f9561196618070c2829781ab23ad0a81338e",
     "deligne trivialize coboundary.json":
         "eadbc1378017c5f94be8e6cbfe685bd0d2f19f9d95ee76d2d6e923a726031d10",
+    "deligne trivialize float_gerbe.json":
+        "85d5950f01596ecca68727162ab574c01e946302514df5632a7be7f227951c7e",
+    "deligne trivialize mixed_gerbe.json":
+        "85d5950f01596ecca68727162ab574c01e946302514df5632a7be7f227951c7e",
+    "deligne trivialize sixtieths_gerbe.json":
+        "89c926e840a9a41a5ab648ccae088f29ece49cb3e502e3b0f7744ff7bc008c35",
     "holonomy surface --complex sphere.json --cochain gerbe.json "
     "--assignment assignment.json":
         "f5975860129dc907801e3447ec978d1a3976e8be3af7f1134113ff7cc38ce756",
@@ -54,6 +69,33 @@ GOLDEN = {
     "--field field.json --assignment ball_assignment.json":
         "d9bd88e5f87298638dd2f74deb509b3a2b6f46890d5a65464bf358c9cabdb406",
 }
+
+
+def _dyadic_gerbe(nerve, rng):
+    """A trivial pure-nerve gerbe D(h, W) + (0, 0, rho) whose values are all
+    eighths, so that floats hold them and sum them exactly."""
+    comps = list(deligne_differential(random_cochain(nerve, 1, 2, rng, denominator=8))
+                 .components)
+    rho = Fraction(rng.randrange(-8, 8), 8)
+    comps[2] = {f: b + rho for f, b in comps[2].items()}
+    return DeligneCochain(nerve=nerve, degree=2, level=2, components=tuple(comps))
+
+
+def _sixtieths_gerbe(nerve, rng):
+    """A pure-nerve gerbe D(h, W) with h in 60ths, which floats do not hold,
+    and W integral, so that its form layers are integral."""
+    h = random_cochain(nerve, 1, 2, rng).components[0]
+    W = {f: Fraction(rng.randrange(-3, 3)) for f in nerve.faces_of_size(1)}
+    return deligne_differential(
+        DeligneCochain(nerve=nerve, degree=1, level=2, components=(h, W)))
+
+
+def _numbers_in(doc, layers, number=float):
+    """``doc`` with the "p/q" values of the given components as JSON numbers."""
+    doc = dict(doc, components=list(doc["components"]))
+    for k in layers:
+        doc["components"][k] = {f: number(Fraction(v)) for f, v in doc["components"][k].items()}
+    return doc
 
 
 def _input_documents():
@@ -88,6 +130,15 @@ def _input_documents():
     }
     docs["ball_assignment.json"] = assignment_to_json(
         random_assignment(ball.boundary_surface(), rng))
+
+    # pure-nerve documents with JSON numbers: in every layer, and in the
+    # form layers beside "p/q" strings in the U(1) layer
+    exact = cochain_to_json(_dyadic_gerbe(simplex, random.Random(1702)))
+    docs["float_gerbe.json"] = _numbers_in(exact, (0, 1, 2))
+    docs["mixed_gerbe.json"] = _numbers_in(exact, (1, 2))
+    # JSON integers in the form layers stay exact beside "p/q" strings
+    exact = cochain_to_json(_sixtieths_gerbe(simplex, random.Random(1703)))
+    docs["sixtieths_gerbe.json"] = _numbers_in(exact, (1, 2), int)
     return docs
 
 

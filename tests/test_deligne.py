@@ -16,6 +16,7 @@ from gerbecalc.deligne import (
     DeligneError,
     cech_cohomology,
     cochain_add,
+    cochain_neg,
     cochain_sub,
     dd_class,
     deligne_differential,
@@ -236,6 +237,18 @@ def test_solve_trivialization_zero_and_roundtrip():
         assert trivialization_defect(c, res) == 0
 
 
+def test_float_cochain_trivializes_with_zero_defect():
+    # the defect subtracts rho from the top layer of c + D(h, W), here a
+    # float vector plus an exact one
+    nerve = simplex_nerve(4)
+    zeros = tuple({f: 0.0 for f in nerve.faces_of_size(3 - k)} for k in range(3))
+    c = DeligneCochain(nerve=nerve, degree=2, level=2, components=zeros)
+    res = solve_trivialization(c)
+    assert res.ok and res.rho == 0
+    assert_exactly_zero(res.trivialization)
+    assert trivialization_defect(c, res) == 0
+
+
 def test_solve_trivialization_obstructed_cases():
     nerve, g = torsion_u1_cocycle()
     zero = zero_cochain(nerve, 2, 2)
@@ -308,6 +321,51 @@ def test_cochain_validation():
         DeligneCochain(nerve=nerve, degree=1, level=2, components=({},))
     with pytest.raises(DeligneError):
         DeligneCochain(nerve=nerve, degree=0, level=3, components=({},))
+
+
+def _cochain_of(nerve, complex, pick):
+    """A degree-1 level-2 cochain whose n-th value, in slot order, is pick(n)."""
+    comps, n = [], 0
+    for comp in zero_cochain(nerve, 1, 2, complex=complex).components:
+        comps.append({})
+        for face, val in comp.items():
+            if isinstance(val, dict):
+                comps[-1][face] = {s: pick(n + i) for i, s in enumerate(val)}
+                n += len(val)
+            else:
+                comps[-1][face], n = pick(n), n + 1
+    return DeligneCochain(nerve, 1, 2, tuple(comps), complex=complex)
+
+
+@pytest.mark.parametrize("mode", ("pure-nerve", "geometric"))
+def test_values_are_a_fraction_list_or_a_float_array(mode):
+    cc = icosahedron() if mode == "geometric" else None
+    nerve = cc.nerve() if cc is not None else simplex_nerve(4)
+    picks = {
+        "fractions": lambda n: Fraction(n, 7),
+        "fractions and ints": lambda n: Fraction(1, 3) if n == 5 else n - 9,
+        "ints": lambda n: n - 9,
+        "fractions and a float": lambda n: 0.25 if n == 5 else Fraction(n, 7),
+        "floats": lambda n: n / 7,
+    }
+    c = {name: _cochain_of(nerve, cc, pick) for name, pick in picks.items()}
+    for name in ("fractions", "fractions and ints"):
+        # ints are promoted: every value is a Fraction
+        assert type(c[name].values) is list
+        assert set(map(type, c[name].values)) == {Fraction}
+    assert c["fractions and ints"].values[5] == Fraction(1, 3)
+    assert c["fractions and ints"].values[-1] == c["ints"].values[-1]
+    for name in ("ints", "fractions and a float", "floats"):
+        assert type(c[name].values) is array and c[name].values.typecode == "d"
+    # a float vector with an exact one makes floats, in either order
+    exact, floats = c["fractions"], c["floats"]
+    for total in (cochain_add(exact, floats), cochain_add(floats, exact)):
+        assert type(total.values) is array
+    assert type(cochain_add(exact, exact).values) is list
+    # negation keeps the kind
+    assert type(cochain_neg(floats).values) is array
+    assert set(map(type, cochain_neg(exact).values)) == {Fraction}
+    assert cochain_add(exact, cochain_neg(exact)) == zero_cochain(nerve, 1, 2, complex=cc)
 
 
 def test_traced_entry_points_keep_their_signatures():
