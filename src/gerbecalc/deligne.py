@@ -64,7 +64,9 @@ the wrap runs on those integers; each output slot is then one
 those integer numerators directly.  A float array is summed as it is,
 into a float array; :func:`is_cocycle` tests a geometric float vector
 block by block as its rows are summed, and stops at the first block that
-fails.
+fails.  A cochain remembers the verdict of its last float-array test,
+with the tolerance and the bytes of the values it was given, so a repeat
+test of unchanged values at the same tolerance is one byte comparison.
 """
 
 from __future__ import annotations
@@ -518,16 +520,18 @@ class DeligneCochain:
     degree - k + 1 to its value, a number in pure-nerve mode or (geometric
     mode) a dict keyed by the k-simplices of ``complex`` carrying all the
     face's charts.  A number is also accepted for the U(1) layer in
-    geometric mode.  The cochain keeps only its layout and the flat value
-    vector ``values``; the U(1) layer is reduced into [0, 1).
+    geometric mode.  The cochain keeps its layout and the flat value
+    vector ``values``, whose U(1) layer is reduced into [0, 1), and the
+    verdict of its last float-array :func:`is_cocycle` test.
     """
 
-    __slots__ = ("layout", "values")
+    __slots__ = ("layout", "values", "_verdict")
 
     def __init__(self, nerve, degree, level, components, complex=None):
         layout = cochain_layout(nerve, complex, degree, level)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "values", _normalize_u1(layout, layout.pack(components)))
+        object.__setattr__(self, "_verdict", None)
 
     @classmethod
     def packed(cls, layout: Layout, values):
@@ -537,6 +541,7 @@ class DeligneCochain:
         c = object.__new__(cls)
         object.__setattr__(c, "layout", layout)
         object.__setattr__(c, "values", _normalize_u1(layout, values))
+        object.__setattr__(c, "_verdict", None)
         return c
 
     def __setattr__(self, name, value):
@@ -714,7 +719,25 @@ def _residual_over(layout, nums, den):
 
 
 def is_cocycle(c: DeligneCochain, tol=0) -> bool:
-    """True iff D(c) vanishes up to ``tol``, as :func:`cochain_residual` measures."""
+    """True iff D(c) vanishes up to ``tol``, as :func:`cochain_residual` measures.
+
+    A float array's verdict is kept on the cochain with ``tol`` and the
+    bytes of its values, and given again while both are equal; a write to
+    ``c.values`` in place is therefore tested afresh.  A ``Fraction`` list
+    is tested on every call.
+    """
+    if not isinstance(c.values, array):
+        return _is_cocycle(c, tol)
+    key = c.values.tobytes()
+    last = c._verdict
+    if last is not None and last[0] == tol and last[1] == key:
+        return last[2]
+    verdict = _is_cocycle(c, tol)
+    object.__setattr__(c, "_verdict", (tol, key, verdict))
+    return verdict
+
+
+def _is_cocycle(c, tol):
     # D(c) applied here, not by deligne_differential, which perfbench wraps
     # and counts; its U(1) layer is measured mod 1, so it is left unreduced
     op = c.layout.differential

@@ -18,15 +18,21 @@ chart assignment S is h.c for an integer vector h over the slots of the
 degree-2 cochain layout, so the telescoping is the exact integer identity
 h.D_1 = 0 with the assembled differential of :mod:`gerbecalc.deligne`
 (whose dlog wrap only adds integers, absorbed by exp(2pi i S));
-``tests/test_holonomy.py::test_gauge_invariance_is_exact`` checks it, as
-``tests/test_deligne_operator.py`` checks D_{p+1} D_p = 0.
+``tests/test_holonomy.py::test_library_term_table_is_the_exact_holonomy_vector``
+checks it on the library's own h, as ``tests/test_deligne_operator.py``
+checks D_{p+1} D_p = 0.
 
-:func:`holonomy_exponent` sums these terms in one pass in the order
-above, triangles first and then per edge the pair term, the head corner
-and the tail corner.  Each value is read from its slot in the cochain's
-layout by :meth:`~gerbecalc.deligne.Layout.find`, which bisects the
-face's run for the simplex.  The chart assignment is validated on every
-call, its edge faces inside that pass.
+:func:`holonomy_exponent` reads S as h.c from a term table kept on the
+chart assignment per cochain layout: one slot and one sign per term, in
+the order above (triangles first, then per edge the pair term, the head
+corner and the tail corner), with repeated slots left unmerged.  The
+first call for an (assignment, layout) validates the charts, checks the
+edge faces and finds each term's slot with
+:meth:`~gerbecalc.deligne.Layout.find`, which bisects the face's run; a
+build that raises is not kept.  Every call then gathers the values of
+the table's slots and folds sign * value left to right from 0, so the sum
+is the term loop's to the last bit, on any Python (``sum`` of floats is
+compensated from Python 3.12 on).
 
 The result is exp(2pi i S).  The formula is pinned by its invariances
 (gauge shifts, chart reassignment, trivial-gerbe reduction) rather than
@@ -38,8 +44,12 @@ from __future__ import annotations
 
 import cmath
 from array import array
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
+from types import MappingProxyType
 
 from .deligne import (
     DeligneCochain,
@@ -58,10 +68,20 @@ class HolonomyError(ValueError):
 
 @dataclass(frozen=True)
 class ChartAssignment:
-    """Chart choices i(t) per triangle and i(v) per vertex."""
+    """Chart choices i(t) per triangle and i(v) per vertex.
 
-    triangle_chart: dict  # tri_key -> nerve index
-    vertex_chart: dict  # vertex -> nerve index
+    Both maps are copied into read-only mappings when the assignment is
+    made, so the term tables that :func:`holonomy_exponent` keeps in
+    ``_memo``, one per cochain layout, stay true to them.
+    """
+
+    triangle_chart: Mapping  # tri_key -> nerve index
+    vertex_chart: Mapping  # vertex -> nerve index
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("triangle_chart", "vertex_chart"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     def validate_charts(self, cc: CoveredComplex):
         """Every triangle and vertex has a chart, and its chart holds it."""
@@ -98,16 +118,8 @@ def random_assignment(cc: CoveredComplex, rng) -> ChartAssignment:
 
 
 def holonomy_exponent(cc: CoveredComplex, c: DeligneCochain, asg: ChartAssignment):
-    """The sum S with surface holonomy exp(2pi i S).
-
-    One pass reads every term from its slot, found by the layout: the
-    triangles, then per edge the pair term, the head corner and the tail
-    corner.  A term with a repeated chart vanishes and is skipped.  The
-    same pass makes the edge face check of :meth:`ChartAssignment.validate`,
-    edge by edge: a face the nerve lacks has no run, so its read fails;
-    only the corner faces of an edge whose triangles share a chart are read
-    by no term and are looked up.
-    """
+    """The sum S with surface holonomy exp(2pi i S): h.c, read through the
+    term table of (``asg``, ``c.layout``), built on first use."""
     if cc.dim != 2:
         raise HolonomyError("holonomy needs a closed oriented surface")
     # once per chart table; the cochain and the assignment change per call
@@ -116,24 +128,42 @@ def holonomy_exponent(cc: CoveredComplex, c: DeligneCochain, asg: ChartAssignmen
         raise DeligneError("holonomy input is not a cocycle")
     if (c.degree, c.level) != (2, 2):
         raise DeligneError("holonomy needs a degree-2, level-2 cochain")
-    asg.validate_charts(cc)
-    try:
-        return _exponent(cc, c, asg)
-    except KeyError as exc:
-        # no slot: an undeclared edge face, reported as validate reports it,
-        # or else a slot the cochain lacks, the first in term order
-        asg.validate(cc, c.nerve)
-        c.layout.slot(*exc.args[0])
-        raise
+    slots, signs = _term_table(cc, c.layout, asg)
+    return reduce(add, map(mul, signs, map(c.values.__getitem__, slots)), 0)
 
 
-def _exponent(cc, c, asg):
-    layout, values = c.layout, c.values
-    # a pure-nerve cochain has no simplices, so no term finds its slot
+def _term_table(cc, layout, asg):
+    """(slots, signs) of the terms of S over ``layout``, kept in
+    ``asg._memo`` with the complex and its chart table, and rebuilt when
+    either is another."""
+    kept = asg._memo.get(layout)
+    if kept is None or kept[0] is not cc or kept[1] is not cc.charts:
+        asg.validate_charts(cc)
+        try:
+            table = _terms(cc, layout, asg)
+        except KeyError as exc:
+            # no slot: an undeclared edge face, reported as validate reports it,
+            # or else a slot the layout lacks, the first in term order
+            asg.validate(cc, layout.nerve)
+            layout.slot(*exc.args[0])
+            raise
+        kept = asg._memo[layout] = (cc, cc.charts, *table)
+    return kept[2:]
+
+
+def _terms(cc, layout, asg):
+    """One pass over the terms, in the order of the module docstring, that
+    finds each slot; a term with a repeated chart vanishes and is skipped.
+    The pass makes the edge face check of :meth:`ChartAssignment.validate`
+    edge by edge: a face the nerve lacks has no run, so its lookup fails;
+    only the corner faces of an edge whose triangles share a chart are read
+    by no term and are checked apart."""
+    # a pure-nerve layout has no simplices, so no term finds its slot
     find = layout.find
-    pairs = c.nerve.face_index(2)
+    pairs = layout.nerve.face_index(2)
     tri_chart, vertex_chart = asg.triangle_chart, asg.vertex_chart
-    total = 0
+    slots, signs = array("l"), array("b")
+    put_slot, put_sign = slots.append, signs.append
     # values are stored on canonical (sorted) simplices; the surface
     # integral weights each by the orientation of its mesh triangle
     for t in cc.tri_keys:
@@ -141,13 +171,14 @@ def _exponent(cc, c, asg):
         slot = find(2, face, t)
         if slot is None:
             raise KeyError((2, face, t))
-        total += cc.tri_sign[t] * values[slot]
+        put_slot(slot)
+        put_sign(cc.tri_sign[t])
     for e, ((t1, s1), (t2, _)) in cc.edge_tris.items():
         t_plus, t_minus = (t1, t2) if s1 > 0 else (t2, t1)
         i_plus, i_minus = tri_chart[t_plus], tri_chart[t_minus]
         tail, head = e
         if i_plus == i_minus:
-            # no term, so no read checks the corner faces (i, j)
+            # no term, so no lookup checks the corner faces (i, j)
             for j in (vertex_chart[tail], vertex_chart[head]):
                 if j != i_plus and (min(i_plus, j), max(i_plus, j)) not in pairs:
                     raise HolonomyError(_undeclared(e))
@@ -156,7 +187,8 @@ def _exponent(cc, c, asg):
         slot = find(1, (lo, hi), e)
         if slot is None:
             raise KeyError((1, (lo, hi), e))
-        total += sign * values[slot]
+        put_slot(slot)
+        put_sign(sign)
         for w, eps in ((head, sign), (tail, -sign)):
             # sort (i+, i-, j), flipping the sign when j lands in the middle
             j = vertex_chart[w]
@@ -171,8 +203,9 @@ def _exponent(cc, c, asg):
             slot = find(0, face, (w,))
             if slot is None:
                 raise KeyError((0, face, (w,)))
-            total += eps * values[slot]
-    return total
+            put_slot(slot)
+            put_sign(eps)
+    return slots, signs
 
 
 def surface_holonomy(cc, c, asg) -> complex:

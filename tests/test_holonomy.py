@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ import gerbecalc.holonomy
 from gerbecalc.deligne import (
     DeligneCochain,
     DeligneError,
+    DeligneOperator,
     _face_domain,
     cochain_add,
     cochain_layout,
@@ -27,6 +29,7 @@ from gerbecalc.deligne import (
 from gerbecalc.holonomy import (
     ChartAssignment,
     HolonomyError,
+    _term_table,
     holonomy_exponent,
     random_assignment,
     restrict_to_boundary,
@@ -349,11 +352,14 @@ def _bad_inputs(cc, rng):
 
 @pytest.mark.parametrize("name", ("sphere20", "ball20-boundary"))
 def test_exponent_refuses_what_the_term_loop_refuses(surfaces, name):
+    # a refused term table is not kept: the second call raises again
     cc = surfaces[name]
     cases = {}
     for case, c, asg in _bad_inputs(cc, random.Random(18)):
         cases[case] = _error(holonomy_exponent, cc, c, asg)
         assert cases[case] == _error(reference_holonomy_exponent, cc, c, asg), case
+        assert _error(holonomy_exponent, cc, c, asg) == cases[case], case
+        assert c.layout not in asg._memo, case
     assert len(cases) == (7 if name == "ball20-boundary" else 6)
     assert cases["cochain over another complex"][0] is DeligneError
 
@@ -435,12 +441,13 @@ def test_invalid_assignment_rejected(sphere_setup):
 def test_non_finite_form_value_is_not_a_cocycle(sphere_setup):
     cc, nerve, asg = sphere_setup
     z = zero_cochain(nerve, 2, 2, complex=cc)
-    for bad in (float("nan"), float("inf")):
+    for bad in (float("nan"), float("inf"), float("-inf")):
         values = array("d", z.values)
         values[z.layout.bounds(1)[0]] = bad
         c = DeligneCochain.packed(z.layout, values)
-        with pytest.raises(DeligneError, match="holonomy input is not a cocycle"):
-            surface_holonomy(cc, c, asg)
+        for _ in range(2):  # the second answer is the remembered verdict
+            with pytest.raises(DeligneError, match="holonomy input is not a cocycle"):
+                surface_holonomy(cc, c, asg)
 
 
 def test_complex_is_validated_once_per_chart_table(monkeypatch):
@@ -463,6 +470,178 @@ def test_complex_is_validated_once_per_chart_table(monkeypatch):
     c = zero_cochain(cc.nerve(), 2, 2, complex=cc)
     assert holonomy_exponent(cc, c, asg) == first
     assert calls == [cc, cc]
+
+
+# -- the term table and the remembered cocycle verdict ---------------------
+
+
+@pytest.mark.parametrize("name", ("sphere20", "sphere80", "sphere320", "ball20-boundary"))
+def test_library_term_table_is_the_exact_holonomy_vector(surfaces, name):
+    # the library's own (slots, signs), merged, is the h read off the local
+    # formula, and h.D_1 = 0 as an integer product over the assembled D_1
+    cc = surfaces[name]
+    nerve = cc.nerve()
+    layout = cochain_layout(nerve, cc, 2, 2)
+    d1 = cochain_layout(nerve, cc, 1, 2).differential
+    assert d1.target is layout
+    rng = random.Random(f"table {name}")
+    for _ in range(3):
+        asg = random_assignment(cc, rng)
+        slots, signs = _term_table(cc, layout, asg)
+        assert set(signs) <= {-1, 1}
+        h = {}
+        for slot, sign in zip(slots, signs):
+            h[slot] = h.get(slot, 0) + sign
+        assert h == holonomy_vector(cc, layout, asg)
+        hd = {}
+        for row, coeff in h.items():
+            for e in range(d1.indptr[row], d1.indptr[row + 1]):
+                hd[d1.cols[e]] = hd.get(d1.cols[e], 0) + coeff * d1.signs[e]
+        assert hd and not any(hd.values())
+
+
+def test_assignment_maps_are_copied_and_read_only(sphere_setup):
+    cc, nerve, asg = sphere_setup
+    tri, vert = dict(asg.triangle_chart), dict(asg.vertex_chart)
+    own = ChartAssignment(triangle_chart=tri, vertex_chart=vert)
+    c = random_cocycle(cc, random.Random(25), False)
+    first = holonomy_exponent(cc, c, own)
+    t, v = cc.tri_keys[0], cc.vertices[0]
+    tri[t] = next(i for i in cc.charts_of(t) if i != tri[t])
+    vert.clear()
+    assert holonomy_exponent(cc, c, own) == first
+    assert own.triangle_chart == asg.triangle_chart and own.vertex_chart == asg.vertex_chart
+    with pytest.raises(TypeError):
+        own.triangle_chart[t] = tri[t]
+    with pytest.raises(TypeError):
+        own.vertex_chart[v] = asg.vertex_chart[v]
+
+
+def test_chart_table_reassignment_rebuilds_the_table():
+    cc = icosahedron()
+    rng = random.Random(26)
+    c = random_cocycle(cc, rng, False)
+    asg = random_assignment(cc, rng)
+    assert holonomy_exponent(cc, c, asg) == reference_holonomy_exponent(cc, c, asg)
+    # take the assigned chart off one triangle: the kept table no longer
+    # holds, for the old layout as for the new one
+    t = cc.tri_keys[0]
+    cc.charts = {**cc.charts, t: cc.charts[t] - {asg.triangle_chart[t]}}
+    want = _error(reference_holonomy_exponent, cc, c, asg)
+    assert want[0] is HolonomyError
+    assert _error(holonomy_exponent, cc, c, asg) == want
+    c = random_cocycle(cc, rng, False)
+    for _ in range(5):
+        asg = random_assignment(cc, rng)
+        for _ in range(2):
+            got = holonomy_exponent(cc, c, asg)
+            assert got == reference_holonomy_exponent(cc, c, asg)
+
+
+def test_another_complex_rebuilds_the_table(sphere_setup):
+    # the same layout and chart table over the reversed surface: the terms
+    # change sign, and the table kept for the first complex is not read
+    cc, nerve, asg = sphere_setup
+    c = random_cocycle(cc, random.Random(31), False)
+    flipped = CoveredComplex(
+        dim=2, triangles=[(a, c_, b) for a, b, c_ in cc.triangles],
+        charts=cc.charts, coords=cc.coords,
+    )
+    s = holonomy_exponent(cc, c, asg)
+    got = holonomy_exponent(flipped, c, asg)
+    assert got == reference_holonomy_exponent(flipped, c, asg)
+    assert abs(got + s) < 1e-9
+
+
+def test_gauge_shifts_build_one_table(monkeypatch, sphere_setup):
+    cc, nerve, _ = sphere_setup
+    calls = []
+    validate_charts = ChartAssignment.validate_charts
+
+    def counted(self, cc):
+        calls.append(self)
+        return validate_charts(self, cc)
+
+    monkeypatch.setattr(ChartAssignment, "validate_charts", counted)
+    rng = random.Random(27)
+    asg = random_assignment(cc, rng)
+    base = random_cocycle(cc, rng, False)
+    for _ in range(20):
+        c = cochain_add(base, deligne_differential(random_gauge(nerve, cc, rng)))
+        assert holonomy_exponent(cc, c, asg) == reference_holonomy_exponent(cc, c, asg)
+    assert calls == [asg] and len(asg._memo) == 1
+
+
+def test_exponent_folds_left_to_right(sphere_setup):
+    # sum() of floats is compensated from Python 3.12 on, and reads 1.0 on
+    # these terms; the term loop, and so the exponent, reads 0.0
+    cc, nerve, asg = sphere_setup
+    terms = [1e16, 1.0, -1e16]
+    loop = 0
+    for x in terms:
+        loop += x
+    assert loop == 0.0
+    rho = dict.fromkeys(cc.tri_keys, 0.0)
+    for t, x in zip(cc.tri_keys, terms):
+        rho[t] = cc.tri_sign[t] * x
+    c = trivial_gerbe(nerve, cc, rho)
+    got = holonomy_exponent(cc, c, asg)
+    assert got == reference_holonomy_exponent(cc, c, asg) == loop
+
+
+def test_empty_surface_has_exponent_zero():
+    cc = CoveredComplex(dim=2, triangles=[])
+    c = zero_cochain(cc.nerve(), 2, 2, complex=cc)
+    asg = ChartAssignment(triangle_chart={}, vertex_chart={})
+    assert holonomy_exponent(cc, c, asg) == reference_holonomy_exponent(cc, c, asg) == 0
+
+
+def test_term_table_holds_at_most_16_bytes_a_term(surfaces):
+    cc = surfaces["sphere320"]
+    layout = cochain_layout(cc.nerve(), cc, 2, 2)
+    rng = random.Random(28)
+    _term_table(cc, layout, random_assignment(cc, rng))  # the nerve's shared tables
+    asg = random_assignment(cc, rng)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        slots, signs = _term_table(cc, layout, asg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(slots) == len(signs) > len(cc.tri_keys) + len(cc.edges)
+    assert held <= 16 * len(slots)
+
+
+def test_cocycle_verdict_follows_in_place_writes(sphere_setup):
+    cc, _, _ = sphere_setup
+    c = random_cocycle(cc, random.Random(29), False)
+    assert is_cocycle(c, 1e-9)
+    slot = c.layout.bounds(1)[0]  # a 1-form value
+    kept = c.values[slot]
+    c.values[slot] = kept + 0.25
+    assert not is_cocycle(c, 1e-9)
+    # another tolerance is tested afresh, on the same values
+    assert is_cocycle(c, 0.3) and not is_cocycle(c, 0.2)
+    c.values[slot] = kept
+    assert is_cocycle(c, 1e-9)
+
+
+def test_repeated_holonomy_tests_the_cochain_once(monkeypatch, sphere_setup):
+    cc, _, _ = sphere_setup
+    rng = random.Random(30)
+    c = random_cocycle(cc, rng, False)
+    calls = []
+    block_rows = DeligneOperator._block_rows
+
+    def counted(self, xs, den):
+        calls.append(self)
+        return block_rows(self, xs, den)
+
+    monkeypatch.setattr(DeligneOperator, "_block_rows", counted)
+    holonomies = [surface_holonomy(cc, c, random_assignment(cc, rng)) for _ in range(5)]
+    assert len(calls) == 1
+    assert all(abs(h - holonomies[0]) < 1e-9 for h in holonomies)
 
 
 # -- Stokes ---------------------------------------------------------------
