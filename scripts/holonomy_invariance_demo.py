@@ -7,7 +7,6 @@ import random
 
 from gerbecalc.deligne import (
     DeligneCochain,
-    _face_domain,
     cochain_add,
     deligne_differential,
     zero_cochain,
@@ -17,23 +16,15 @@ from gerbecalc.nerve import coned_ball, icosahedron
 
 
 def random_gauge(nerve, cc, rng):
-    c0 = {
-        f: {s: rng.random() for s in _face_domain(cc, f, 0)}
-        for f in nerve.faces_of_size(2)
-    }
-    c1 = {
-        f: {s: rng.uniform(-2, 2) for s in _face_domain(cc, f, 1)}
-        for f in nerve.faces_of_size(1)
-    }
+    z = zero_cochain(nerve, 1, 2, complex=cc)
+    c0 = {f: {s: rng.random() for s in vals} for f, vals in z.components[0].items()}
+    c1 = {f: {s: rng.uniform(-2, 2) for s in vals} for f, vals in z.components[1].items()}
     return DeligneCochain(nerve=nerve, degree=1, level=2, components=(c0, c1), complex=cc)
 
 
 def trivial_gerbe(nerve, cc, rho):
     z = zero_cochain(nerve, 2, 2, complex=cc)
-    b = {
-        f: {s: rho[s] for s in _face_domain(cc, f, 2)}
-        for f in nerve.faces_of_size(1)
-    }
+    b = {f: {s: rho[s] for s in vals} for f, vals in z.components[2].items()}
     return DeligneCochain(
         nerve=nerve, degree=2, level=2,
         components=(z.components[0], z.components[1], b), complex=cc,
@@ -70,15 +61,7 @@ def main():
     ball = coned_ball(icosahedron())
     bnerve = ball.nerve()
     b_global = {t: rng.uniform(-1, 1) for t in ball.tri_keys}
-    z = zero_cochain(bnerve, 2, 2, complex=ball)
-    b = {
-        f: {s: b_global[s] for s in _face_domain(ball, f, 2)}
-        for f in bnerve.faces_of_size(1)
-    }
-    cball = DeligneCochain(
-        nerve=bnerve, degree=2, level=2,
-        components=(z.components[0], z.components[1], b), complex=ball,
-    )
+    cball = trivial_gerbe(bnerve, ball, b_global)
     H = {
         tet: sum(
             (-1) ** j * b_global[tuple(x for m, x in enumerate(tet) if m != j)]

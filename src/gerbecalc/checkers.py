@@ -17,7 +17,7 @@ import numpy as np
 from .deligne import (
     DeligneCochain,
     DeligneError,
-    _face_domain,
+    chartwise_db,
     cochain_add,
     cochain_neg,
     cochain_residual,
@@ -256,7 +256,10 @@ def check_module_data(c: DeligneCochain, data: GerbeModuleData,
                     + G_ij^{-1} dG_ij = 0 per edge, with dG from principal
                     logarithms of G(u)^{-1} G(v);
     3. curving:     omega = B_i + (1/n) tr(d Pi_i) / (2 pi i) per triangle;
-    plus the derived curvature equality d omega = d B_i on tetrahedra.
+    plus, on a 3-complex, the derived curvature equality d omega = d B_i on
+    each tetrahedron of each chart i, as
+    :func:`~gerbecalc.deligne.chartwise_db` lists them, both sides folded
+    left to right.
 
     The sign of the dG term is tied to the sign of the dlog mixing term in
     the degree-1 differential: with the convention implemented here, the
@@ -273,11 +276,11 @@ def check_module_data(c: DeligneCochain, data: GerbeModuleData,
     eye = np.eye(n)
 
     def cocycle():
-        for face in c.nerve.faces_of_size(3):
+        for face, g in c.component(0).items():
             i, j, k = face
-            for (v,) in _face_domain(cc, face, 0):
+            for (v,), g_v in g.items():
                 m = (
-                    cmath.exp(TWO_PI_I * c.value(0, face, (v,)))
+                    cmath.exp(TWO_PI_I * g_v)
                     * np.asarray(data.transitions[(i, k)][v])
                     @ np.linalg.inv(data.transitions[(j, k)][v])
                     @ np.linalg.inv(data.transitions[(i, j)][v])
@@ -285,16 +288,16 @@ def check_module_data(c: DeligneCochain, data: GerbeModuleData,
                 yield float(np.max(np.abs(m - eye))), f"face {face}, vertex {v}"
 
     def connection():
-        for face in c.nerve.faces_of_size(2):
+        for face, a in c.component(1).items():
             i, j = face
-            for e in _face_domain(cc, face, 1):
+            for e, a_e in a.items():
                 u, v = e
                 gu = np.asarray(data.transitions[face][u])
                 gu_inv = np.linalg.inv(gu)
                 gv = np.asarray(data.transitions[face][v])
                 dlog = _principal_log_unitary(gu_inv @ gv, f"edge {e} of face {face}")
                 resid = (
-                    TWO_PI_I * c.value(1, face, e) * eye
+                    TWO_PI_I * a_e * eye
                     + np.asarray(data.connections[j][e])
                     - gu_inv @ np.asarray(data.connections[i][e]) @ gu
                     + dlog
@@ -302,28 +305,21 @@ def check_module_data(c: DeligneCochain, data: GerbeModuleData,
                 yield float(np.max(np.abs(resid))), f"face {face}, edge {e}"
 
     def curving():
-        for face in c.nerve.faces_of_size(1):
+        for face, b in c.component(2).items():
             (i,) = face
             pi = data.connections[i]
-            for t in _face_domain(cc, face, 2):
+            for t, b_t in b.items():
                 a_, b_, c_ = t
                 dpi = pi[(b_, c_)] - pi[(a_, c_)] + pi[(a_, b_)]
-                r = abs(
-                    data.omega[t]
-                    - c.value(2, face, t)
-                    - complex(np.trace(dpi)) / (TWO_PI_I * n)
-                )
+                r = abs(data.omega[t] - b_t - complex(np.trace(dpi)) / (TWO_PI_I * n))
                 yield float(r), f"chart {i}, triangle {t}"
 
     def curvature():
         if cc.dim != 3:
             return
-        for face in c.nerve.faces_of_size(1):
-            for tk in _face_domain(cc, face, 3):
-                sides = list(enumerate(tk[:m] + tk[m + 1 :] for m in range(4)))
-                d_omega = sum((-1) ** m * data.omega[t] for m, t in sides)
-                d_b = sum((-1) ** m * c.value(2, face, t) for m, t in sides)
-                yield float(abs(d_omega - d_b)), f"chart {face[0]}, tet {tk}"
+        for (i,), tk, d_b in chartwise_db(cc, c):
+            o0, o1, o2, o3 = (data.omega[tk[:m] + tk[m + 1 :]] for m in range(4))
+            yield float(abs(o0 - o1 + o2 - o3 - d_b)), f"chart {i}, tet {tk}"
 
     return CheckReport(checks=tuple(
         Check.worst(name, tol, pairs())

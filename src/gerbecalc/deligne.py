@@ -95,12 +95,6 @@ def _mod1(x):
     return Fraction(x.numerator % x.denominator, x.denominator)
 
 
-def _face_domain(cc: CoveredComplex, face, k):
-    """k-simplices of the complex carried by every chart in ``face``."""
-    face = tuple(face)
-    return cc.face_domains(k, len(face)).get(face, ())
-
-
 # -- layouts ---------------------------------------------------------------
 
 
@@ -755,6 +749,39 @@ def _is_cocycle(c, tol):
     if den is None:
         return _residual(op.target, out)[0] <= tol
     return _residual_over(op.target, out, den)[0] <= tol
+
+
+# -- chart-wise curvature --------------------------------------------------
+
+
+def chartwise_db(cc: CoveredComplex, c: DeligneCochain):
+    """(chart face, tet, dB) for each chart i of ``c``'s nerve and each
+    tetrahedron of ``cc`` carried by i, in chart order and then in the
+    complex's order.
+
+    dB = B(f0) - B(f1) + B(f2) - B(f3) is folded left to right, f_j being
+    the tetrahedron without its j-th vertex and B(f_j) the value of
+    component 2 at (i,) on f_j.  The four slots of each (chart, tet) are
+    found once per (complex, layout) and cached on the complex; where one
+    is missing, :meth:`Layout.slot`'s error is raised when its tetrahedron
+    is reached.
+    """
+    layout, values = c.layout, c.values
+
+    def build():
+        tets, filing = cc.simplices_of(3), cc.file_face_ranks(3, 1)
+        return [
+            (face, tet, tuple(layout.find(2, face, tet[:j] + tet[j + 1 :]) for j in range(4)))
+            for face in layout.nerve.faces_of_size(1)
+            for tet in map(tets.__getitem__, filing.get(face, ()))
+        ]
+
+    for face, tet, slots in cached(cc, ("dB slots", layout), build):
+        if None in slots:
+            for j in range(4):
+                layout.slot(2, face, tet[:j] + tet[j + 1 :])
+        a, b, e, f = map(values.__getitem__, slots)
+        yield face, tet, a - b + e - f
 
 
 # -- nerve cohomology and the obstruction class ----------------------------

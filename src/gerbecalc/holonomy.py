@@ -54,8 +54,8 @@ from types import MappingProxyType
 from .deligne import (
     DeligneCochain,
     DeligneError,
-    _face_domain,
     _like,
+    chartwise_db,
     cochain_layout,
     is_cocycle,
 )
@@ -234,23 +234,6 @@ def restrict_to_boundary(ball: CoveredComplex, c: DeligneCochain):
     return boundary, DeligneCochain.packed(layout, restricted)
 
 
-def _stokes_slots(ball, layout):
-    """(tet, keys, slots) per (chart i, tetrahedron in chart i), in the
-    order of the charts and of each chart's domain: the B slots
-    (2, (i,), tet minus its j-th vertex) for j = 0..3, None where the layout
-    has none.  Built once per (ball, layout) and cached on the ball."""
-
-    def build():
-        out = []
-        for face in layout.nerve.faces_of_size(1):
-            for tet in _face_domain(ball, face, 3):
-                keys = [(2, face, tet[:j] + tet[j + 1 :]) for j in range(4)]
-                out.append((tet, keys, [layout.find(*key) for key in keys]))
-        return out
-
-    return cached(ball, ("stokes slots", layout), build)
-
-
 def stokes_check(
     ball: CoveredComplex,
     c: DeligneCochain,
@@ -263,22 +246,21 @@ def stokes_check(
 
     ``c`` is a degree-2 cocycle over the nerve of the 3-complex whose
     2-form layer B is realized on all triangles; ``H`` assigns a value to
-    each tetrahedron and must equal dB chart-wise.
+    each tetrahedron and must equal dB chart-wise: for each chart i and
+    each tetrahedron of ``ball`` carried by i, as
+    :func:`~gerbecalc.deligne.chartwise_db` lists them, |dB_i - H| may not
+    pass ``exactness_tol``.  The first tetrahedron that fails raises
+    :class:`HolonomyError`, and a B slot that ``c`` lacks raises the
+    layout's ``DeligneError``.  Returns (boundary holonomy, bulk phase,
+    whether they agree within ``tol``).
     """
     if ball.dim != 3:
         raise HolonomyError("stokes_check needs a 3-complex")
     missing = next((tet for tet in ball.tet_keys if tet not in H), None)
     if missing is not None:
         raise HolonomyError(f"no field value on tetrahedron {missing}")
-    values = c.values
-    for tet, keys, slots in _stokes_slots(ball, c.layout):
-        if None in slots:  # raise the slot's error, as in term order
-            for key in keys:
-                c.layout.slot(*key)
-        a, b, e, f = map(values.__getitem__, slots)
-        # the alternating sum over the four faces, in the order and with the
-        # roundings of sum((-1) ** j * B(face_j) for j in range(4))
-        if abs(a - b + e - f - H[tet]) > exactness_tol:
+    for _, tet, db in chartwise_db(ball, c):
+        if abs(db - H[tet]) > exactness_tol:
             raise HolonomyError(f"B is not a chart-wise primitive of H at {tet}")
     boundary, cb = restrict_to_boundary(ball, c)
     hol_boundary = surface_holonomy(boundary, cb, asg)

@@ -12,9 +12,9 @@ that enumeration is refused past :data:`FACE_LIMIT`.
 
 A :class:`CoveredComplex` is an oriented triangulated surface or
 3-complex whose simplices each know which charts contain them; its nerve
-is generated by the per-simplex chart sets, and its face domains file
-each k-simplex under the subsets of one size of its chart set, keyed by
-the nerve's own face tuples.
+is generated by the per-simplex chart sets, and one uncached filing,
+:meth:`CoveredComplex.file_face_ranks`, files each k-simplex under the
+subsets of one size of its chart set.
 
 Mesh fixtures (icosahedral spheres, their subdivisions, and coned solid
 balls) live here too, together with the vertex-star cover used by the
@@ -248,8 +248,8 @@ class CoveredComplex:
     tetrahedra: list = field(default_factory=list)  # oriented 4-tuples
     charts: dict = field(default_factory=dict)  # simplex_key -> frozenset
     coords: dict = field(default_factory=dict)  # vertex -> tuple of floats
-    # tables derived from the chart table (face domains, nerve, Deligne
-    # layouts and operators); replaced whenever ``charts`` is reassigned
+    # tables derived from the chart table (nerve, Deligne layouts and
+    # operators, slot tables); replaced whenever ``charts`` is reassigned
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __setattr__(self, name, value):
@@ -338,36 +338,16 @@ class CoveredComplex:
 
         Every k-simplex is filed under each ``size``-subset of its chart set,
         so each face's places increase.  A :class:`~gerbecalc.deligne.Layout`
-        reads its slot runs from this filing and keeps only those runs.
+        reads its slot runs from this filing and keeps only those runs; the
+        chart-wise dB reader of :mod:`gerbecalc.deligne` reads the
+        tetrahedra of each chart from it.  It is the complex's one face
+        filing: read the simplices of a face through :meth:`simplices_of`.
         """
         domains = {}
         for r, s in enumerate(self.simplices_of(k)):
             for face in combinations(sorted(self.charts_of(s)), size):
                 domains.setdefault(face, []).append(r)
         return domains
-
-    def face_domains(self, k, size):
-        """:meth:`file_face_ranks` as tuples of simplices, cached on the
-        complex.
-
-        For checkers, discrete Stokes, scripts and tests; Deligne layouts do
-        not cache through it.  Each face is keyed by the nerve's own tuple
-        from :meth:`CoverNerve.faces_of_size`, so one tuple per face serves
-        every table; where the nerve cannot be built or enumerated, each
-        face keeps a tuple of its own.
-        """
-
-        def build():
-            domains = self.file_face_ranks(k, size)
-            try:
-                shared = {face: face for face in self.nerve().faces_of_size(size)}
-            except ComplexError:  # a chart missing, or past FACE_LIMIT
-                shared = {}
-            simps = self.simplices_of(k)
-            return {shared.get(face, face): tuple(map(simps.__getitem__, ranks))
-                    for face, ranks in domains.items()}
-
-        return cached(self, ("face domains", k, size), build)
 
     # -- invariants --------------------------------------------------------
 

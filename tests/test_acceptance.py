@@ -16,7 +16,6 @@ import pytest
 
 from gerbecalc.deligne import (
     DeligneCochain,
-    _face_domain,
     cochain_add,
     dd_class,
     deligne_differential,

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import random
+import re
 from array import array
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from gerbecalc.cli import main
 from gerbecalc.deligne import (
     DeligneCochain,
     DeligneError,
-    _face_domain,
     cochain_add,
     cochain_neg,
     cochain_residual,
@@ -35,9 +35,11 @@ from gerbecalc.deligne import (
     random_cochain,
     zero_cochain,
 )
-from gerbecalc.nerve import icosahedron, simplex_nerve, sphere_nerve
+from gerbecalc.nerve import coned_ball, icosahedron, simplex_nerve, sphere_nerve
 from gerbecalc.report import Check
 from gerbecalc.serialize import module_bundle_from_json, module_bundle_to_json
+
+from filing import carried
 
 TWO_PI_I = 2j * np.pi
 
@@ -134,7 +136,7 @@ def random_geometric_cochain(cc, nerve, degree, rng):
         nerve=nerve, degree=degree, level=2, complex=cc,
         components=tuple(
             {
-                face: {s: rng.uniform(-2, 2) for s in _face_domain(cc, face, k)}
+                face: {s: rng.uniform(-2, 2) for s in carried(cc, face, k)}
                 for face in nerve.faces_of_size(degree - k + 1)
             }
             for k in range(min(degree, 2) + 1)
@@ -514,7 +516,7 @@ def module_setup():
 def line_bundle_data(cc, nerve, rng):
     """Rank-1 module data over the trivial gerbe (0, 0, C)."""
     f = {
-        i: {v: rng.uniform(-0.04, 0.04) for (v,) in _face_domain(cc, (i,), 0)}
+        i: {v: rng.uniform(-0.04, 0.04) for (v,) in carried(cc, (i,), 0)}
         for (i,) in nerve.faces_of_size(1)
     }
     alpha = {e: rng.uniform(-0.05, 0.05) for e in cc.edges}
@@ -523,7 +525,7 @@ def line_bundle_data(cc, nerve, rng):
     transitions = {
         (i, j): {
             v: np.array([[cmath.exp(TWO_PI_I * (f[j][v] - f[i][v]))]])
-            for (v,) in _face_domain(cc, (i, j), 0)
+            for (v,) in carried(cc, (i, j), 0)
         }
         for (i, j) in nerve.faces_of_size(2)
     }
@@ -532,7 +534,7 @@ def line_bundle_data(cc, nerve, rng):
             (u, v): np.array(
                 [[TWO_PI_I * (-(f[i][v] - f[i][u]) + alpha[(u, v)])]]
             )
-            for (u, v) in _face_domain(cc, (i,), 1)
+            for (u, v) in carried(cc, (i,), 1)
         }
         for (i,) in nerve.faces_of_size(1)
     }
@@ -545,7 +547,7 @@ def line_bundle_data(cc, nerve, rng):
 
     z = zero_cochain(nerve, 2, 2, complex=cc)
     b_comp = {
-        face: {t: C[t] for t in _face_domain(cc, face, 2)}
+        face: {t: C[t] for t in carried(cc, face, 2)}
         for face in nerve.faces_of_size(1)
     }
     cocycle = DeligneCochain(
@@ -563,6 +565,59 @@ def test_module_line_bundle_passes(module_setup):
     cocycle, data = line_bundle_data(cc, nerve, rng)
     report = check_module_data(cocycle, data, tol=1e-9)
     assert report.ok, report.as_dict()
+
+
+class _DyadicRandom(random.Random):
+    """Draws uniform values in 64ths, which floats hold and sum exactly in
+    any order, so a residual does not depend on how a sum is rounded."""
+
+    def uniform(self, a, b):
+        return round(super().uniform(a, b) * 64) / 64
+
+
+def reference_curvature(c, data):
+    """check_module_data's curvature rows as first written: per (chart,
+    tetrahedron), dω and dB each summed over the four faces with ``sum``,
+    B read by one ``c.value`` per face."""
+    cc = c.complex
+    for face in c.nerve.faces_of_size(1):
+        for tk in (tk for tk in cc.tet_keys if face[0] in cc.charts_of(tk)):
+            sides = list(enumerate(tk[:m] + tk[m + 1 :] for m in range(4)))
+            d_omega = sum((-1) ** m * data.omega[t] for m, t in sides)
+            d_b = sum((-1) ** m * c.value(2, face, t) for m, t in sides)
+            yield float(abs(d_omega - d_b)), f"chart {face[0]}, tet {tk}"
+
+
+def test_module_data_on_a_3_complex_checks_the_curvature():
+    ball = coned_ball(icosahedron())
+    cocycle, data = line_bundle_data(ball, ball.nerve(), _DyadicRandom(31))
+    report = check_module_data(cocycle, data, tol=1e-9)
+    assert report.ok, report.as_dict()
+    assert report.checks[3] == Check.worst("curvature", 1e-9,
+                                           reference_curvature(cocycle, data))
+    # ω off by a quarter on one triangle: every tetrahedron on it fails
+    t = ball.tri_keys[17]
+    spoiled = GerbeModuleData(data.rank, data.transitions, data.connections,
+                              {**data.omega, t: data.omega[t] + 0.25})
+    curvature = check_module_data(cocycle, spoiled, tol=1e-9).checks[3]
+    assert curvature == Check.worst("curvature", 1e-9, reference_curvature(cocycle, spoiled))
+    assert (curvature.name, curvature.residual, curvature.ok) == ("curvature", 0.25, False)
+    chart, tet = re.fullmatch(r"chart (\d+), tet (\(.*\))", curvature.where).groups()
+    tet = tuple(map(int, tet[1:-1].split(", ")))
+    assert tet in ball.tet_keys and set(t) < set(tet) and int(chart) in ball.charts_of(tet)
+    # a triangle that lacks a chart a tetrahedron on it carries: the B read
+    # (2, (i,), t) has no slot, and the error is the value loop's
+    lacking = coned_ball(icosahedron())
+    tet = lacking.tet_keys[5]
+    t, i = tet[1:], tet[1]
+    lacking.charts = {**lacking.charts, t: lacking.charts[t] - {i}}
+    cocycle, data = line_bundle_data(lacking, lacking.nerve(), _DyadicRandom(32))
+    with pytest.raises(DeligneError) as want:
+        list(reference_curvature(cocycle, data))
+    assert str(want.value) == f"no slot for component 2 at face ({i},) on {t}"
+    with pytest.raises(DeligneError) as got:
+        check_module_data(cocycle, data, tol=1e-9)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 def test_module_bundle_json_round_trip(module_setup):
@@ -625,7 +680,7 @@ def test_module_identity_data_passes(module_setup):
     C = {t: rng.uniform(-0.5, 0.5) for t in cc.tri_keys}
     z = zero_cochain(nerve, 2, 2, complex=cc)
     b_comp = {
-        face: {t: C[t] for t in _face_domain(cc, face, 2)}
+        face: {t: C[t] for t in carried(cc, face, 2)}
         for face in nerve.faces_of_size(1)
     }
     cocycle = DeligneCochain(
@@ -636,11 +691,11 @@ def test_module_identity_data_passes(module_setup):
     data = GerbeModuleData(
         rank=n,
         transitions={
-            (i, j): {v: np.eye(n) for (v,) in _face_domain(cc, (i, j), 0)}
+            (i, j): {v: np.eye(n) for (v,) in carried(cc, (i, j), 0)}
             for (i, j) in nerve.faces_of_size(2)
         },
         connections={
-            i: {e: np.zeros((n, n)) for e in _face_domain(cc, (i,), 1)}
+            i: {e: np.zeros((n, n)) for e in carried(cc, (i,), 1)}
             for (i,) in nerve.faces_of_size(1)
         },
         omega=C,
@@ -671,11 +726,11 @@ def test_module_gauge_transport_metamorphic(module_setup):
     cocycle, data = line_bundle_data(cc, nerve, rng)
 
     h = {
-        face: {s: rng.uniform(-0.03, 0.03) for s in _face_domain(cc, face, 0)}
+        face: {s: rng.uniform(-0.03, 0.03) for s in carried(cc, face, 0)}
         for face in nerve.faces_of_size(2)
     }
     w = {
-        face: {s: rng.uniform(-0.05, 0.05) for s in _face_domain(cc, face, 1)}
+        face: {s: rng.uniform(-0.05, 0.05) for s in carried(cc, face, 1)}
         for face in nerve.faces_of_size(1)
     }
     gauge = DeligneCochain(nerve=nerve, degree=1, level=2, components=(h, w),
@@ -705,7 +760,7 @@ def test_module_log_branch_error(module_setup):
     rng = random.Random(9)
     cocycle, data = line_bundle_data(cc, nerve, rng)
     pair = nerve.faces_of_size(2)[0]
-    edge = next(iter(_face_domain(cc, pair, 1)))
+    edge = next(iter(carried(cc, pair, 1)))
     u, v = edge
     # force G(u)^{-1} G(v) to have an eigenvalue at -1 on that edge
     data.transitions[pair][v] = -data.transitions[pair][u]

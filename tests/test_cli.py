@@ -11,7 +11,6 @@ import pytest
 from gerbecalc.cli import main
 from gerbecalc.deligne import (
     DeligneCochain,
-    _face_domain,
     cochain_add,
     cochain_residual,
     cochain_sub,
@@ -38,6 +37,9 @@ from gerbecalc.serialize import (
     nerve_from_json,
     nerve_to_json,
 )
+
+from filing import carried
+from test_cli_golden import _numbers_in, _sixtieths_gerbe
 
 
 def run_cli(capsys, *argv):
@@ -66,11 +68,11 @@ def test_complex_and_cochain_round_trip():
 
     rng = random.Random(3)
     c0 = {
-        f: {s: rng.random() for s in _face_domain(cc, f, 0)}
+        f: {s: rng.random() for s in carried(cc, f, 0)}
         for f in nerve.faces_of_size(2)
     }
     c1 = {
-        f: {s: rng.uniform(-2, 2) for s in _face_domain(cc, f, 1)}
+        f: {s: rng.uniform(-2, 2) for s in carried(cc, f, 1)}
         for f in nerve.faces_of_size(1)
     }
     gauge = DeligneCochain(
@@ -222,8 +224,8 @@ def test_deligne_check_reports_the_residual_of_d(capsys, coboundary_file, tmp_pa
     nerve = cc.nerve()
     rng = random.Random(10)
     h = DeligneCochain(nerve, 1, 2, (
-        {f: {s: rng.random() for s in _face_domain(cc, f, 0)} for f in nerve.faces_of_size(2)},
-        {f: {s: rng.uniform(-2, 2) for s in _face_domain(cc, f, 1)}
+        {f: {s: rng.random() for s in carried(cc, f, 0)} for f in nerve.faces_of_size(2)},
+        {f: {s: rng.uniform(-2, 2) for s in carried(cc, f, 1)}
          for f in nerve.faces_of_size(1)},
     ), complex=cc)
     c = deligne_differential(h)
@@ -233,6 +235,26 @@ def test_deligne_check_reports_the_residual_of_d(capsys, coboundary_file, tmp_pa
     assert 0 < residual < 1e-12
     assert check_row(str(path), "--tol", "1e-12") == (0, {
         "name": "cocycle condition", "ok": True, "residual": residual, "tol": 1e-12})
+
+
+def test_deligne_check_reads_a_float_pure_nerve_cochain_at_tol(capsys, tmp_path):
+    # D(h, W) on simplex_nerve(5) with h in 60ths, which floats do not hold,
+    # every layer written as JSON floats: the residual is one rounding,
+    # which --tol forgives and --tol 0 does not
+    exact = cochain_to_json(_sixtieths_gerbe(simplex_nerve(5), random.Random(1703)))
+    path = tmp_path / "floats.json"
+    dump_json(_numbers_in(exact, (0, 1, 2)), path)
+    assert isinstance(cochain_from_json(_numbers_in(exact, (0, 1, 2))).values, array)
+    rows = {}
+    for tol in (None, "1e-12", "0"):
+        argv = ["--json", "deligne", "check", str(path)]
+        code, out, err = run_cli(capsys, *argv, *(() if tol is None else ("--tol", tol)))
+        assert err == ""
+        (rows[tol],) = json.loads(out)["checks"]
+        assert code == (1 if tol == "0" else 0) and rows[tol]["ok"] is (code == 0)
+    assert rows[None]["tol"] == 1e-9 and rows["1e-12"]["tol"] == 1e-12
+    assert rows["0"]["tol"] == 0.0
+    assert 0 < rows["0"]["residual"] < 1e-15
 
 
 @pytest.mark.parametrize("k, face, number", [
@@ -345,7 +367,7 @@ def surface_files(tmp_path):
     rho = {t: rng.uniform(-1, 1) for t in cc.tri_keys}
     z = zero_cochain(nerve, 2, 2, complex=cc)
     b = {
-        f: {s: rho[s] for s in _face_domain(cc, f, 2)}
+        f: {s: rho[s] for s in carried(cc, f, 2)}
         for f in nerve.faces_of_size(1)
     }
     c = DeligneCochain(
@@ -414,7 +436,7 @@ def test_holonomy_stokes_cli(capsys, tmp_path):
     b_global = {t: rng.uniform(-1, 1) for t in ball.tri_keys}
     z = zero_cochain(nerve, 2, 2, complex=ball)
     b = {
-        f: {s: b_global[s] for s in _face_domain(ball, f, 2)}
+        f: {s: b_global[s] for s in carried(ball, f, 2)}
         for f in nerve.faces_of_size(1)
     }
     c = DeligneCochain(

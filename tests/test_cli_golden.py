@@ -45,9 +45,9 @@ GOLDEN = {
     "deligne check cocycle.json":
         "be97f9363e012c18a361b9691b08f81756b5cf8c00926a2ebf98e172c5a1de51",
     "deligne check float_gerbe.json":
-        "be97f9363e012c18a361b9691b08f81756b5cf8c00926a2ebf98e172c5a1de51",
+        "43099e69ae6f342c38a39edca2b49e435c0a66fe53a12effb13ec1f03086689c",
     "deligne check mixed_gerbe.json":
-        "be97f9363e012c18a361b9691b08f81756b5cf8c00926a2ebf98e172c5a1de51",
+        "43099e69ae6f342c38a39edca2b49e435c0a66fe53a12effb13ec1f03086689c",
     "deligne check sixtieths_gerbe.json":
         "be97f9363e012c18a361b9691b08f81756b5cf8c00926a2ebf98e172c5a1de51",
     "deligne dd sixtieths_gerbe.json":

@@ -34,6 +34,8 @@ from gerbecalc import intlinalg
 from gerbecalc.intlinalg import cochain_cohomology, matvec, solve_rational
 from gerbecalc.nerve import icosahedron, make_nerve, simplex_nerve, sphere_nerve
 
+from filing import carried
+
 # minimal 6-vertex projective-plane triangulation, suspended by two apexes;
 # the suspension has 2-torsion in degree-3 integer cohomology
 RP2_TRIANGLES = [
@@ -106,14 +108,12 @@ def test_geometric_dd_vanishes_mod_integers():
     mesh = icosahedron()
     nerve = mesh.nerve()
     # random geometric degree-1 data: per-vertex U(1) lifts and edge 1-forms
-    from gerbecalc.deligne import _face_domain
-
     c0 = {}
     for f in nerve.faces_of_size(2):
-        c0[f] = {s: rng.random() for s in _face_domain(mesh, f, 0)}
+        c0[f] = {s: rng.random() for s in carried(mesh, f, 0)}
     c1 = {}
     for f in nerve.faces_of_size(1):
-        c1[f] = {s: rng.uniform(-1, 1) for s in _face_domain(mesh, f, 1)}
+        c1[f] = {s: rng.uniform(-1, 1) for s in carried(mesh, f, 1)}
     t = DeligneCochain(
         nerve=nerve, degree=1, level=2, components=(c0, c1), complex=mesh
     )

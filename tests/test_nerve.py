@@ -1,9 +1,9 @@
 """Covered complexes: orientation closure, star covers, cached tables.
 
 Nerves are kept by their maximal faces; ``closure_oracle``, the full
-subset closure, and ``all_subset_domains``, the face domains filed under
+subset closure, and ``all_subset_domains``, the simplices filed under
 every subset of each chart set, stay here as the oracles of every face
-query and every per-size domain table.
+query and of the complex's per-size face filing.
 """
 
 import json
@@ -14,7 +14,6 @@ from itertools import combinations
 
 import pytest
 
-from gerbecalc import nerve as nerve_module
 from gerbecalc.deligne import cochain_layout
 from gerbecalc.nerve import (
     FACE_LIMIT,
@@ -160,8 +159,8 @@ def test_nerve_queries_match_the_subset_closure(name, indices, listed, nerve):
 
 
 def all_subset_domains(cc, k):
-    """Each k-simplex filed under every subset of its chart set, the one
-    table that per-size face domains were once cut from."""
+    """Each k-simplex filed under every subset of its chart set, all sizes
+    at once: the oracle of the per-size filing ``file_face_ranks``."""
     simplices = ([(v,) for v in cc.vertices], cc.edges, cc.tri_keys, cc.tet_keys)[k]
     domains = {}
     for s in simplices:
@@ -173,34 +172,23 @@ def all_subset_domains(cc, k):
 
 
 @pytest.mark.parametrize("name", sorted(COMPLEXES))
-def test_face_domains_of_one_size_match_the_all_subset_filing(name):
+def test_file_face_ranks_of_one_size_match_the_all_subset_filing(name):
     cc = COMPLEXES[name]
     for k in range(cc.dim + 1):
         every = all_subset_domains(cc, k)
+        simps = cc.simplices_of(k)
         for size in range(1, max(map(len, every)) + 2):
-            assert cc.face_domains(k, size) == {
+            filed = cc.file_face_ranks(k, size)
+            assert {face: tuple(map(simps.__getitem__, ranks))
+                    for face, ranks in filed.items()} == {
                 face: simps for face, simps in every.items() if len(face) == size
             }
-
-
-@pytest.mark.parametrize("name", sorted(COMPLEXES))
-def test_face_domains_are_keyed_by_the_nerves_own_faces(name):
-    cc = COMPLEXES[name]
-    for size in range(1, cc.nerve().dimension + 2):
-        own = {face: face for face in cc.nerve().faces_of_size(size)}
-        for k in range(cc.dim + 1):
-            assert all(face is own[face] for face in cc.face_domains(k, size))
-
-
-def test_face_domains_past_the_face_bound_keep_their_own_tuples(monkeypatch):
-    cc = icosahedron()
-    every = all_subset_domains(cc, 1)
-    monkeypatch.setattr(nerve_module, "FACE_LIMIT", 10)
-    with pytest.raises(NerveSizeError):
-        cc.nerve().faces_of_size(2)
-    assert cc.face_domains(1, 2) == {
-        face: simps for face, simps in every.items() if len(face) == 2
-    }
+    # layouts read the filing, and key their faces by the nerve's own tuples
+    nerve = cc.nerve()
+    for p in range(4):
+        layout = cochain_layout(nerve, cc, p, 2)
+        for k, faces in enumerate(layout.faces):
+            assert faces is nerve.faces_of_size(p - k + 1)
 
 
 def test_coned_80_triangle_ball_reads_only_small_faces():
@@ -234,11 +222,15 @@ def test_faces_of_size_is_cached_and_read_only():
 def test_chart_reassignment_drops_cached_tables():
     cc = icosahedron()
     nerve = cc.nerve()
-    assert cc.nerve() is nerve
-    assert cc.face_domains(0, 1)[(0,)] == ((0,), (1,), (5,), (7,), (10,), (11,))
+    layout = cochain_layout(nerve, cc, 0, 2)
+    assert cc.nerve() is nerve and cochain_layout(nerve, cc, 0, 2) is layout
+    # the first run is chart 0's: vertex 0 and its five neighbours
+    assert layout.simplices[:layout.starts[0][1]] == ((0,), (1,), (5,), (7,), (10,), (11,))
     cc.charts = {s: frozenset({0}) for s in cc.all_simplices()}
     assert cc.nerve().faces == frozenset({(0,)})
-    assert cc.face_domains(0, 1) == {(0,): tuple((v,) for v in cc.vertices)}
+    again = cochain_layout(nerve, cc, 0, 2)
+    assert again is not layout
+    assert again.simplices == tuple((v,) for v in cc.vertices) == tuple(cc.simplices_of(0))
     vertex_star_cover(cc)
     assert cc.nerve() == nerve
 
