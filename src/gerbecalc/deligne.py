@@ -20,7 +20,14 @@ complex's order; pure-nerve mode has one slot per face.  A
 one of two kinds that :meth:`Layout.pack` chooses once, alike in both
 modes: a list of ``Fraction``s when every value is a ``Fraction`` or an int
 and one at least is a ``Fraction`` (ints promoted), else an
-``array('d')`` of floats.  ``components`` is a read-only
+``array('d')`` of floats.  An exact cochain made by D, by
+:func:`cochain_add` or by :func:`cochain_neg` holds a second form instead:
+integer numerators over one denominator.  It keeps that form until
+``values`` is first read; that read builds the ``Fraction`` list and drops
+the numerators, so from then on the list is the one truth and writes to
+it in place are seen.  Every exact reader (D, the sums, the residual, the
+cocycle test) takes the numerators from one helper, which falls back to
+the lcm of the list's denominators.  ``components`` is a read-only
 sequence of per-face dicts; ``components[k]`` unpacks component k alone
 from the vector.  The layout is the one owner of the slot map and holds
 no per-slot index: the slots of a face form one run, in the complex's
@@ -57,11 +64,13 @@ per-face definition, so it is bit-identical to it; the test module keeps
 that definition as its oracle.  Each column of a block is gathered with
 one ``operator.itemgetter`` call on a list of the values (``tolist()`` of
 a float array); the getters are built per call, since keeping them would
-hold a Python int per nonzero.  A ``Fraction`` vector is summed on
-integers over one common denominator, the lcm of its denominators, and
-the wrap runs on those integers; each output slot is then one
-``Fraction``; :func:`is_cocycle` and :func:`cochain_residual` measure
-those integer numerators directly.  A float array is summed as it is,
+hold a Python int per nonzero.  An exact cochain is summed on its
+integer numerators over one common denominator, and the wrap runs on
+those integers; D(c) keeps the output numerators over the same
+denominator, so D(D(c)) builds no ``Fraction`` between the two applies.
+:func:`is_cocycle` and :func:`cochain_residual` measure the integer
+numerators directly, and :func:`dd_class` sums the numerators of g over
+their lcm.  A float array is summed as it is,
 into a float array; :func:`is_cocycle` tests a geometric float vector
 block by block as its rows are summed, and stops at the first block that
 fails.  A cochain remembers the verdict of its last float-array test,
@@ -79,7 +88,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import add, eq, gt, itemgetter, le, lt, neg, sub
+from math import lcm
+from operator import add, eq, gt, itemgetter, le, lt, mul, neg, sub
 
 from .intlinalg import matvec, over_common_denominator, smith_normal_form, solve_rational
 from .nerve import CoverNerve, CoveredComplex, cached, perm_sign
@@ -435,13 +445,16 @@ class DeligneOperator:
         kind: a float array, or a list of ``Fraction``s, which is summed on
         integers over the lcm of its denominators."""
         den, out = self.sums(x)
-        return out if den is None else list(map(Fraction, out, repeat(den)))
+        return out if den is None else _fractions(out, den)
 
-    def sums(self, x):
+    def sums(self, x, den=None):
         """(den, y): D(x) = y / den as integer numerators for a ``Fraction``
-        list ``x``, (None, D(x)) for a float array."""
-        if isinstance(x, array):
-            den, xs, out = None, x.tolist(), array("d")
+        list ``x``, or for integer numerators ``x`` over a given ``den``;
+        (None, D(x)) for a float array."""
+        if den is not None:
+            xs, out = x, []
+        elif isinstance(x, array):
+            xs, out = x.tolist(), array("d")
         else:
             den, xs = over_common_denominator(x)
             out = []
@@ -497,10 +510,21 @@ class DeligneOperator:
 # -- cochains --------------------------------------------------------------
 
 
-def _normalize_u1(layout, values):
-    """Reduce the U(1) layer of a value vector into [0, 1), in place."""
+def _fractions(nums, den):
+    """[Fraction(n, den) for n in nums], one ``Fraction`` per distinct
+    numerator: numerators over one denominator repeat (D(D(c)) is all
+    zeros), and a ``Fraction`` is immutable, so slots share it."""
+    fractions = {n: Fraction(n, den) for n in set(nums)}
+    return list(map(fractions.__getitem__, nums))
+
+
+def _normalize_u1(layout, values, den=None):
+    """Reduce the U(1) layer of a value vector into [0, 1), in place; with
+    ``den``, ``values`` are integer numerators over it, reduced mod ``den``."""
     lo, hi = layout.bounds(0)
-    if isinstance(values, array):
+    if den is not None:
+        values[lo:hi] = [n % den for n in values[lo:hi]]
+    elif isinstance(values, array):
         values[lo:hi] = array("d", _fractional_parts(values[lo:hi]))
     else:
         values[lo:hi] = [_mod1(x) for x in values[lo:hi]]
@@ -516,25 +540,32 @@ class DeligneCochain:
     face's charts.  A number is also accepted for the U(1) layer in
     geometric mode.  The cochain keeps its layout and the flat value
     vector ``values``, whose U(1) layer is reduced into [0, 1), and the
-    verdict of its last float-array :func:`is_cocycle` test.
+    verdict of its last float-array :func:`is_cocycle` test.  An exact
+    cochain made by :meth:`packed` from numerators holds them instead of
+    ``values`` until ``values`` is first read.
     """
 
-    __slots__ = ("layout", "values", "_verdict")
+    __slots__ = ("layout", "_values", "_nums", "_verdict")
 
     def __init__(self, nerve, degree, level, components, complex=None):
         layout = cochain_layout(nerve, complex, degree, level)
         object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "values", _normalize_u1(layout, layout.pack(components)))
+        object.__setattr__(self, "_values", _normalize_u1(layout, layout.pack(components)))
+        object.__setattr__(self, "_nums", None)
         object.__setattr__(self, "_verdict", None)
 
     @classmethod
-    def packed(cls, layout: Layout, values):
+    def packed(cls, layout: Layout, values, den=None):
         """Cochain over ``layout`` owning the vector ``values`` (no checks),
         which is of one of the two kinds :meth:`Layout.pack` makes: an
-        ``array('d')`` or a list of ``Fraction``s."""
+        ``array('d')`` or a list of ``Fraction``s.  With ``den``, ``values``
+        is a list of integer numerators over ``den``, which the cochain
+        holds until ``values`` is first read."""
         c = object.__new__(cls)
+        values = _normalize_u1(layout, values, den)
         object.__setattr__(c, "layout", layout)
-        object.__setattr__(c, "values", _normalize_u1(layout, values))
+        object.__setattr__(c, "_values", None if den is not None else values)
+        object.__setattr__(c, "_nums", None if den is None else (den, values))
         object.__setattr__(c, "_verdict", None)
         return c
 
@@ -545,6 +576,20 @@ class DeligneCochain:
     complex = property(lambda self: self.layout.complex)
     degree = property(lambda self: self.layout.degree)
     level = property(lambda self: self.layout.level)
+
+    @property
+    def values(self):
+        """The flat value vector: an ``array('d')`` or a list of ``Fraction``s.
+
+        A cochain held as numerators builds its list at the first read and
+        drops the numerators, so from then on the list is the one truth: a
+        write to it in place is seen by every later reader.
+        """
+        if self._nums is not None:
+            den, nums = self._nums
+            object.__setattr__(self, "_values", _fractions(nums, den))
+            object.__setattr__(self, "_nums", None)
+        return self._values
 
     @property
     def n_components(self):
@@ -582,7 +627,7 @@ class DeligneCochain:
         mode = "pure-nerve" if self.complex is None else "geometric"
         return (
             f"DeligneCochain(degree={self.degree}, level={self.level}, "
-            f"{mode}, {len(self.values)} values)"
+            f"{mode}, {self.layout.size} values)"
         )
 
 
@@ -626,15 +671,40 @@ def _check_compatible(c1, c2):
         raise DeligneError("cochains live over different complexes")
 
 
+def _numerators(c):
+    """(den, nums) with the values of an exact cochain ``c`` = nums / den:
+    the numerators ``c`` holds, else those of its ``Fraction`` list over
+    the lcm of its denominators; None for a float array."""
+    if c._nums is not None:
+        return c._nums
+    return None if isinstance(c._values, array) else over_common_denominator(c._values)
+
+
+def _rescaled(nums, den, to):
+    """Numerators over ``den`` as numerators over its multiple ``to``."""
+    return nums if to == den else list(map(mul, nums, repeat(to // den)))
+
+
 def cochain_add(c1: DeligneCochain, c2: DeligneCochain) -> DeligneCochain:
-    """c1 + c2, exact only when both are: floats where either is."""
+    """c1 + c2, exact only when both are: floats where either is.  Exact
+    cochains are added on numerators over the lcm of their denominators."""
     _check_compatible(c1, c2)
-    values = map(add, c1.values, c2.values)
-    return DeligneCochain.packed(c1.layout, _like(values, c1.values, c2.values))
+    x1, x2 = _numerators(c1), _numerators(c2)
+    if x1 is None or x2 is None:
+        values = map(add, c1.values, c2.values)
+        return DeligneCochain.packed(c1.layout, _like(values, c1.values, c2.values))
+    (d1, n1), (d2, n2) = x1, x2
+    den = lcm(d1, d2)
+    values = list(map(add, _rescaled(n1, d1, den), _rescaled(n2, d2, den)))
+    return DeligneCochain.packed(c1.layout, values, den)
 
 
 def cochain_neg(c: DeligneCochain) -> DeligneCochain:
-    return DeligneCochain.packed(c.layout, _like(map(neg, c.values), c.values))
+    exact = _numerators(c)
+    if exact is None:
+        return DeligneCochain.packed(c.layout, array("d", map(neg, c.values)))
+    den, nums = exact
+    return DeligneCochain.packed(c.layout, list(map(neg, nums)), den)
 
 
 def cochain_sub(c1, c2):
@@ -654,8 +724,13 @@ def zero_cochain(nerve, degree, level, complex=None) -> DeligneCochain:
 
 
 def deligne_differential(c: DeligneCochain) -> DeligneCochain:
+    """D(c), of c's kind; an exact D(c) is held as integer numerators."""
     op = c.layout.differential
-    return DeligneCochain.packed(op.target, op.apply(c.values))
+    exact = _numerators(c)
+    if exact is None:
+        return DeligneCochain.packed(op.target, op.apply(c.values))
+    den, nums = exact
+    return DeligneCochain.packed(op.target, op.sums(nums, den)[1], den)
 
 
 def cochain_residual(c: DeligneCochain):
@@ -668,7 +743,11 @@ def cochain_residual(c: DeligneCochain):
     A ``Fraction`` vector is measured exactly; of a float vector, the first
     NaN or infinite value is returned.
     """
-    return _residual(c.layout, c.values)
+    exact = _numerators(c)
+    if exact is None:
+        return _residual(c.layout, c.values)
+    den, nums = exact
+    return _residual_over(c.layout, nums, den)
 
 
 def _turn_distances(xs):
@@ -717,38 +796,37 @@ def is_cocycle(c: DeligneCochain, tol=0) -> bool:
 
     A float array's verdict is kept on the cochain with ``tol`` and the
     bytes of its values, and given again while both are equal; a write to
-    ``c.values`` in place is therefore tested afresh.  A ``Fraction`` list
-    is tested on every call.
+    ``c.values`` in place is therefore tested afresh.  An exact cochain is
+    tested on its numerators on every call.
     """
-    if not isinstance(c.values, array):
-        return _is_cocycle(c, tol)
+    # D(c) applied here, not by deligne_differential, which perfbench wraps
+    # and counts; its U(1) layer is measured mod 1, so it is left unreduced
+    op = c.layout.differential
+    exact = _numerators(c)
+    if exact is not None:
+        den, nums = exact
+        return _residual_over(op.target, op.sums(nums, den)[1], den)[0] <= tol
     key = c.values.tobytes()
     last = c._verdict
     if last is not None and last[0] == tol and last[1] == key:
         return last[2]
-    verdict = _is_cocycle(c, tol)
+    verdict = _is_float_cocycle(op, c, tol)
     object.__setattr__(c, "_verdict", (tol, key, verdict))
     return verdict
 
 
-def _is_cocycle(c, tol):
-    # D(c) applied here, not by deligne_differential, which perfbench wraps
-    # and counts; its U(1) layer is measured mod 1, so it is left unreduced
-    op = c.layout.differential
-    if isinstance(c.values, array) and c.complex is not None:
-        # every layer is measured mod 1; each block is tested as it is
-        # summed, and the first block that fails ends the test
-        try:
-            return all(
-                all(map(le, _turn_distances(rows), repeat(tol)))
-                for rows in op._block_rows(c.values.tolist(), None)
-            )
-        except ValueError:  # an infinity: an infinite residual
-            return math.inf <= tol
-    den, out = op.sums(c.values)
-    if den is None:
-        return _residual(op.target, out)[0] <= tol
-    return _residual_over(op.target, out, den)[0] <= tol
+def _is_float_cocycle(op, c, tol):
+    if c.complex is None:
+        return _residual(op.target, op.sums(c.values)[1])[0] <= tol
+    # every layer is measured mod 1; each block is tested as it is summed,
+    # and the first block that fails ends the test
+    try:
+        return all(
+            all(map(le, _turn_distances(rows), repeat(tol)))
+            for rows in op._block_rows(c.values.tolist(), None)
+        )
+    except ValueError:  # an infinity: an infinite residual
+        return math.inf <= tol
 
 
 # -- chart-wise curvature --------------------------------------------------
@@ -893,26 +971,37 @@ def _class_of_cocycle(nerve, degree, vec):
     return CohomologyClass(nerve, degree, tuple(y), moduli)
 
 
+def _quad_subfaces(nerve: CoverNerve):
+    """For each j < 4, the place among the triple faces of the j-th subface
+    of every 4-index face, in face order; cached on the nerve."""
+
+    def build():
+        at = nerve.face_index(3)
+        quads = nerve.faces_of_size(4)
+        return tuple(list(map(at.__getitem__, map(_omit(j, 4), quads))) for j in range(4))
+
+    return cached(nerve, ("quad subfaces",), build)
+
+
 def dd_class(nerve: CoverNerve, g) -> CohomologyClass:
     """Obstruction class in H^3(nerve; Z) of a U(1)-valued Cech 2-cocycle.
 
     ``g`` maps each triple face to a rational turn value.  The class is
     the coboundary of a rational lift, an integer 3-cocycle, reduced
-    modulo integer coboundaries.
+    modulo integer coboundaries.  It is summed on the numerators of ``g``
+    over the lcm of its denominators, each sum a multiple of that lcm.
     """
     triples = nerve.faces_of_size(3)
     if set(g) != set(triples):
         raise DeligneError("g must be defined on exactly the triple faces")
-    quads = nerve.faces_of_size(4)
+    den, nums = over_common_denominator(list(map(g.__getitem__, triples)))
+    a, b, e, f = (map(nums.__getitem__, col) for col in _quad_subfaces(nerve))
     n_vec = []
-    for J in quads:
-        total = Fraction(0)
-        for j in range(len(J)):
-            sub = J[:j] + J[j + 1 :]
-            total += (-1) ** j * Fraction(g[sub])
-        if total.denominator != 1:
+    for J, total in zip(nerve.faces_of_size(4), map(add, map(sub, a, b), map(sub, e, f))):
+        n, rest = divmod(total, den)
+        if rest:
             raise DeligneError(f"g is not a U(1) cocycle at face {J}")
-        n_vec.append(int(total))
+        n_vec.append(n)
     return _class_of_cocycle(nerve, 3, n_vec)
 
 
@@ -1016,9 +1105,18 @@ def trivialization_defect(c, result):
     """Max-norm of (0, 0, rho) - c - D(h, W), by :func:`cochain_residual`."""
     total = cochain_add(c, deligne_differential(result.trivialization))
     lo = total.layout.bounds(total.n_components - 1)[0]
-    values = total.values[:lo]
-    values.extend(map(sub, total.values[lo:], repeat(result.rho)))
-    return _residual(total.layout, values)[0]
+    exact = _numerators(total)
+    if exact is None:
+        values = total.values[:lo]
+        values.extend(map(sub, total.values[lo:], repeat(result.rho)))
+        return _residual(total.layout, values)[0]
+    den, nums = exact
+    rho = Fraction(result.rho)
+    common = lcm(den, rho.denominator)
+    shift = rho.numerator * (common // rho.denominator)
+    nums = _rescaled(nums, den, common)
+    nums = [*nums[:lo], *map(sub, nums[lo:], repeat(shift))]
+    return _residual_over(total.layout, nums, common)[0]
 
 
 # -- random data (for tests and the CLI demo paths) ------------------------

@@ -264,7 +264,8 @@ def stokes_check(
             raise HolonomyError(f"B is not a chart-wise primitive of H at {tet}")
     boundary, cb = restrict_to_boundary(ball, c)
     hol_boundary = surface_holonomy(boundary, cb, asg)
-    bulk_sum = sum(ball.tet_sign[tet] * H[tet] for tet in ball.tet_keys)
+    # folded left to right: sum() is compensated from Python 3.12 on
+    bulk_sum = reduce(add, (ball.tet_sign[tet] * H[tet] for tet in ball.tet_keys), 0)
     if isinstance(bulk_sum, Fraction):
         bulk_sum = float(bulk_sum % 1)
     bulk = cmath.exp(2j * cmath.pi * bulk_sum)

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, repeat
+from operator import add
 
 
 class ComplexError(ValueError):
@@ -458,7 +460,8 @@ def icosahedron():
 
 
 def _normalize(p):
-    n = math.sqrt(sum(x * x for x in p))
+    # folded left to right: sum() is compensated from Python 3.12 on
+    n = math.sqrt(reduce(add, (x * x for x in p), 0))
     return tuple(x / n for x in p)
 
 

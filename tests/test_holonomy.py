@@ -9,6 +9,8 @@ import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -765,11 +767,13 @@ def reference_primitive_check(ball, c, H, exactness_tol=1e-9):
     tetrahedron), four ``c.value`` reads summed with alternating signs."""
     for face in c.nerve.faces_of_size(1):
         for tet in (tet for tet in ball.tet_keys if face[0] in ball.charts_of(tet)):
-            db = sum(
+            # folded left to right, as stokes_check folds dB: sum() is
+            # compensated from Python 3.12 on
+            db = reduce(add, (
                 (-1) ** j
                 * c.value(2, face, tuple(x for m, x in enumerate(tet) if m != j))
                 for j in range(4)
-            )
+            ), 0)
             if abs(db - H[tet]) > exactness_tol:
                 raise HolonomyError(f"B is not a chart-wise primitive of H at {tet}")
     return "ok"
@@ -819,13 +823,13 @@ def test_stokes_primitive_check_matches_the_value_loop(ball_setup):
         assert _stokes_verdict(primitive_check, ball, c, H) == want
         verdicts.append(want)
     assert verdicts.count("ok") >= 4 and len(set(verdicts)) >= 4
-    # dB summed as the value loop sums it, to the last bit: a field equal
-    # to that sum passes with no tolerance at all (values of mixed scales,
-    # whose sums round)
+    # dB folded left to right as the value loop folds it, to the last bit:
+    # a field equal to that fold passes with no tolerance at all (values of
+    # mixed scales, whose sums round)
     c, _ = ball_trivial_gerbe(
         ball, nerve, {t: rng.uniform(-1, 1) * 3.0 ** rng.randrange(-9, 9) for t in ball.tri_keys}
     )
-    db = {tet: sum((-1) ** j * c.value(2, (tet[0],), tet[:j] + tet[j + 1 :])
-                   for j in range(4)) for tet in ball.tet_keys}
+    db = {tet: reduce(add, ((-1) ** j * c.value(2, (tet[0],), tet[:j] + tet[j + 1 :])
+                            for j in range(4)), 0) for tet in ball.tet_keys}
     assert len(set(db.values())) > 1
     stokes_check(ball, c, db, asg, tol=2, exactness_tol=0)
