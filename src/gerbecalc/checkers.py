@@ -216,15 +216,17 @@ def check_jandl_data(invol: InvolutionOnCover, xi: DeligneCochain,
 
 
 TWO_PI_I = 2j * np.pi
+# nearest an eigenvalue phase may come to pi, where the log's branch is ambiguous
+BRANCH_TOL = 1e-6
 
 
-def _principal_log_unitary(u, where, branch_tol=1e-6):
+def _principal_log_unitary(u, where):
     """Principal matrix logarithm of a unitary matrix; rejects eigenvalues
     at -1, where the branch is ambiguous."""
     u = np.asarray(u, dtype=complex)
     w, v = np.linalg.eig(u)
     phases = np.angle(w)
-    if np.min(np.abs(np.abs(phases) - np.pi)) < branch_tol:
+    if np.min(np.abs(np.abs(phases) - np.pi)) < BRANCH_TOL:
         raise CheckerError(
             f"principal logarithm undefined (eigenvalue at -1) on {where}"
         )

@@ -126,8 +126,6 @@ def cmd_centralizer(args, report):
 
 
 def cmd_deligne_check(args, report):
-    from array import array
-
     from .deligne import cochain_residual, deligne_differential
     from .serialize import cochain_from_json, load_json
 
@@ -136,7 +134,7 @@ def cmd_deligne_check(args, report):
     dc = deligne_differential(c)
     residual, slot = cochain_residual(dc)
     # an exact pure-nerve cochain must close exactly; floats within --tol
-    exact = c.is_pure_nerve() and not isinstance(c.values, array)
+    exact = c.is_pure_nerve() and c.is_exact()
     report.add_check(
         "cocycle condition", residual, 0 if exact else args.tol,
         where=None if slot is None else dc.layout.where(slot),
@@ -239,21 +237,19 @@ def cmd_holonomy_surface(args, report):
 def cmd_holonomy_stokes(args, report):
     from .holonomy import stokes_check
     from .serialize import (
-        _key_to_tuple,
         assignment_from_json,
         cochain_from_json,
         complex_from_json,
+        field_from_json,
         format_unit_complex,
         load_json,
-        number_from_json,
     )
 
     for path in (args.complex, args.cochain, args.field, args.assignment):
         report.add_input(path)
     ball = complex_from_json(load_json(args.complex))
     c = cochain_from_json(load_json(args.cochain), complex=ball)
-    field = load_json(args.field)
-    H = {_key_to_tuple(k): number_from_json(v) for k, v in field.items()}
+    H = field_from_json(load_json(args.field))
     asg = assignment_from_json(load_json(args.assignment))
     hb, bulk, agree = stokes_check(ball, c, H, asg, tol=args.tol)
     report.results["boundary holonomy"] = format_unit_complex(hb)

@@ -16,29 +16,30 @@ given per simplex.
 level), the order of the slots of a cochain: component by component, the
 faces in sorted order and, in geometric mode, each face's simplices in the
 complex's order; pure-nerve mode has one slot per face.  A
-:class:`DeligneCochain` stores one flat value vector over its layout, of
-one of two kinds that :meth:`Layout.pack` chooses once, alike in both
-modes: a list of ``Fraction``s when every value is a ``Fraction`` or an int
-and one at least is a ``Fraction`` (ints promoted), else an
-``array('d')`` of floats.  An exact cochain made by D, by
-:func:`cochain_add` or by :func:`cochain_neg` holds a second form instead:
-integer numerators over one denominator.  It keeps that form until
-``values`` is first read; that read builds the ``Fraction`` list and drops
-the numerators, so from then on the list is the one truth and writes to
-it in place are seen.  Every exact reader (D, the sums, the residual, the
-cocycle test) takes the numerators from one helper, which falls back to
-the lcm of the list's denominators.  ``components`` is a read-only
-sequence of per-face dicts; ``components[k]`` unpacks component k alone
-from the vector.  The layout is the one owner of the slot map and holds
-no per-slot index: the slots of a face form one run, in the complex's
-order of their simplices, and the layout keeps each slot's place in that
-order, so a slot is found by bisecting its face's run.  That is O(log
-run), and runs can be as long as the complex (a cover by a few charts, a
-coned ball's apex chart).  Layouts are cached on the complex (geometric
-mode) or the nerve (pure-nerve mode) they describe.  A pullback along a
-bijection of the nerve indices (and of the complex's vertices) moves each
-slot to another up to sign, so :func:`pullback_cochain` is one signed
-gather over the layout.
+:class:`DeligneCochain` stores one flat vector over its layout, of one of
+two kinds that :meth:`Layout.pack` chooses once, alike in both modes.  It
+is exact when every value is a ``Fraction`` or an int and one at least is
+a ``Fraction``: then it holds integer numerators over one denominator,
+from ``Layout.pack`` on, through D, the sums and the gathers.  Else it is
+an ``array('d')`` of floats.  ``values`` reads the vector: for an exact
+cochain its first read builds the ``Fraction`` list and drops the
+numerators, so from then on the list is the one truth and writes to it in
+place are seen; every exact reader takes the numerators from one helper,
+which falls back to the lcm of that list's denominators.
+:meth:`DeligneCochain.is_exact` tells the two kinds apart without a read.
+``components`` is a read-only sequence of per-face dicts;
+``components[k]`` unpacks component k alone from the vector.  The layout
+is the one owner of the slot map and holds no per-slot index: the slots of
+a face form one run, in the complex's order of their simplices, and the
+layout keeps each slot's place in that order, so a slot is found by
+bisecting its face's run.  That is O(log run), and runs can be as long as
+the complex (a cover by a few charts, a coned ball's apex chart).  Layouts
+are cached on the complex (geometric mode) or the nerve (pure-nerve mode)
+they describe.  A pullback along a bijection of the nerve indices (and of
+the complex's vertices) moves each slot to another up to sign, so
+:func:`pullback_cochain` is one signed gather over the layout
+(:meth:`DeligneCochain.gathered`), which keeps the kind; so is the
+restriction to a boundary surface in :mod:`gerbecalc.holonomy`.
 
 **Operator.**  The total differential is
 D(c)_k = delta(c_k) + (-1)^(p-k+1) d(c_{k-1}), with d = dlog (branch
@@ -64,18 +65,18 @@ per-face definition, so it is bit-identical to it; the test module keeps
 that definition as its oracle.  Each column of a block is gathered with
 one ``operator.itemgetter`` call on a list of the values (``tolist()`` of
 a float array); the getters are built per call, since keeping them would
-hold a Python int per nonzero.  An exact cochain is summed on its
-integer numerators over one common denominator, and the wrap runs on
-those integers; D(c) keeps the output numerators over the same
-denominator, so D(D(c)) builds no ``Fraction`` between the two applies.
-:func:`is_cocycle` and :func:`cochain_residual` measure the integer
-numerators directly, and :func:`dd_class` sums the numerators of g over
-their lcm.  A float array is summed as it is,
-into a float array; :func:`is_cocycle` tests a geometric float vector
-block by block as its rows are summed, and stops at the first block that
-fails.  A cochain remembers the verdict of its last float-array test,
-with the tolerance and the bytes of the values it was given, so a repeat
-test of unchanged values at the same tolerance is one byte comparison.
+hold a Python int per nonzero.  An exact cochain is summed on its integer
+numerators, and the wrap runs on those integers; D(c) keeps the output
+numerators over the same denominator, so neither D(c) nor D(D(c)) builds a
+``Fraction``.  :func:`is_cocycle` and :func:`cochain_residual` measure the
+integer numerators directly, :func:`dd_class` sums the numerators of g
+over their lcm, and :func:`solve_trivialization` reads the layers of the
+numerators its cochain holds.  A float array is summed as it is, into a
+float array; :func:`is_cocycle` tests a geometric float vector block by
+block as its rows are summed, and stops at the first block that fails.  A
+cochain remembers the verdict of its last float-array test, with the
+tolerance and the bytes of the values it was given, so a repeat test of
+unchanged values at the same tolerance is one byte comparison.
 """
 
 from __future__ import annotations
@@ -204,9 +205,10 @@ class Layout:
         return f"component {k} at face {face}{on}"
 
     def pack(self, components):
-        """Flat value vector of per-face component dicts (validated): a list
-        of ``Fraction``s when every value is a ``Fraction`` or an int and one
-        at least is a ``Fraction`` (ints promoted), else an ``array('d')``."""
+        """(den, vector) of per-face component dicts (validated): integer
+        numerators over the lcm ``den`` of the denominators when every value
+        is a ``Fraction`` or an int and one at least is a ``Fraction``, else
+        (None, an ``array('d')``)."""
         if len(components) != self.n_components:
             raise DeligneError(
                 f"expected {self.n_components} components, got {len(components)}"
@@ -248,8 +250,8 @@ class Layout:
                     )
         kinds = set(map(type, vals))
         if Fraction in kinds and kinds <= {Fraction, int}:
-            return list(map(Fraction, vals)) if int in kinds else vals
-        return array("d", vals)
+            return over_common_denominator(vals)
+        return None, array("d", vals)
 
     def unpack(self, values, k):
         """Component k of a value vector as a dict face -> value."""
@@ -270,14 +272,6 @@ class Layout:
         return DeligneOperator(
             self, cochain_layout(self.nerve, self.complex, self.degree + 1, self.level)
         )
-
-
-def _like(values, *vectors):
-    """``values`` rebuilt in the kind of ``vectors``: a float array where one
-    of them is a float array, else a list."""
-    if any(isinstance(v, array) for v in vectors):
-        return array("d", values)
-    return list(values)
 
 
 def cochain_layout(nerve, complex, degree, level) -> Layout:
@@ -321,7 +315,7 @@ def _per_slot(values, owner):
 
 def _fractional_parts(xs):
     """[x - floor(x) for x in xs]: the U(1) reduction into [0, 1) of a
-    float vector, as ``_mod1`` is of a ``Fraction`` one.
+    float vector, as n % den is of numerators over den.
 
     x % 1.0 is exact and equal to it for every finite x but -0.0, which is
     kept as it is.  A NaN or an infinity makes a NaN there, and then
@@ -518,16 +512,14 @@ def _fractions(nums, den):
     return list(map(fractions.__getitem__, nums))
 
 
-def _normalize_u1(layout, values, den=None):
-    """Reduce the U(1) layer of a value vector into [0, 1), in place; with
-    ``den``, ``values`` are integer numerators over it, reduced mod ``den``."""
+def _normalize_u1(layout, values, den):
+    """Reduce the U(1) layer of a vector into [0, 1), in place: a float
+    array (``den`` None), or integer numerators reduced mod ``den``."""
     lo, hi = layout.bounds(0)
-    if den is not None:
-        values[lo:hi] = [n % den for n in values[lo:hi]]
-    elif isinstance(values, array):
+    if den is None:
         values[lo:hi] = array("d", _fractional_parts(values[lo:hi]))
     else:
-        values[lo:hi] = [_mod1(x) for x in values[lo:hi]]
+        values[lo:hi] = [n % den for n in values[lo:hi]]
     return values
 
 
@@ -538,36 +530,38 @@ class DeligneCochain:
     degree - k + 1 to its value, a number in pure-nerve mode or (geometric
     mode) a dict keyed by the k-simplices of ``complex`` carrying all the
     face's charts.  A number is also accepted for the U(1) layer in
-    geometric mode.  The cochain keeps its layout and the flat value
-    vector ``values``, whose U(1) layer is reduced into [0, 1), and the
-    verdict of its last float-array :func:`is_cocycle` test.  An exact
-    cochain made by :meth:`packed` from numerators holds them instead of
-    ``values`` until ``values`` is first read.
+    geometric mode.  The cochain keeps its layout, its flat vector of the
+    kind :meth:`Layout.pack` chose, whose U(1) layer is reduced into
+    [0, 1), and the verdict of its last float-array :func:`is_cocycle`
+    test.  An exact cochain holds integer numerators over one denominator
+    until ``values`` is first read.
     """
 
     __slots__ = ("layout", "_values", "_nums", "_verdict")
 
     def __init__(self, nerve, degree, level, components, complex=None):
         layout = cochain_layout(nerve, complex, degree, level)
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "_values", _normalize_u1(layout, layout.pack(components)))
-        object.__setattr__(self, "_nums", None)
-        object.__setattr__(self, "_verdict", None)
+        den, values = layout.pack(components)
+        self._hold(layout, values, den)
 
     @classmethod
     def packed(cls, layout: Layout, values, den=None):
-        """Cochain over ``layout`` owning the vector ``values`` (no checks),
-        which is of one of the two kinds :meth:`Layout.pack` makes: an
-        ``array('d')`` or a list of ``Fraction``s.  With ``den``, ``values``
-        is a list of integer numerators over ``den``, which the cochain
-        holds until ``values`` is first read."""
+        """Cochain over ``layout`` owning ``values``: an ``array('d')``, or,
+        with ``den``, a list of integer numerators over ``den``, which the
+        cochain holds until ``values`` is first read.  Nothing else is
+        accepted, and the values are not checked."""
+        if (den is None) is not isinstance(values, array):
+            raise TypeError("a cochain holds an array('d') or numerators with their den")
         c = object.__new__(cls)
-        values = _normalize_u1(layout, values, den)
-        object.__setattr__(c, "layout", layout)
-        object.__setattr__(c, "_values", None if den is not None else values)
-        object.__setattr__(c, "_nums", None if den is None else (den, values))
-        object.__setattr__(c, "_verdict", None)
+        c._hold(layout, values, den)
         return c
+
+    def _hold(self, layout, values, den):
+        values = _normalize_u1(layout, values, den)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "_values", values if den is None else None)
+        object.__setattr__(self, "_nums", None if den is None else (den, values))
+        object.__setattr__(self, "_verdict", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DeligneCochain is immutable")
@@ -610,6 +604,23 @@ class DeligneCochain:
 
     def is_pure_nerve(self):
         return self.complex is None
+
+    def is_exact(self):
+        """True for exact values, False for a float array; ``values`` is
+        not read."""
+        return not isinstance(self._values, array)
+
+    def gathered(self, layout, slots, signs=None):
+        """The cochain over ``layout`` whose slot i holds this cochain's
+        value at ``slots[i]``, times ``signs[i]`` where ``signs`` is given;
+        of this cochain's kind, an exact one gathered on its numerators."""
+        exact = _numerators(self)
+        den, xs = (None, self._values) if exact is None else exact
+        out = map(xs.__getitem__, slots)
+        if signs is not None:
+            out = map(mul, signs, out)
+        out = array("d", out) if den is None else list(out)
+        return DeligneCochain.packed(layout, out, den)
 
     def __eq__(self, other):
         if not isinstance(other, DeligneCochain):
@@ -691,8 +702,8 @@ def cochain_add(c1: DeligneCochain, c2: DeligneCochain) -> DeligneCochain:
     _check_compatible(c1, c2)
     x1, x2 = _numerators(c1), _numerators(c2)
     if x1 is None or x2 is None:
-        values = map(add, c1.values, c2.values)
-        return DeligneCochain.packed(c1.layout, _like(values, c1.values, c2.values))
+        values = array("d", map(add, c1.values, c2.values))
+        return DeligneCochain.packed(c1.layout, values)
     (d1, n1), (d2, n2) = x1, x2
     den = lcm(d1, d2)
     values = list(map(add, _rescaled(n1, d1, den), _rescaled(n2, d2, den)))
@@ -714,10 +725,8 @@ def cochain_sub(c1, c2):
 def zero_cochain(nerve, degree, level, complex=None) -> DeligneCochain:
     layout = cochain_layout(nerve, complex, degree, level)
     if complex is None:
-        values = [Fraction(0)] * layout.size
-    else:
-        values = array("d", bytes(8 * layout.size))
-    return DeligneCochain.packed(layout, values)
+        return DeligneCochain.packed(layout, [0] * layout.size, 1)
+    return DeligneCochain.packed(layout, array("d", bytes(8 * layout.size)))
 
 
 # -- differential ----------------------------------------------------------
@@ -760,11 +769,8 @@ def _turn_distances(xs):
 
 
 def _residual(layout, values):
-    """:func:`cochain_residual` of a value vector over ``layout``; the U(1)
+    """:func:`cochain_residual` of a float array over ``layout``; the U(1)
     layer need not be reduced into [0, 1)."""
-    if not isinstance(values, array):
-        den, nums = over_common_denominator(values)
-        return _residual_over(layout, nums, den)
     # the U(1) layer comes first; in geometric mode every layer is mod 1
     cut = len(values) if layout.complex is not None else layout.bounds(0)[1]
     try:
@@ -779,7 +785,7 @@ def _residual(layout, values):
 
 
 def _residual_over(layout, nums, den):
-    """:func:`_residual` of the ``Fraction`` vector nums / den, measured on
+    """:func:`cochain_residual` of the exact vector nums / den, measured on
     the integer numerators: min(n mod den, den - n mod den) modulo 1, |n|
     plainly, and one ``Fraction`` at the end."""
     cut = len(nums) if layout.complex is not None else layout.bounds(0)[1]
@@ -995,6 +1001,11 @@ def dd_class(nerve: CoverNerve, g) -> CohomologyClass:
     if set(g) != set(triples):
         raise DeligneError("g must be defined on exactly the triple faces")
     den, nums = over_common_denominator(list(map(g.__getitem__, triples)))
+    return _dd_class_over(nerve, den, nums)
+
+
+def _dd_class_over(nerve, den, nums):
+    """:func:`dd_class` of g = nums / den, the numerators in triple order."""
     a, b, e, f = (map(nums.__getitem__, col) for col in _quad_subfaces(nerve))
     n_vec = []
     for J, total in zip(nerve.faces_of_size(4), map(add, map(sub, a, b), map(sub, e, f))):
@@ -1020,33 +1031,26 @@ class TrivializationResult:
         return self.trivialization is not None
 
 
-def _solve_u1_layer(nerve, g):
-    """Find h on pairs with delta(h) = -g mod 1, or None.
+def _solve_u1_layer(nerve, den, nums):
+    """Find h on pairs with delta(h) = -g mod 1, or None, for g = nums / den
+    with the numerators in triple order.
 
     Exact: integer lift via Smith normal form, then a rational solve.
     """
     pairs, triples, mat, snf = _snf_of_coboundary(nerve, 1)
-    ghat = [Fraction(g[t]) for t in triples]
     if snf is None:
-        if any(x % 1 != 0 for x in ghat):
-            return None
-        return {p: Fraction(0) for p in pairs}
+        return None if any(n % den for n in nums) else dict.fromkeys(pairs, Fraction(0))
     d, u, _ = snf
-    # U * (-ghat) on integers, over the common denominator of ghat
-    den, scaled = over_common_denominator(ghat)
-    y = [Fraction(-v, den) for v in matvec(u, scaled)]
     rank = sum(1 for x in d if x != 0)
-    # off-pivot coordinates must be integers, else no solution exists
-    n_vec = [Fraction(0)] * rank + y[rank:]
-    if any(x.denominator != 1 for x in n_vec[rank:]):
+    # U * (-g) on the integer numerators: its off-pivot coordinates must be
+    # integers, else no solution exists
+    off = matvec(u, nums)[rank:]
+    if any(v % den for v in off):
         return None
     # subtract an integer cochain so the target lies in the column space
-    m = solve_rational(u, n_vec)
-    rhs = [-ghat[i] - m[i] for i in range(len(triples))]
-    h = solve_rational(mat, rhs)
-    if h is None:
-        return None
-    return {p: val for p, val in zip(pairs, h)}
+    m = solve_rational(u, [0] * rank + [-v // den for v in off])
+    h = solve_rational(mat, [Fraction(-n, den) - m[i] for i, n in enumerate(nums)])
+    return None if h is None else dict(zip(pairs, h))
 
 
 def solve_trivialization(c: DeligneCochain) -> TrivializationResult:
@@ -1056,7 +1060,9 @@ def solve_trivialization(c: DeligneCochain) -> TrivializationResult:
     rho, or the obstruction: the nonzero degree-3 class of the U(1) part
     when it fails to vanish, or a report that the real Cech class of the
     U(1)/form layers is nonintegral (possible on nerves with rational
-    cohomology in low degree).
+    cohomology in low degree).  Each layer is read as numerators over one
+    denominator, those of a float cochain exact; rho is of the B layer's
+    kind, a ``Fraction`` or a float.
     """
     if (c.degree, c.level) != (2, 2):
         raise DeligneError("trivialization needs a degree-2, level-2 cochain")
@@ -1064,59 +1070,42 @@ def solve_trivialization(c: DeligneCochain) -> TrivializationResult:
         raise DeligneError("trivialization solving requires pure-nerve mode")
     if not is_cocycle(c):
         raise DeligneError("input is not a cocycle")
-    nerve = c.nerve
-    g = c.component(0)
-    obstruction = dd_class(nerve, g)
+    nerve, layout = c.nerve, c.layout
+    den, nums = _numerators(c) or over_common_denominator(c.values)
+    g, a, b = (nums[slice(*layout.bounds(k))] for k in range(3))
+    obstruction = _dd_class_over(nerve, den, g)
+
+    def fail(reason):
+        return TrivializationResult(None, None, obstruction, reason)
+
     if not obstruction.is_zero:
-        return TrivializationResult(
-            None, None, obstruction, "nonzero degree-3 obstruction class"
-        )
-    h = _solve_u1_layer(nerve, g)
+        return fail("nonzero degree-3 obstruction class")
+    h = _solve_u1_layer(nerve, den, g)
     if h is None:
-        return TrivializationResult(
-            None, None, obstruction,
-            "U(1) layer has nonintegral real class; no trivialization",
-        )
+        return fail("U(1) layer has nonintegral real class; no trivialization")
     # with D(h, W)_1 = delta(W) - dlog(h) and dlog = 0 on constants,
     # the form layer needs delta(W) = -A exactly
-    singles, pairs, mat = _coboundary_matrix(nerve, 0)
-    a_comp = c.component(1)
-    w = solve_rational(mat, [-a_comp[p] for p in pairs])
+    singles, _, mat = _coboundary_matrix(nerve, 0)
+    w = solve_rational(mat, [Fraction(-n, den) for n in a])
     if w is None:
-        return TrivializationResult(
-            None, None, obstruction,
-            "form layer has nonzero real class; no trivialization",
-        )
+        return fail("form layer has nonzero real class; no trivialization")
     # rho is the common value of B_i + (dW)_i; dW = 0 on constants
-    b_comp = c.component(2)
-    rho = b_comp[singles[0]]
-    if any(b_comp[f] != rho for f in singles):
-        return TrivializationResult(
-            None, None, obstruction,
-            "curvature component is not globally constant",
-        )
-    triv = DeligneCochain(
-        nerve=nerve, degree=1, level=2, components=(h, dict(zip(singles, w)))
-    )
+    if any(n != b[0] for n in b):
+        return fail("curvature component is not globally constant")
+    rho = Fraction(b[0], den) if c.is_exact() else c.values[layout.bounds(2)[0]]
+    triv = DeligneCochain(nerve, 1, 2, (h, dict(zip(singles, w))))
     return TrivializationResult(triv, rho, None)
 
 
 def trivialization_defect(c, result):
-    """Max-norm of (0, 0, rho) - c - D(h, W), by :func:`cochain_residual`."""
+    """Max-norm of (0, 0, rho) - c - D(h, W), by :func:`cochain_residual`;
+    rho is taken exactly where c + D(h, W) is exact."""
     total = cochain_add(c, deligne_differential(result.trivialization))
-    lo = total.layout.bounds(total.n_components - 1)[0]
-    exact = _numerators(total)
-    if exact is None:
-        values = total.values[:lo]
-        values.extend(map(sub, total.values[lo:], repeat(result.rho)))
-        return _residual(total.layout, values)[0]
-    den, nums = exact
-    rho = Fraction(result.rho)
-    common = lcm(den, rho.denominator)
-    shift = rho.numerator * (common // rho.denominator)
-    nums = _rescaled(nums, den, common)
-    nums = [*nums[:lo], *map(sub, nums[lo:], repeat(shift))]
-    return _residual_over(total.layout, nums, common)[0]
+    rho = Fraction(result.rho) if total.is_exact() else result.rho
+    triples, pairs, singles = total.layout.faces
+    const = DeligneCochain(total.nerve, 2, 2, (
+        dict.fromkeys(triples, 0), dict.fromkeys(pairs, 0), dict.fromkeys(singles, rho)))
+    return cochain_residual(cochain_sub(total, const))[0]
 
 
 # -- random data (for tests and the CLI demo paths) ------------------------
@@ -1173,9 +1162,9 @@ def pullback_cochain(c: DeligneCochain, index_map, simplex_map=None):
     (``simplex_map``) also moves the simplex to sorted(sigma(s)), with its
     sorting sign.
     """
-    layout, values = c.layout, c.values
+    layout = c.layout
     vertex_map = simplex_map if c.complex is not None else None
-    out = []
+    slots, signs = array("l"), array("b")
     for k, faces in enumerate(layout.faces):
         starts = layout.starts[k]
         for i, face in enumerate(faces):
@@ -1196,5 +1185,6 @@ def pullback_cochain(c: DeligneCochain, index_map, simplex_map=None):
                 if src is None:
                     raise DeligneError(f"vertex map disagrees with the index map:"
                                        f" face {img} does not carry {s}")
-                out.append(sign * values[src])
-    return DeligneCochain.packed(layout, _like(out, values))
+                slots.append(src)
+                signs.append(sign)
+    return c.gathered(layout, slots, signs)

@@ -54,7 +54,6 @@ from types import MappingProxyType
 from .deligne import (
     DeligneCochain,
     DeligneError,
-    _like,
     chartwise_db,
     cochain_layout,
     is_cocycle,
@@ -222,7 +221,8 @@ def restrict_to_boundary(ball: CoveredComplex, c: DeligneCochain):
     """Restrict a geometric degree-2 cochain to the boundary surface.
 
     The boundary surface, its nerve and the slot map from the cochain's
-    layout are built once per ball and cached on it.
+    layout are built once per ball and cached on it.  The restriction is
+    one gather, of ``c``'s kind.
     """
     boundary = cached(ball, "boundary surface", ball.boundary_surface)
     layout = cochain_layout(boundary.nerve(), boundary, 2, 2)
@@ -230,8 +230,7 @@ def restrict_to_boundary(ball: CoveredComplex, c: DeligneCochain):
         ball, ("boundary slots", c.layout),
         lambda: array("l", [c.layout.slot(*key) for key in layout.slots()]),
     )
-    restricted = _like(map(c.values.__getitem__, picks), c.values)
-    return boundary, DeligneCochain.packed(layout, restricted)
+    return boundary, c.gathered(layout, picks)
 
 
 def stokes_check(

@@ -53,6 +53,9 @@ from .core import (
 )
 from .forms import _project_algebra, eval_H
 
+# smallest eigenvalue gap of a class point at which omega is evaluated
+MIN_GAP = 1e-6
+
 
 def alcove_projection(g, tol: float = 1e-8):
     """Alcove coordinates xi of g in SU(n) (class representative).
@@ -103,15 +106,14 @@ def eigenvalue_gap(h):
     return min(abs(lam[i] - lam[j]) for i in range(n) for j in range(i + 1, n))
 
 
-def omega_lambda(h, x1, x2, kappa: float, gram_scale: float = 1.0,
-                 min_gap: float = 1e-6) -> float:
+def omega_lambda(h, x1, x2, kappa: float, gram_scale: float = 1.0) -> float:
     """The invariant 2-form on the conjugacy class of h, on the tangents
     V_i = X_i h - h X_i."""
     h = check_group(h, 1e-8)
     gap = eigenvalue_gap(h)
-    if gap < min_gap:
+    if gap < MIN_GAP:
         raise LieNumError(
-            f"degenerate class point: eigenvalue gap {gap:.3e} below {min_gap:.0e}"
+            f"degenerate class point: eigenvalue gap {gap:.3e} below {MIN_GAP:.0e}"
         )
     hinv = h.conj().T
     a1 = hinv @ np.asarray(x1) @ h
@@ -275,14 +277,14 @@ def varpi(g1, g2, pair_a, pair_b, level: int, kappa: float,
     return level * (mu_omega - kappa * cross)
 
 
-def _omega_on_tangents(h, v1, v2, kappa, min_gap: float = 1e-6) -> float:
+def _omega_on_tangents(h, v1, v2, kappa) -> float:
     """omega at h on raw class tangents V_i = X_i h - h X_i, recovering the
     generators X_i by inverting (id - Ad_h) on the complement of its kernel."""
     h = np.asarray(h, dtype=complex)
     gap = eigenvalue_gap(h)
-    if gap < min_gap:
+    if gap < MIN_GAP:
         raise LieNumError(
-            f"degenerate class point: eigenvalue gap {gap:.3e} below {min_gap:.0e}"
+            f"degenerate class point: eigenvalue gap {gap:.3e} below {MIN_GAP:.0e}"
         )
     basis = su_basis(h.shape[0])
     # solve V = X h - h X for real coefficients of X in the su(n) basis
@@ -297,4 +299,4 @@ def _omega_on_tangents(h, v1, v2, kappa, min_gap: float = 1e-6) -> float:
         resid = np.linalg.norm(xs[-1] @ h - h @ xs[-1] - v)
         if resid > 1e-6 * max(1.0, np.linalg.norm(v)):
             raise LieNumError("tangent vector is not tangent to the conjugacy class")
-    return omega_lambda(h, xs[0], xs[1], kappa, min_gap=min_gap)
+    return omega_lambda(h, xs[0], xs[1], kappa)

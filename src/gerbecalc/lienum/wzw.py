@@ -33,6 +33,8 @@ from .core import LieNumError, bound_work, check_level, theta_volume
 from .forms import calibrate_H
 
 FD_STEP_MAP = 1e-5
+# largest difference of two extensions on the boundary sphere
+BOUNDARY_TOL = 1e-8
 
 # Fewest mesh triangles a thread's block of a ball may hold.  Best of 7 in
 # process on 2 vCPUs (numpy 2.4.6), serial loop -> two blocks, northern
@@ -196,18 +198,17 @@ def wzw_amplitude(phi, level: int, quad: BallQuadrature | None = None,
     return term_amplitude(pullback_H_integral(phi, quad, kappa=kappa), level)
 
 
-def check_shared_boundary(phi1, phi2, quad: BallQuadrature,
-                          boundary_tol: float = 1e-8) -> None:
+def check_shared_boundary(phi1, phi2, quad: BallQuadrature) -> None:
     """Raise unless the two maps agree on the boundary sphere of ``quad``."""
     pts = quad.boundary_points
     b1 = np.asarray(phi1(pts))
     b2 = np.asarray(phi2(pts))
-    if np.max(np.abs(b1 - b2)) > boundary_tol:
+    if np.max(np.abs(b1 - b2)) > BOUNDARY_TOL:
         raise LieNumError("extensions disagree on the boundary sphere")
 
 
-def amplitude_ratio(phi1, phi2, level: int, quad: BallQuadrature | None = None,
-                    boundary_tol: float = 1e-8) -> complex:
+def amplitude_ratio(phi1, phi2, level: int,
+                    quad: BallQuadrature | None = None) -> complex:
     """Ratio of amplitudes of two extensions of the same boundary map.
 
     Raises if the two maps disagree on the boundary sphere; the ratio is
@@ -215,7 +216,7 @@ def amplitude_ratio(phi1, phi2, level: int, quad: BallQuadrature | None = None,
     """
     if quad is None:
         quad = BallQuadrature()
-    check_shared_boundary(phi1, phi2, quad, boundary_tol)
+    check_shared_boundary(phi1, phi2, quad)
     a1 = wzw_amplitude(phi1, level, quad)
     a2 = wzw_amplitude(phi2, level, quad)
     return a1 / a2

@@ -56,6 +56,11 @@ def _key_to_tuple(key):
     return tuple(int(part) for part in key.split(","))
 
 
+def field_from_json(doc: dict) -> dict:
+    """A per-simplex field: simplex key -> number."""
+    return {_key_to_tuple(k): number_from_json(v) for k, v in doc.items()}
+
+
 def _tuple_to_key(t):
     return ",".join(str(x) for x in t)
 

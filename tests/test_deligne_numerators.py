@@ -1,15 +1,19 @@
 """Exact cochains held as integer numerators, against the ``Fraction`` path.
 
-An exact cochain made by D, by ``cochain_add`` or by ``cochain_neg`` holds
-integer numerators over one denominator until ``values`` is read; the
-first read builds the ``Fraction`` list, which from then on is the only
-truth.  The oracles here add ``Fraction``s term by term:
-``reference_apply`` for D (``test_deligne_operator``), then ``% 1`` on the
-U(1) layer; a per-value residual; and ``reference_dd_class``, the
-``Fraction`` loop ``dd_class`` ran before it summed numerators.
+An exact cochain holds integer numerators over one denominator, from
+``Layout.pack`` on, until ``values`` is read; the first read builds the
+``Fraction`` list, which from then on is the only truth.  The oracles here
+add ``Fraction``s term by term: ``reference_apply`` for D
+(``test_deligne_operator``), then ``% 1`` on the U(1) layer; a per-value
+residual; ``reference_dd_class``, the ``Fraction`` loop ``dd_class`` ran
+before it summed numerators; and ``reference_pullback`` and
+``reference_restriction``, the per-slot loops over the ``Fraction`` list
+that the pullback and the boundary restriction ran before they gathered
+numerators.
 """
 
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -29,14 +33,19 @@ from gerbecalc.deligne import (
     deligne_differential,
     is_cocycle,
     mul_u1,
+    perm_sign,
+    pullback_cochain,
     random_cochain,
     random_u1_cocycle,
     solve_trivialization,
     trivialization_defect,
+    zero_cochain,
 )
-from gerbecalc.nerve import icosahedron, simplex_nerve
+from gerbecalc.holonomy import restrict_to_boundary
+from gerbecalc.nerve import coned_ball, icosahedron, simplex_nerve
 
 from filing import carried
+from test_checkers import antipodal_involution
 from test_deligne import suspension_nerve, torsion_u1_cocycle
 from test_deligne_operator import reference_apply
 
@@ -89,6 +98,49 @@ def reference_dd_class(nerve, g):
             raise DeligneError(f"g is not a U(1) cocycle at face {J}")
         n_vec.append(int(total))
     return deligne._class_of_cocycle(nerve, 3, n_vec)
+
+
+def reference_pullback(c, index_map, simplex_map=None):
+    """pullback_cochain as it was: sign * value slot by slot over the
+    Fraction list, then the U(1) layer % 1."""
+    layout, values = c.layout, c.values
+    vertex_map = simplex_map if c.complex is not None else None
+    out = []
+    for k, faces in enumerate(layout.faces):
+        starts = layout.starts[k]
+        for i, face in enumerate(faces):
+            img = tuple(index_map[j] for j in face)
+            face_sign, img = perm_sign(img), tuple(sorted(img))
+            for slot in range(starts[i], starts[i + 1]):
+                s, sign = None, face_sign
+                if layout.complex is not None:
+                    s = layout.simplices[slot]
+                if vertex_map is not None:
+                    s = tuple(vertex_map[v] for v in s)
+                    s, sign = tuple(sorted(s)), sign * perm_sign(s)
+                out.append(sign * values[layout.slot(k, img, s)])
+    return reduced_u1(layout, out)
+
+
+def reference_restriction(boundary, c):
+    """restrict_to_boundary as it was: the value at each boundary slot's
+    (component, face, simplex), read slot by slot from the Fraction list."""
+    layout = cochain_layout(boundary.nerve(), boundary, 2, 2)
+    return [c.values[c.layout.slot(*key)] for key in layout.slots()]
+
+
+def exact_geometric_cochain(cc, degree, rng):
+    """A geometric cochain of Fractions over 4ths, 6ths and 60ths."""
+    nerve = cc.nerve()
+    comps = tuple(
+        {
+            f: {s: Fraction(rng.randrange(-120, 120), rng.choice((4, 6, 60)))
+                for s in carried(cc, f, k)}
+            for f in nerve.faces_of_size(degree - k + 1)
+        }
+        for k in range(min(degree, 2) + 1)
+    )
+    return DeligneCochain(nerve, degree, 2, comps, complex=cc)
 
 
 def assert_same_values(got, want):
@@ -169,15 +221,7 @@ def test_geometric_fraction_cochain_matches_the_fraction_path():
     nerve = cc.nerve()
     rng = random.Random(2401)
     for degree in range(3):
-        comps = tuple(
-            {
-                f: {s: Fraction(rng.randrange(-120, 120), rng.choice((4, 6, 60)))
-                    for s in carried(cc, f, k)}
-                for f in nerve.faces_of_size(degree - k + 1)
-            }
-            for k in range(min(degree, 2) + 1)
-        )
-        c = DeligneCochain(nerve, degree, 2, comps, complex=cc)
+        c = exact_geometric_cochain(cc, degree, rng)
         dc = deligne_differential(c)
         want = reference_d(c)
         for x in (c, dc):
@@ -223,6 +267,51 @@ def test_the_middle_cochain_of_dd_never_builds_its_list(monkeypatch):
     assert not any(x is mid for x in read)
     assert all(x == 0 for x in dd.values)
     assert any(x is dd for x in read)
+    # cochains from DeligneCochain(...), random_cochain and zero_cochain,
+    # and their pullbacks and boundary restrictions, hold numerators too
+    nerve, ball = NERVES[6], coned_ball(icosahedron())
+    rng = random.Random(2406)
+    made = [
+        DeligneCochain(nerve, 2, 2, tuple(
+            {f: Fraction(rng.randrange(-60, 60), 12) for f in nerve.faces_of_size(3 - k)}
+            for k in range(3)
+        )),
+        random_cochain(nerve, 2, 2, rng),
+        zero_cochain(nerve, 2, 2),
+        exact_geometric_cochain(ball, 2, rng),
+    ]
+    for c in made:
+        if c.complex is None:
+            pulled = pullback_cochain(c, {i: (i + 2) % 6 for i in range(6)})
+            restricted = pulled
+        else:
+            pulled = pullback_cochain(c, {i: i for i in c.nerve.indices})
+            restricted = restrict_to_boundary(ball, c)[1]
+        for x in (c, pulled, restricted):
+            dd = deligne_differential(deligne_differential(x))
+            cochain_neg(cochain_add(x, x))
+            assert is_cocycle(dd) and cochain_residual(dd)[0] == 0
+            is_cocycle(x)
+            cochain_residual(x)
+            assert not any(y is x for y in read)
+            assert x.is_exact()
+    # the trivialization reads the layers of the numerators
+    gerbe = deligne_differential(random_cochain(nerve, 1, 2, rng))
+    assert trivialization_defect(gerbe, solve_trivialization(gerbe)) == 0
+    assert not any(y is gerbe for y in read)
+
+
+def test_packed_takes_a_float_array_or_numerators_with_their_den():
+    layout = cochain_layout(NERVES[4], None, 1, 2)
+    c = DeligneCochain.packed(layout, [7] * layout.size, 3)
+    cut = layout.bounds(0)[1]  # the U(1) layer is reduced mod 1
+    assert c.is_exact()
+    assert c.values == [Fraction(1, 3)] * cut + [Fraction(7, 3)] * (layout.size - cut)
+    assert not DeligneCochain.packed(layout, array("d", [0.5] * layout.size)).is_exact()
+    for values, den in (([Fraction(1, 3)] * layout.size, None),
+                        (array("d", [0.5] * layout.size), 2)):
+        with pytest.raises(TypeError, match="array"):
+            DeligneCochain.packed(layout, values, den)
 
 
 def test_trivialization_defect_matches_the_fraction_path():
@@ -239,6 +328,46 @@ def test_trivialization_defect_matches_the_fraction_path():
             got = trivialization_defect(c, off)
             assert got == reference_residual(c.layout, values)[0] == abs(shift)
             assert type(got) is Fraction
+
+
+# -- the pullback and the boundary restriction ----------------------------
+
+
+def test_gathered_pullback_matches_the_slot_loop():
+    nerve = simplex_nerve(5)
+    rng = random.Random(2407)
+    maps = [{0: 2, 1: 0, 2: 4, 3: 1, 4: 3}, {0: 4, 1: 3, 2: 2, 3: 1, 4: 0}]
+    for degree in range(4):
+        for level in (1, 2):
+            c = random_cochain(nerve, degree, level, rng)
+            for perm in maps:
+                want = reference_pullback(c, perm)
+                pulled = pullback_cochain(c, perm)
+                assert pulled.is_exact()
+                assert_same_values(pulled.values, want)
+                # a read list is gathered as well as the numerators
+                assert_same_values(pullback_cochain(c, perm).values, want)
+    cc = icosahedron()
+    antipode = antipodal_involution(cc)
+    for degree in range(3):
+        c = exact_geometric_cochain(cc, degree, rng)
+        pulled = pullback_cochain(c, antipode, antipode)
+        assert_same_values(pulled.values, reference_pullback(c, antipode, antipode))
+
+
+def test_gathered_restriction_matches_the_slot_loop():
+    ball = coned_ball(icosahedron())
+    rng = random.Random(2408)
+    for _ in range(3):
+        c = exact_geometric_cochain(ball, 2, rng)
+        boundary, restricted = restrict_to_boundary(ball, c)
+        assert restricted.is_exact()
+        assert_same_values(restricted.values, reference_restriction(boundary, c))
+        # the float kind is kept as well
+        floats = DeligneCochain.packed(c.layout, array("d", map(float, c.values)))
+        got = restrict_to_boundary(ball, floats)[1]
+        assert not got.is_exact()
+        assert list(got.values) == list(map(float, reference_restriction(boundary, c)))
 
 
 # -- the obstruction class ------------------------------------------------

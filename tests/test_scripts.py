@@ -27,11 +27,19 @@ def test_script_runs(script):
     assert done.stdout
 
 
-def private_imports(source):
-    """The ``_``-prefixed names a script imports from gerbecalc."""
+def private_imports(source, subpackage=False):
+    """The ``_``-prefixed names ``source`` imports from gerbecalc: by an
+    absolute import, or by a relative one from another gerbecalc module.
+    In a ``subpackage`` (``lienum``), a relative import from a sibling
+    module of the same subpackage is allowed."""
+    def from_gerbecalc(node):
+        if node.level == 0:
+            return (node.module or "").split(".")[0] == "gerbecalc"
+        return not (subpackage and node.level == 1)
+
     return [
         alias.name for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gerbecalc"
+        if isinstance(node, ast.ImportFrom) and from_gerbecalc(node)
         for alias in node.names if alias.name.startswith("_")
     ]
 
@@ -43,3 +51,20 @@ def test_scripts_import_only_public_names():
     ) == ["_mod1", "_version"]
     assert {script.name: private_imports(script.read_text()) for script in SCRIPTS} == \
         {script.name: [] for script in SCRIPTS}
+
+
+def test_package_modules_import_only_public_names_of_other_modules():
+    assert private_imports("from .deligne import _like, chartwise_db\n") == ["_like"]
+    assert private_imports("from __future__ import annotations\n") == []
+    assert private_imports("from .forms import _project_algebra\n", subpackage=True) == []
+    assert private_imports("from ..nerve import _x\n", subpackage=True) == ["_x"]
+    assert private_imports("from gerbecalc.nerve import _x\n", subpackage=True) == ["_x"]
+    package = ROOT / "src" / "gerbecalc"
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) > 10
+    found = {
+        str(path.relative_to(package)):
+        private_imports(path.read_text(), subpackage=path.parent != package)
+        for path in modules
+    }
+    assert found == {name: [] for name in found}
