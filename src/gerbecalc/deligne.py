@@ -20,13 +20,12 @@ complex's order; pure-nerve mode has one slot per face.  A
 two kinds that :meth:`Layout.pack` chooses once, alike in both modes.  It
 is exact when every value is a ``Fraction`` or an int and one at least is
 a ``Fraction``: then it holds integer numerators over one denominator,
-from ``Layout.pack`` on, through D, the sums and the gathers.  Else it is
-an ``array('d')`` of floats.  ``values`` reads the vector: for an exact
-cochain its first read builds the ``Fraction`` list and drops the
-numerators, so from then on the list is the one truth and writes to it in
-place are seen; every exact reader takes the numerators from one helper,
-which falls back to the lcm of that list's denominators.
-:meth:`DeligneCochain.is_exact` tells the two kinds apart without a read.
+from ``Layout.pack`` on, through D, the sums and the gathers, and no read
+drops them.  Else it is an ``array('d')`` of floats.  ``values`` of an
+exact cochain is a read-only tuple of ``Fraction``s, built at most once;
+every reader in this module sums the numerators and makes one
+``Fraction`` per result, and no other module reads ``values``.
+:meth:`DeligneCochain.is_exact` tells the two kinds apart.
 ``components`` is a read-only sequence of per-face dicts;
 ``components[k]`` unpacks component k alone from the vector.  The layout
 is the one owner of the slot map and holds no per-slot index: the slots of
@@ -39,7 +38,8 @@ they describe.  A pullback along a bijection of the nerve indices (and of
 the complex's vertices) moves each slot to another up to sign, so
 :func:`pullback_cochain` is one signed gather over the layout
 (:meth:`DeligneCochain.gathered`), which keeps the kind; so is the
-restriction to a boundary surface in :mod:`gerbecalc.holonomy`.
+restriction to a boundary surface in :mod:`gerbecalc.holonomy`, whose
+holonomy is one signed sum (:meth:`DeligneCochain.signed_sum`).
 
 **Operator.**  The total differential is
 D(c)_k = delta(c_k) + (-1)^(p-k+1) d(c_{k-1}), with d = dlog (branch
@@ -65,18 +65,20 @@ per-face definition, so it is bit-identical to it; the test module keeps
 that definition as its oracle.  Each column of a block is gathered with
 one ``operator.itemgetter`` call on a list of the values (``tolist()`` of
 a float array); the getters are built per call, since keeping them would
-hold a Python int per nonzero.  An exact cochain is summed on its integer
-numerators, and the wrap runs on those integers; D(c) keeps the output
-numerators over the same denominator, so neither D(c) nor D(D(c)) builds a
-``Fraction``.  :func:`is_cocycle` and :func:`cochain_residual` measure the
-integer numerators directly, :func:`dd_class` sums the numerators of g
-over their lcm, and :func:`solve_trivialization` reads the layers of the
-numerators its cochain holds.  A float array is summed as it is, into a
-float array; :func:`is_cocycle` tests a geometric float vector block by
-block as its rows are summed, and stops at the first block that fails.  A
-cochain remembers the verdict of its last float-array test, with the
-tolerance and the bytes of the values it was given, so a repeat test of
-unchanged values at the same tolerance is one byte comparison.
+hold a Python int per nonzero.  D takes an exact cochain as its integer
+numerators with their denominator, and the wrap runs on those integers;
+D(c) keeps the output numerators over the same denominator, so neither
+D(c) nor D(D(c)) builds a ``Fraction``.  :func:`is_cocycle` and
+:func:`cochain_residual` measure the integer numerators directly,
+:func:`dd_class` sums the numerators of g over their lcm,
+:func:`solve_trivialization` reads the layers of the numerators its
+cochain holds, and :func:`chartwise_db` folds numerators.  A float array
+is summed as it is, into a float array; :func:`is_cocycle` tests a
+geometric float vector block by block as its rows are summed, and stops
+at the first block that fails.  A cochain remembers the verdict of its
+last float-array test, with the tolerance and the bytes of the values it
+was given, so a repeat test of unchanged values at the same tolerance is
+one byte comparison.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, chain, repeat
 from math import lcm
 from operator import add, eq, gt, itemgetter, le, lt, mul, neg, sub
@@ -253,10 +255,9 @@ class Layout:
             return over_common_denominator(vals)
         return None, array("d", vals)
 
-    def unpack(self, values, k):
-        """Component k of a value vector as a dict face -> value."""
-        lo, hi = self.bounds(k)
-        vals = values[lo:hi]
+    def unpack(self, vals, k):
+        """Component k as a dict face -> value, from the values of its slots."""
+        lo = self.bounds(k)[0]
         if self.complex is None:
             return dict(zip(self.faces[k], vals))
         if isinstance(vals, array):
@@ -434,27 +435,17 @@ class DeligneOperator:
             signs.extend(array("b", pattern) * (r1 - r0))
         return signs
 
-    def apply(self, x):
-        """D applied to a value vector of the source layout, of the same
-        kind: a float array, or a list of ``Fraction``s, which is summed on
-        integers over the lcm of its denominators."""
-        den, out = self.sums(x)
-        return out if den is None else _fractions(out, den)
-
     def sums(self, x, den=None):
-        """(den, y): D(x) = y / den as integer numerators for a ``Fraction``
-        list ``x``, or for integer numerators ``x`` over a given ``den``;
-        (None, D(x)) for a float array."""
-        if den is not None:
-            xs, out = x, []
-        elif isinstance(x, array):
-            xs, out = x.tolist(), array("d")
+        """D(x) for a vector x of the source layout: integer numerators over
+        ``den`` for numerators ``x`` over ``den``, a float array for a float
+        array ``x`` (``den`` None)."""
+        if den is None:
+            x, out = x.tolist(), array("d")
         else:
-            den, xs = over_common_denominator(x)
             out = []
-        for rows in self._block_rows(xs, den):
+        for rows in self._block_rows(x, den):
             out.extend(rows)
-        return den, out
+        return out
 
     def _block_rows(self, xs, den):
         """The rows of D(x), one iterator per block of rows in order.
@@ -505,11 +496,11 @@ class DeligneOperator:
 
 
 def _fractions(nums, den):
-    """[Fraction(n, den) for n in nums], one ``Fraction`` per distinct
-    numerator: numerators over one denominator repeat (D(D(c)) is all
-    zeros), and a ``Fraction`` is immutable, so slots share it."""
+    """(Fraction(n, den) for n in nums) as a tuple, one ``Fraction`` per
+    distinct numerator: numerators over one denominator repeat (D(D(c)) is
+    all zeros), and a ``Fraction`` is immutable, so slots share it."""
     fractions = {n: Fraction(n, den) for n in set(nums)}
-    return list(map(fractions.__getitem__, nums))
+    return tuple(map(fractions.__getitem__, nums))
 
 
 def _normalize_u1(layout, values, den):
@@ -534,10 +525,11 @@ class DeligneCochain:
     kind :meth:`Layout.pack` chose, whose U(1) layer is reduced into
     [0, 1), and the verdict of its last float-array :func:`is_cocycle`
     test.  An exact cochain holds integer numerators over one denominator
-    until ``values`` is first read.
+    (``_den``, ``_vec``), which no read drops, and the ``values`` tuple
+    once it is read.
     """
 
-    __slots__ = ("layout", "_values", "_nums", "_verdict")
+    __slots__ = ("layout", "_den", "_vec", "_snapshot", "_verdict")
 
     def __init__(self, nerve, degree, level, components, complex=None):
         layout = cochain_layout(nerve, complex, degree, level)
@@ -547,9 +539,8 @@ class DeligneCochain:
     @classmethod
     def packed(cls, layout: Layout, values, den=None):
         """Cochain over ``layout`` owning ``values``: an ``array('d')``, or,
-        with ``den``, a list of integer numerators over ``den``, which the
-        cochain holds until ``values`` is first read.  Nothing else is
-        accepted, and the values are not checked."""
+        with ``den``, a list of integer numerators over ``den``.  Nothing
+        else is accepted, and the values are not checked."""
         if (den is None) is not isinstance(values, array):
             raise TypeError("a cochain holds an array('d') or numerators with their den")
         c = object.__new__(cls)
@@ -557,10 +548,10 @@ class DeligneCochain:
         return c
 
     def _hold(self, layout, values, den):
-        values = _normalize_u1(layout, values, den)
         object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "_values", values if den is None else None)
-        object.__setattr__(self, "_nums", None if den is None else (den, values))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_vec", _normalize_u1(layout, values, den))
+        object.__setattr__(self, "_snapshot", None)
         object.__setattr__(self, "_verdict", None)
 
     def __setattr__(self, name, value):
@@ -573,17 +564,14 @@ class DeligneCochain:
 
     @property
     def values(self):
-        """The flat value vector: an ``array('d')`` or a list of ``Fraction``s.
-
-        A cochain held as numerators builds its list at the first read and
-        drops the numerators, so from then on the list is the one truth: a
-        write to it in place is seen by every later reader.
-        """
-        if self._nums is not None:
-            den, nums = self._nums
-            object.__setattr__(self, "_values", _fractions(nums, den))
-            object.__setattr__(self, "_nums", None)
-        return self._values
+        """The flat value vector: the cochain's own ``array('d')`` of floats,
+        or, for an exact cochain, a read-only tuple of ``Fraction``s built
+        at the first read from the numerators and kept beside them."""
+        if self._den is None:
+            return self._vec
+        if self._snapshot is None:
+            object.__setattr__(self, "_snapshot", _fractions(self._vec, self._den))
+        return self._snapshot
 
     @property
     def n_components(self):
@@ -596,31 +584,43 @@ class DeligneCochain:
         return _Components(self)
 
     def component(self, k):
-        return self.layout.unpack(self.values, k)
+        return self.layout.unpack(self._read(*self.layout.bounds(k)), k)
 
     def value(self, k, face, simplex=None):
         """Value of component k at a sorted face (and simplex)."""
-        return self.values[self.layout.slot(k, face, simplex)]
+        slot = self.layout.slot(k, face, simplex)
+        return self._read(slot, slot + 1)[0]
+
+    def _read(self, lo, hi):
+        """The values of slots lo..hi-1, exact ones made from their
+        numerators alone."""
+        vals = self._vec[lo:hi]
+        return vals if self._den is None else _fractions(vals, self._den)
 
     def is_pure_nerve(self):
         return self.complex is None
 
     def is_exact(self):
-        """True for exact values, False for a float array; ``values`` is
-        not read."""
-        return not isinstance(self._values, array)
+        """True for exact values, False for a float array."""
+        return self._den is not None
 
     def gathered(self, layout, slots, signs=None):
         """The cochain over ``layout`` whose slot i holds this cochain's
         value at ``slots[i]``, times ``signs[i]`` where ``signs`` is given;
         of this cochain's kind, an exact one gathered on its numerators."""
-        exact = _numerators(self)
-        den, xs = (None, self._values) if exact is None else exact
-        out = map(xs.__getitem__, slots)
+        out = map(self._vec.__getitem__, slots)
         if signs is not None:
             out = map(mul, signs, out)
-        out = array("d", out) if den is None else list(out)
-        return DeligneCochain.packed(layout, out, den)
+        den = self._den
+        return DeligneCochain.packed(layout, array("d", out) if den is None else list(out), den)
+
+    def signed_sum(self, slots, signs):
+        """The sum of signs[i] times the value at slots[i], folded left to
+        right from 0: a float for a float cochain (``sum`` of floats is
+        compensated from Python 3.12 on), a ``Fraction`` for an exact one,
+        summed on its numerators."""
+        total = reduce(add, map(mul, signs, map(self._vec.__getitem__, slots)), 0)
+        return total if self._den is None else Fraction(total, self._den)
 
     def __eq__(self, other):
         if not isinstance(other, DeligneCochain):
@@ -682,15 +682,6 @@ def _check_compatible(c1, c2):
         raise DeligneError("cochains live over different complexes")
 
 
-def _numerators(c):
-    """(den, nums) with the values of an exact cochain ``c`` = nums / den:
-    the numerators ``c`` holds, else those of its ``Fraction`` list over
-    the lcm of its denominators; None for a float array."""
-    if c._nums is not None:
-        return c._nums
-    return None if isinstance(c._values, array) else over_common_denominator(c._values)
-
-
 def _rescaled(nums, den, to):
     """Numerators over ``den`` as numerators over its multiple ``to``."""
     return nums if to == den else list(map(mul, nums, repeat(to // den)))
@@ -700,22 +691,20 @@ def cochain_add(c1: DeligneCochain, c2: DeligneCochain) -> DeligneCochain:
     """c1 + c2, exact only when both are: floats where either is.  Exact
     cochains are added on numerators over the lcm of their denominators."""
     _check_compatible(c1, c2)
-    x1, x2 = _numerators(c1), _numerators(c2)
-    if x1 is None or x2 is None:
+    (d1, n1), (d2, n2) = (c1._den, c1._vec), (c2._den, c2._vec)
+    if d1 is None or d2 is None:
         values = array("d", map(add, c1.values, c2.values))
         return DeligneCochain.packed(c1.layout, values)
-    (d1, n1), (d2, n2) = x1, x2
     den = lcm(d1, d2)
     values = list(map(add, _rescaled(n1, d1, den), _rescaled(n2, d2, den)))
     return DeligneCochain.packed(c1.layout, values, den)
 
 
 def cochain_neg(c: DeligneCochain) -> DeligneCochain:
-    exact = _numerators(c)
-    if exact is None:
-        return DeligneCochain.packed(c.layout, array("d", map(neg, c.values)))
-    den, nums = exact
-    return DeligneCochain.packed(c.layout, list(map(neg, nums)), den)
+    negated = map(neg, c._vec)
+    den = c._den
+    return DeligneCochain.packed(
+        c.layout, array("d", negated) if den is None else list(negated), den)
 
 
 def cochain_sub(c1, c2):
@@ -735,11 +724,7 @@ def zero_cochain(nerve, degree, level, complex=None) -> DeligneCochain:
 def deligne_differential(c: DeligneCochain) -> DeligneCochain:
     """D(c), of c's kind; an exact D(c) is held as integer numerators."""
     op = c.layout.differential
-    exact = _numerators(c)
-    if exact is None:
-        return DeligneCochain.packed(op.target, op.apply(c.values))
-    den, nums = exact
-    return DeligneCochain.packed(op.target, op.sums(nums, den)[1], den)
+    return DeligneCochain.packed(op.target, op.sums(c._vec, c._den), c._den)
 
 
 def cochain_residual(c: DeligneCochain):
@@ -752,11 +737,9 @@ def cochain_residual(c: DeligneCochain):
     A ``Fraction`` vector is measured exactly; of a float vector, the first
     NaN or infinite value is returned.
     """
-    exact = _numerators(c)
-    if exact is None:
-        return _residual(c.layout, c.values)
-    den, nums = exact
-    return _residual_over(c.layout, nums, den)
+    if c._den is None:
+        return _residual(c.layout, c._vec)
+    return _residual_over(c.layout, c._vec, c._den)
 
 
 def _turn_distances(xs):
@@ -808,11 +791,9 @@ def is_cocycle(c: DeligneCochain, tol=0) -> bool:
     # D(c) applied here, not by deligne_differential, which perfbench wraps
     # and counts; its U(1) layer is measured mod 1, so it is left unreduced
     op = c.layout.differential
-    exact = _numerators(c)
-    if exact is not None:
-        den, nums = exact
-        return _residual_over(op.target, op.sums(nums, den)[1], den)[0] <= tol
-    key = c.values.tobytes()
+    if c._den is not None:
+        return _residual_over(op.target, op.sums(c._vec, c._den), c._den)[0] <= tol
+    key = c._vec.tobytes()
     last = c._verdict
     if last is not None and last[0] == tol and last[1] == key:
         return last[2]
@@ -823,13 +804,13 @@ def is_cocycle(c: DeligneCochain, tol=0) -> bool:
 
 def _is_float_cocycle(op, c, tol):
     if c.complex is None:
-        return _residual(op.target, op.sums(c.values)[1])[0] <= tol
+        return _residual(op.target, op.sums(c._vec))[0] <= tol
     # every layer is measured mod 1; each block is tested as it is summed,
     # and the first block that fails ends the test
     try:
         return all(
             all(map(le, _turn_distances(rows), repeat(tol)))
-            for rows in op._block_rows(c.values.tolist(), None)
+            for rows in op._block_rows(c._vec.tolist(), None)
         )
     except ValueError:  # an infinity: an infinite residual
         return math.inf <= tol
@@ -845,12 +826,13 @@ def chartwise_db(cc: CoveredComplex, c: DeligneCochain):
 
     dB = B(f0) - B(f1) + B(f2) - B(f3) is folded left to right, f_j being
     the tetrahedron without its j-th vertex and B(f_j) the value of
-    component 2 at (i,) on f_j.  The four slots of each (chart, tet) are
-    found once per (complex, layout) and cached on the complex; where one
-    is missing, :meth:`Layout.slot`'s error is raised when its tetrahedron
-    is reached.
+    component 2 at (i,) on f_j; an exact cochain's dB is folded on its
+    numerators and made one ``Fraction``.  The four slots of each (chart,
+    tet) are found once per (complex, layout) and cached on the complex;
+    where one is missing, :meth:`Layout.slot`'s error is raised when its
+    tetrahedron is reached.
     """
-    layout, values = c.layout, c.values
+    layout, den, xs = c.layout, c._den, c._vec
 
     def build():
         tets, filing = cc.simplices_of(3), cc.file_face_ranks(3, 1)
@@ -864,8 +846,9 @@ def chartwise_db(cc: CoveredComplex, c: DeligneCochain):
         if None in slots:
             for j in range(4):
                 layout.slot(2, face, tet[:j] + tet[j + 1 :])
-        a, b, e, f = map(values.__getitem__, slots)
-        yield face, tet, a - b + e - f
+        a, b, e, f = map(xs.__getitem__, slots)
+        db = a - b + e - f
+        yield face, tet, db if den is None else Fraction(db, den)
 
 
 # -- nerve cohomology and the obstruction class ----------------------------
@@ -1071,7 +1054,7 @@ def solve_trivialization(c: DeligneCochain) -> TrivializationResult:
     if not is_cocycle(c):
         raise DeligneError("input is not a cocycle")
     nerve, layout = c.nerve, c.layout
-    den, nums = _numerators(c) or over_common_denominator(c.values)
+    den, nums = (c._den, c._vec) if c.is_exact() else over_common_denominator(c._vec)
     g, a, b = (nums[slice(*layout.bounds(k))] for k in range(3))
     obstruction = _dd_class_over(nerve, den, g)
 
@@ -1092,7 +1075,7 @@ def solve_trivialization(c: DeligneCochain) -> TrivializationResult:
     # rho is the common value of B_i + (dW)_i; dW = 0 on constants
     if any(n != b[0] for n in b):
         return fail("curvature component is not globally constant")
-    rho = Fraction(b[0], den) if c.is_exact() else c.values[layout.bounds(2)[0]]
+    rho = Fraction(b[0], den) if c.is_exact() else c._vec[layout.bounds(2)[0]]
     triv = DeligneCochain(nerve, 1, 2, (h, dict(zip(singles, w))))
     return TrivializationResult(triv, rho, None)
 

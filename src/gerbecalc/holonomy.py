@@ -29,10 +29,11 @@ corner and the tail corner), with repeated slots left unmerged.  The
 first call for an (assignment, layout) validates the charts, checks the
 edge faces and finds each term's slot with
 :meth:`~gerbecalc.deligne.Layout.find`, which bisects the face's run; a
-build that raises is not kept.  Every call then gathers the values of
-the table's slots and folds sign * value left to right from 0, so the sum
-is the term loop's to the last bit, on any Python (``sum`` of floats is
-compensated from Python 3.12 on).
+build that raises is not kept.  Every call then folds sign * value over
+the table left to right from 0, by
+:meth:`~gerbecalc.deligne.DeligneCochain.signed_sum` (on the numerators
+of an exact cochain), so the sum is the term loop's to the last bit, on
+any Python (``sum`` of floats is compensated from Python 3.12 on).
 
 The result is exp(2pi i S).  The formula is pinned by its invariances
 (gauge shifts, chart reassignment, trivial-gerbe reduction) rather than
@@ -48,7 +49,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul
+from operator import add
 from types import MappingProxyType
 
 from .deligne import (
@@ -128,7 +129,7 @@ def holonomy_exponent(cc: CoveredComplex, c: DeligneCochain, asg: ChartAssignmen
     if (c.degree, c.level) != (2, 2):
         raise DeligneError("holonomy needs a degree-2, level-2 cochain")
     slots, signs = _term_table(cc, c.layout, asg)
-    return reduce(add, map(mul, signs, map(c.values.__getitem__, slots)), 0)
+    return c.signed_sum(slots, signs)
 
 
 def _term_table(cc, layout, asg):

@@ -91,7 +91,7 @@ def assert_same_cochain(got, want):
     """Equal values of the same storage type; floats equal bit for bit."""
     assert got.layout is want.layout
     assert type(got.values) is type(want.values)
-    if isinstance(want.values, list):
+    if isinstance(want.values, tuple):
         assert got.values == want.values
         assert list(map(type, got.values)) == list(map(type, want.values))
     else:

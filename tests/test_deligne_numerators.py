@@ -1,26 +1,30 @@
 """Exact cochains held as integer numerators, against the ``Fraction`` path.
 
 An exact cochain holds integer numerators over one denominator, from
-``Layout.pack`` on, until ``values`` is read; the first read builds the
-``Fraction`` list, which from then on is the only truth.  The oracles here
-add ``Fraction``s term by term: ``reference_apply`` for D
+``Layout.pack`` on, and no read drops them; ``values`` is a read-only
+tuple of ``Fraction``s built from them.  The oracles here add
+``Fraction``s term by term: ``reference_apply`` for D
 (``test_deligne_operator``), then ``% 1`` on the U(1) layer; a per-value
 residual; ``reference_dd_class``, the ``Fraction`` loop ``dd_class`` ran
-before it summed numerators; and ``reference_pullback`` and
-``reference_restriction``, the per-slot loops over the ``Fraction`` list
-that the pullback and the boundary restriction ran before they gathered
-numerators.
+before it summed numerators; and the per-slot loops over ``values`` that
+the readers ran before they read numerators: ``reference_pullback``,
+``reference_restriction``, ``reference_components``,
+``reference_chartwise_db`` and ``reference_stokes``.
 """
 
+import cmath
+import math
 import random
 from array import array
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerbecalc import deligne
+from gerbecalc import checkers, deligne
 from gerbecalc.deligne import (
     DeligneCochain,
     DeligneError,
@@ -41,13 +45,22 @@ from gerbecalc.deligne import (
     trivialization_defect,
     zero_cochain,
 )
-from gerbecalc.holonomy import restrict_to_boundary
+from gerbecalc.checkers import check_module_data
+from gerbecalc.holonomy import (
+    holonomy_exponent,
+    random_assignment,
+    restrict_to_boundary,
+    stokes_check,
+    surface_holonomy,
+)
+from gerbecalc.intlinalg import over_common_denominator
 from gerbecalc.nerve import coned_ball, icosahedron, simplex_nerve
 
 from filing import carried
-from test_checkers import antipodal_involution
+from test_checkers import _DyadicRandom, antipodal_involution, line_bundle_data
 from test_deligne import suspension_nerve, torsion_u1_cocycle
 from test_deligne_operator import reference_apply
+from test_holonomy import reference_holonomy_exponent, reference_primitive_check
 
 NERVES = {n: simplex_nerve(n) for n in range(3, 8)}
 
@@ -56,9 +69,11 @@ NERVES = {n: simplex_nerve(n) for n in range(3, 8)}
 
 
 def reduced_u1(layout, values):
-    """``values`` with the U(1) layer taken ``% 1``, as a cochain keeps it."""
+    """``values`` with the U(1) layer taken ``% 1`` (x - floor(x) for a
+    float, which keeps -0.0), as a cochain keeps it."""
     lo, hi = layout.bounds(0)
-    return [x % 1 if lo <= i < hi else x for i, x in enumerate(values)]
+    return [(x - math.floor(x) if type(x) is float else x % 1) if lo <= i < hi else x
+            for i, x in enumerate(values)]
 
 
 def reference_d(c):
@@ -143,10 +158,50 @@ def exact_geometric_cochain(cc, degree, rng):
     return DeligneCochain(nerve, degree, 2, comps, complex=cc)
 
 
+def exact_ball_gerbe(ball, rng):
+    """An exact cocycle on ``ball`` with curvature, and its field H:
+    (0, 0, B) for a global B in 60ths, plus D of an exact gauge; H = dB."""
+    nerve = ball.nerve()
+    b = {t: Fraction(rng.randrange(-60, 60), 60) for t in ball.tri_keys}
+    gerbe = DeligneCochain(nerve, 2, 2, tuple(
+        {f: {s: b[s] if k == 2 else Fraction(0) for s in carried(ball, f, k)}
+         for f in nerve.faces_of_size(3 - k)}
+        for k in range(3)
+    ), complex=ball)
+    c = cochain_add(gerbe, deligne_differential(exact_geometric_cochain(ball, 1, rng)))
+    H = {tet: reduce(add, ((-1) ** j * b[tet[:j] + tet[j + 1 :]] for j in range(4)))
+         for tet in ball.tet_keys}
+    return c, H
+
+
+def exact_line_bundle(cc, seed):
+    """``line_bundle_data`` in 64ths, its cocycle made exact."""
+    cocycle, data = line_bundle_data(cc, cc.nerve(), _DyadicRandom(seed))
+    exact = DeligneCochain(cc.nerve(), 2, 2, tuple(
+        {f: {s: Fraction(x) for s, x in v.items()} for f, v in comp.items()}
+        for comp in cocycle.components
+    ), complex=cc)
+    assert exact.is_exact()
+    return exact, data
+
+
 def assert_same_values(got, want):
-    assert type(got) is list
-    assert got == want
+    """An exact cochain's ``values`` equal to ``want``, types included."""
+    assert type(got) is tuple
+    assert list(got) == list(want)
     assert list(map(type, got)) == list(map(type, want))
+
+
+def assert_same(got, want):
+    """Equal in value and type; floats and complex numbers bit for bit."""
+    assert type(got) is type(want) and got == want
+    if isinstance(want, (float, complex)):
+        assert bits(got) == bits(want)
+
+
+def bits(x):
+    x = complex(x)
+    return x.real.hex(), x.imag.hex()
 
 
 def pure_cochain(layout, values):
@@ -236,21 +291,27 @@ def test_geometric_fraction_cochain_matches_the_fraction_path():
             assert is_cocycle(dc)
 
 
-def test_in_place_writes_after_a_read_are_seen():
+def test_exact_values_are_a_read_only_snapshot(monkeypatch):
     nerve = NERVES[6]
     rng = random.Random(2402)
     c = deligne_differential(random_cochain(nerve, 1, 2, rng))
-    assert is_cocycle(c)
     values = c.values
-    assert type(values) is list and set(map(type, values)) == {Fraction}
-    lo = c.layout.bounds(1)[0]
-    values[lo] = Fraction(1000, 7)
+    assert type(values) is tuple and set(map(type, values)) == {Fraction}
     assert c.values is values
+    with pytest.raises(TypeError):
+        values[c.layout.bounds(1)[0]] = Fraction(1000, 7)
+    assert c.is_exact() and c.values is values
+    # the numerators survive the read: no lcm pass finds them again
+    lcm_passes = []
+    monkeypatch.setattr(deligne, "over_common_denominator",
+                        lambda vec: lcm_passes.append(len(vec)) or over_common_denominator(vec))
     assert_same_values(deligne_differential(c).values, reference_d(c))
-    assert not is_cocycle(c)
-    assert is_cocycle(c) is reference_is_cocycle(c)
-    assert cochain_residual(c) == reference_residual(c.layout, values) == (Fraction(1000, 7), lo)
     assert_same_values(cochain_add(c, c).values, reduced_u1(c.layout, [2 * x for x in values]))
+    assert is_cocycle(c) and cochain_residual(c) == reference_residual(c.layout, values)
+    assert lcm_passes == []
+    # the trivialization packs its (h, W) from dicts, one pass of that size
+    res = solve_trivialization(c)
+    assert res.ok and lcm_passes == [res.trivialization.layout.size]
 
 
 def test_the_middle_cochain_of_dd_never_builds_its_list(monkeypatch):
@@ -299,6 +360,17 @@ def test_the_middle_cochain_of_dd_never_builds_its_list(monkeypatch):
     gerbe = deligne_differential(random_cochain(nerve, 1, 2, rng))
     assert trivialization_defect(gerbe, solve_trivialization(gerbe)) == 0
     assert not any(y is gerbe for y in read)
+    # holonomy, Stokes and the module check on exact geometric cochains read
+    # no cochain's values: each sums numerators or unpacks a component
+    before = len(read)
+    gerbe, H = exact_ball_gerbe(ball, rng)
+    boundary, cb = restrict_to_boundary(ball, gerbe)
+    asg = random_assignment(boundary, rng)
+    assert type(holonomy_exponent(boundary, cb, asg)) is Fraction
+    surface_holonomy(boundary, cb, asg)
+    assert stokes_check(ball, gerbe, H, asg)[2]
+    assert check_module_data(*exact_line_bundle(ball, 2410), tol=1e-9).ok
+    assert len(read) == before
 
 
 def test_packed_takes_a_float_array_or_numerators_with_their_den():
@@ -306,7 +378,7 @@ def test_packed_takes_a_float_array_or_numerators_with_their_den():
     c = DeligneCochain.packed(layout, [7] * layout.size, 3)
     cut = layout.bounds(0)[1]  # the U(1) layer is reduced mod 1
     assert c.is_exact()
-    assert c.values == [Fraction(1, 3)] * cut + [Fraction(7, 3)] * (layout.size - cut)
+    assert c.values == (Fraction(1, 3),) * cut + (Fraction(7, 3),) * (layout.size - cut)
     assert not DeligneCochain.packed(layout, array("d", [0.5] * layout.size)).is_exact()
     for values, den in (([Fraction(1, 3)] * layout.size, None),
                         (array("d", [0.5] * layout.size), 2)):
@@ -322,7 +394,7 @@ def test_trivialization_defect_matches_the_fraction_path():
         assert res.ok and trivialization_defect(c, res) == 0
         for shift in (Fraction(1, 3), Fraction(-5, 7)):
             off = TrivializationResult(res.trivialization, res.rho + shift, None)
-            total = cochain_add(c, deligne_differential(res.trivialization)).values
+            total = list(cochain_add(c, deligne_differential(res.trivialization)).values)
             lo = c.layout.bounds(2)[0]
             values = total[:lo] + [x - off.rho for x in total[lo:]]
             got = trivialization_defect(c, off)
@@ -368,6 +440,134 @@ def test_gathered_restriction_matches_the_slot_loop():
         got = restrict_to_boundary(ball, floats)[1]
         assert not got.is_exact()
         assert list(got.values) == list(map(float, reference_restriction(boundary, c)))
+
+
+# -- the readers of numerators against the per-slot loops ------------------
+
+
+def reference_components(c):
+    """The component dicts, read slot by slot from ``values``; in geometric
+    mode a face without simplices maps to an empty dict."""
+    comps = [dict.fromkeys(faces) if c.complex is None else {f: {} for f in faces}
+             for faces in c.layout.faces]
+    for slot, (k, face, s) in enumerate(c.layout.slots()):
+        if s is None:
+            comps[k][face] = c.values[slot]
+        else:
+            comps[k][face][s] = c.values[slot]
+    return comps
+
+
+def reference_chartwise_db(cc, c):
+    """chartwise_db as it was: per (chart, tetrahedron), the four B values
+    read slot by slot from ``values`` and folded a - b + e - f."""
+    for face in c.nerve.faces_of_size(1):
+        for tet in (tet for tet in cc.tet_keys if face[0] in cc.charts_of(tet)):
+            a, b, e, f = (c.values[c.layout.slot(2, face, tet[:j] + tet[j + 1 :])]
+                          for j in range(4))
+            yield face, tet, a - b + e - f
+
+
+def reference_surface_holonomy(cc, c, asg):
+    s = reference_holonomy_exponent(cc, c, asg)
+    return cmath.exp(2j * cmath.pi * (float(s % 1) if isinstance(s, Fraction) else s))
+
+
+def reference_stokes(ball, c, H, asg, tol=1e-6):
+    """stokes_check from the per-slot loops: the primitive check by
+    ``c.value`` reads, the boundary cochain packed from the slot-by-slot
+    restriction, and its holonomy summed term by term."""
+    assert reference_primitive_check(ball, c, H) == "ok"
+    boundary = restrict_to_boundary(ball, c)[0]
+    layout = cochain_layout(boundary.nerve(), boundary, 2, 2)
+    values = reference_restriction(boundary, c)
+    if c.is_exact():
+        den, nums = over_common_denominator(values)
+        cb = DeligneCochain.packed(layout, nums, den)
+    else:
+        cb = DeligneCochain.packed(layout, array("d", values))
+    hol = reference_surface_holonomy(boundary, cb, asg)
+    bulk_sum = reduce(add, (ball.tet_sign[tet] * H[tet] for tet in ball.tet_keys), 0)
+    if isinstance(bulk_sum, Fraction):
+        bulk_sum = float(bulk_sum % 1)
+    bulk = cmath.exp(2j * cmath.pi * bulk_sum)
+    return hol, bulk, abs(hol - bulk) < tol
+
+
+def floated(c):
+    """The float cochain of an exact one's values."""
+    return DeligneCochain.packed(c.layout, array("d", map(float, c.values)))
+
+
+def assert_value_reads_match(c):
+    """``value`` and ``component`` equal the slot-by-slot reads of
+    ``values``, types included, floats bit for bit."""
+    for slot, key in enumerate(c.layout.slots()):
+        assert_same(c.value(*key), c.values[slot])
+    want = reference_components(c)
+    for k in range(c.n_components):
+        got = c.component(k)
+        assert got == want[k]
+        for face, v in got.items():
+            for s, x in v.items() if isinstance(v, dict) else [(None, v)]:
+                assert_same(x, want[k][face][s] if s is not None else want[k][face])
+
+
+@pytest.mark.parametrize("kind", ("exact", "float"))
+def test_numerator_readers_match_the_per_slot_loops(kind, monkeypatch):
+    ball = coned_ball(icosahedron())
+    rng = random.Random(f"readers {kind}")
+    c, H = exact_ball_gerbe(ball, rng)
+    bundle, data = exact_line_bundle(ball, 2411)
+    if kind == "float":
+        c, bundle = floated(c), floated(bundle)
+        H = {tet: float(h) for tet, h in H.items()}
+    assert c.is_exact() is bundle.is_exact() is (kind == "exact")
+    assert_value_reads_match(c)
+    # the chart-wise dB
+    got, want = list(deligne.chartwise_db(ball, c)), list(reference_chartwise_db(ball, c))
+    assert [x[:2] for x in got] == [x[:2] for x in want]
+    for x, y in zip(got, want):
+        assert_same(x[2], y[2])
+    # the boundary restriction, its holonomies and the Stokes triple
+    boundary, cb = restrict_to_boundary(ball, c)
+    want = reference_restriction(boundary, c)
+    assert cb.is_exact() is c.is_exact()
+    assert list(map(bits, cb.values) if kind == "float" else cb.values) == \
+        list(map(bits, want) if kind == "float" else want)
+    assert_value_reads_match(cb)
+    for _ in range(4):
+        asg = random_assignment(boundary, rng)
+        assert_same(holonomy_exponent(boundary, cb, asg),
+                    reference_holonomy_exponent(boundary, cb, asg))
+        assert_same(surface_holonomy(boundary, cb, asg),
+                    reference_surface_holonomy(boundary, cb, asg))
+        got, want = stokes_check(ball, c, H, asg), reference_stokes(ball, c, H, asg)
+        assert want[2]
+        for x, y in zip(got, want):
+            assert_same(x, y)
+    # the pullback along the identity of the ball and along the antipode of
+    # its boundary sphere
+    ident = {i: i for i in ball.nerve().indices}
+    ico = icosahedron()
+    antipode = antipodal_involution(ico)
+    sphere = exact_geometric_cochain(ico, 2, rng)
+    if kind == "float":
+        sphere = floated(sphere)
+    for x, maps in ((c, (ident, None)), (sphere, (antipode, antipode))):
+        got, want = pullback_cochain(x, *maps).values, reference_pullback(x, *maps)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    # the module check, its rows against the check run on component dicts
+    # and dB read slot by slot
+    report = check_module_data(bundle, data, tol=1e-9)
+    monkeypatch.setattr(DeligneCochain, "component", lambda x, k: reference_components(x)[k])
+    monkeypatch.setattr(checkers, "chartwise_db", reference_chartwise_db)
+    oracle = check_module_data(bundle, data, tol=1e-9)
+    assert report.ok and report.checks == oracle.checks
+    for x, y in zip(report.checks, oracle.checks):
+        assert_same(x.residual, y.residual)
 
 
 # -- the obstruction class ------------------------------------------------

@@ -221,6 +221,23 @@ def map_chain_apply(op, x):
     return out
 
 
+def exact_sums(op, x):
+    """(den, D(x) as numerators over den) of a ``Fraction`` list x, fed to
+    the operator in its one exact form: the numerators of x over the lcm of
+    its denominators."""
+    den, nums = over_common_denominator(x)
+    return den, op.sums(nums, den)
+
+
+def apply_to_values(op, x):
+    """D(x) of a float array, as a float array, or of a ``Fraction`` list,
+    as one ``Fraction`` per row made from its numerators."""
+    if isinstance(x, array):
+        return op.sums(x)
+    den, nums = exact_sums(op, x)
+    return [Fraction(n, den) for n in nums]
+
+
 def reference_residual(c):
     """Per-value oracle of cochain_residual: the first largest distance of
     a value from zero, modulo 1 on the U(1) layer and in geometric mode,
@@ -361,7 +378,7 @@ def test_geometric_fractions_match_reference_exactly():
             for comp in comps
         ]
         c = DeligneCochain(nerve, degree, 2, tuple(comps), complex=cc)
-        assert isinstance(c.values, list)
+        assert isinstance(c.values, tuple)
         comps[0] = {
             f: {s: x % 1 for s, x in v.items()} if isinstance(v, dict) else v % 1
             for f, v in comps[0].items()
@@ -379,7 +396,7 @@ def _exact_values(rng, size):
 
 
 def assert_apply_matches_reference(op, x):
-    got, want = op.apply(x), reference_apply(op, x)
+    got, want = apply_to_values(op, x), reference_apply(op, x)
     assert isinstance(got, list)
     assert got == want
     assert list(map(type, got)) == list(map(type, want))
@@ -396,7 +413,7 @@ def test_pure_nerve_apply_matches_the_term_by_term_fold(name):
             assert_apply_matches_reference(op, _exact_values(rng, layout.size))
             # a float array is summed in the same order, into a float array
             x = array("d", [rng.uniform(-2, 2) for _ in range(layout.size)])
-            got = op.apply(x)
+            got = apply_to_values(op, x)
             assert type(got) is array and list(got) == reference_apply(op, x)
 
 
@@ -446,12 +463,12 @@ def test_gathered_apply_matches_the_map_chain(gather_meshes, name, degree):
         array("d", [rng.uniform(-2, 2) for _ in range(layout.size)]),
         array("d", [rng.randrange(-3, 4) / 2 for _ in range(layout.size)]),
     ):
-        got, want = op.apply(x), map_chain_apply(op, x)
+        got, want = apply_to_values(op, x), map_chain_apply(op, x)
         assert type(got) is array and got.typecode == "d"
         assert len(got) == len(want) == op.target.size
         assert all(g == w for g, w in zip(got, want))
     exact = _exact_values(rng, layout.size)
-    got, want = op.apply(exact), map_chain_apply(op, exact)
+    got, want = apply_to_values(op, exact), map_chain_apply(op, exact)
     assert got == want and set(map(type, got)) == {Fraction}
 
 
@@ -463,7 +480,7 @@ def test_gathered_apply_reads_one_row_blocks():
     rng = random.Random(49)
     for x in (_exact_values(rng, layout.size),
               array("d", [rng.uniform(-2, 2) for _ in range(layout.size)])):
-        got, want = op.apply(x), map_chain_apply(op, x)
+        got, want = apply_to_values(op, x), map_chain_apply(op, x)
         assert got == want and list(map(type, got)) == list(map(type, want))
 
 
@@ -834,7 +851,7 @@ def test_streamed_float_cocycle_test_matches_the_residual(gather_meshes, name):
         for values in cases:
             c = DeligneCochain.packed(layout, array("d", values))
             for t in (0, tol, 1e-9):
-                want = deligne._residual(op.target, op.sums(c.values)[1])[0] <= t
+                want = deligne._residual(op.target, op.sums(c.values))[0] <= t
                 assert is_cocycle(c, t) is want
                 outcomes.add((t, want))
     assert outcomes == {(t, want) for t in (0, tol, 1e-9) for want in (False, True)}
@@ -930,14 +947,14 @@ def test_exact_residual_on_numerators_matches_the_fraction_residual(nerve_name, 
         op = layout.differential
         for x in (_exact_values(rng, layout.size),
                   [Fraction(rng.randrange(-4, 5), 2) for _ in range(layout.size)]):
-            den, nums = op.sums(x)
+            den, nums = exact_sums(op, x)
             got = deligne._residual_over(op.target, nums, den)
-            want = round_residual(op.target, op.apply(x))
+            want = round_residual(op.target, apply_to_values(op, x))
             assert got == want and type(got[0]) is type(want[0])
     # D of an exact coboundary is a cocycle: every residual is zero
     if cc is None:
         c = deligne_differential(random_cochain(nerve, 1, 2, rng))
-        den, nums = c.layout.differential.sums(c.values)
+        den, nums = exact_sums(c.layout.differential, c.values)
         assert deligne._residual_over(c.layout.differential.target, nums, den)[0] == 0
     # no slots: no residual and no slot
     one = cochain_layout(simplex_nerve(1), None, 1, 2)

@@ -658,14 +658,17 @@ def ball_setup():
 
 
 def ball_trivial_gerbe(ball, nerve, b_global):
-    z = zero_cochain(nerve, 2, 2, complex=ball)
+    """(0, 0, B) for a global B, and H = dB; exact where B is exact."""
     b = {
         f: {s: b_global[s] for s in carried(ball, f, 2)}
         for f in nerve.faces_of_size(1)
     }
+    # int zeros keep the kind of B: Fractions stay exact, floats make floats
     c = DeligneCochain(
-        nerve=nerve, degree=2, level=2,
-        components=(z.components[0], z.components[1], b), complex=ball,
+        nerve=nerve, degree=2, level=2, complex=ball,
+        components=(dict.fromkeys(nerve.faces_of_size(3), 0),
+                    {f: dict.fromkeys(carried(ball, f, 1), 0) for f in nerve.faces_of_size(2)},
+                    b),
     )
     H = {}
     for tet in ball.tet_keys:
@@ -803,6 +806,7 @@ def test_stokes_primitive_check_matches_the_value_loop(ball_setup):
         b = {t: Fraction(rng.randrange(-60, 60), 60) if exact else rng.uniform(-1, 1)
              for t in ball.tri_keys}
         c, H = ball_trivial_gerbe(ball, nerve, b)
+        assert c.is_exact() is exact
         cases.append((c, H))
         for tets in ([ball.tet_keys[7]], [ball.tet_keys[3], ball.tet_keys[11]]):
             # a field off by more than the tolerance, one ulp past it, or

@@ -68,3 +68,29 @@ def test_package_modules_import_only_public_names_of_other_modules():
         for path in modules
     }
     assert found == {name: [] for name in found}
+
+
+def values_reads(source):
+    """The lines where ``source`` reads a ``.values`` attribute other than
+    as the function of a call (``d.values()``)."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "values" and id(node) not in called
+    )
+
+
+def test_only_deligne_reads_the_values_of_a_cochain():
+    # the value kind of a cochain (numerators or floats) stays inside
+    # gerbecalc.deligne: every other module goes through its readers
+    assert values_reads(
+        "x = c.values[0]\nfor v in d.values():\n    f(c.values, g(v).values())\n"
+    ) == [1, 3]
+    package = ROOT / "src" / "gerbecalc"
+    found = {
+        str(path.relative_to(package)): values_reads(path.read_text())
+        for path in sorted(package.rglob("*.py")) if path != package / "deligne.py"
+    }
+    assert len(found) > 10
+    assert found == {name: [] for name in found}
