@@ -72,13 +72,15 @@ D(c) nor D(D(c)) builds a ``Fraction``.  :func:`is_cocycle` and
 :func:`cochain_residual` measure the integer numerators directly,
 :func:`dd_class` sums the numerators of g over their lcm,
 :func:`solve_trivialization` reads the layers of the numerators its
-cochain holds, and :func:`chartwise_db` folds numerators.  A float array
-is summed as it is, into a float array; :func:`is_cocycle` tests a
-geometric float vector block by block as its rows are summed, and stops
-at the first block that fails.  A cochain remembers the verdict of its
-last float-array test, with the tolerance and the bytes of the values it
-was given, so a repeat test of unchanged values at the same tolerance is
-one byte comparison.
+cochain holds, and :func:`chartwise_db` folds numerators.  One Smith form
+U delta V = D per coboundary, cached on the nerve, serves the class and
+both trivialization layers: each reads U x, and h and W are V D^+ U x.
+A float array is summed as it is, into a float array; :func:`is_cocycle`
+tests a geometric float vector block by block as its rows are summed,
+and stops at the first block that fails.  A cochain remembers the verdict
+of its last float-array test, with the tolerance and the bytes of the
+values it was given, so a repeat test of unchanged values at the same
+tolerance is one byte comparison.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ from itertools import accumulate, chain, repeat
 from math import lcm
 from operator import add, eq, gt, itemgetter, le, lt, mul, neg, sub
 
-from .intlinalg import matvec, over_common_denominator, smith_normal_form, solve_rational
+from .intlinalg import matvec, over_common_denominator, smith_normal_form
 from .nerve import CoverNerve, CoveredComplex, cached, perm_sign
 
 
@@ -943,21 +945,20 @@ class CohomologyClass:
         )
 
 
+def _smith_coords(nerve, degree, vec):
+    """(U vec, pivots) for the cached Smith form U delta V = D of the
+    ``degree`` coboundary, the pivots the nonzero diagonal of D; the raw
+    vector and no pivots when there is no coboundary."""
+    snf = _snf_of_coboundary(nerve, degree)[3]
+    if snf is None:
+        return list(vec), ()
+    return matvec(snf[1], vec), tuple(x for x in snf[0] if x)
+
+
 def _class_of_cocycle(nerve, degree, vec):
     """Class of an integer ``degree``-cocycle given as a vector over faces."""
-    src, dst, mat, snf = _snf_of_coboundary(nerve, degree - 1)
-    if snf is None:
-        # no incoming coboundaries: coordinates are the raw values
-        return CohomologyClass(
-            nerve, degree, tuple(vec), tuple(0 for _ in vec)
-        )
-    d, u, _ = snf
-    y = matvec(u, vec)
-    rank = sum(1 for x in d if x != 0)
-    moduli = tuple(d[i] for i in range(rank)) + tuple(
-        0 for _ in range(len(y) - rank)
-    )
-    return CohomologyClass(nerve, degree, tuple(y), moduli)
+    y, pivots = _smith_coords(nerve, degree - 1, vec)
+    return CohomologyClass(nerve, degree, tuple(y), pivots + (0,) * (len(y) - len(pivots)))
 
 
 def _quad_subfaces(nerve: CoverNerve):
@@ -1014,26 +1015,22 @@ class TrivializationResult:
         return self.trivialization is not None
 
 
-def _solve_u1_layer(nerve, den, nums):
-    """Find h on pairs with delta(h) = -g mod 1, or None, for g = nums / den
-    with the numerators in triple order.
+def _solve_coboundary(nerve, degree, den, nums, mod1):
+    """x with delta x = nums / den (modulo integers when ``mod1``) for the
+    ``degree`` coboundary, as a face -> Fraction dict, or None.
 
-    Exact: integer lift via Smith normal form, then a rational solve.
+    With U delta V = D cached on the nerve, y = U nums: off the pivots y
+    must be 0, or with ``mod1`` a multiple of den, which an integer cochain
+    absorbs.  Then x = V D^+ y / den with the free coordinates 0, summed on
+    integers over one denominator.
     """
-    pairs, triples, mat, snf = _snf_of_coboundary(nerve, 1)
-    if snf is None:
-        return None if any(n % den for n in nums) else dict.fromkeys(pairs, Fraction(0))
-    d, u, _ = snf
-    rank = sum(1 for x in d if x != 0)
-    # U * (-g) on the integer numerators: its off-pivot coordinates must be
-    # integers, else no solution exists
-    off = matvec(u, nums)[rank:]
-    if any(v % den for v in off):
+    y, pivots = _smith_coords(nerve, degree, nums)
+    if any(v % den if mod1 else v for v in y[len(pivots):]):
         return None
-    # subtract an integer cochain so the target lies in the column space
-    m = solve_rational(u, [0] * rank + [-v // den for v in off])
-    h = solve_rational(mat, [Fraction(-n, den) - m[i] for i, n in enumerate(nums)])
-    return None if h is None else dict(zip(pairs, h))
+    big = den * lcm(*pivots)
+    z = [v * (big // (den * d)) for v, d in zip(y, pivots)]
+    x = matvec(_snf_of_coboundary(nerve, degree)[3][2], z) if z else repeat(0)
+    return {f: Fraction(n, big) for f, n in zip(nerve.faces_of_size(degree + 1), x)}
 
 
 def solve_trivialization(c: DeligneCochain) -> TrivializationResult:
@@ -1063,20 +1060,19 @@ def solve_trivialization(c: DeligneCochain) -> TrivializationResult:
 
     if not obstruction.is_zero:
         return fail("nonzero degree-3 obstruction class")
-    h = _solve_u1_layer(nerve, den, g)
+    h = _solve_coboundary(nerve, 1, den, [-n for n in g], True)
     if h is None:
         return fail("U(1) layer has nonintegral real class; no trivialization")
     # with D(h, W)_1 = delta(W) - dlog(h) and dlog = 0 on constants,
     # the form layer needs delta(W) = -A exactly
-    singles, _, mat = _coboundary_matrix(nerve, 0)
-    w = solve_rational(mat, [Fraction(-n, den) for n in a])
+    w = _solve_coboundary(nerve, 0, den, [-n for n in a], False)
     if w is None:
         return fail("form layer has nonzero real class; no trivialization")
     # rho is the common value of B_i + (dW)_i; dW = 0 on constants
     if any(n != b[0] for n in b):
         return fail("curvature component is not globally constant")
     rho = Fraction(b[0], den) if c.is_exact() else c._vec[layout.bounds(2)[0]]
-    triv = DeligneCochain(nerve, 1, 2, (h, dict(zip(singles, w))))
+    triv = DeligneCochain(nerve, 1, 2, (h, w))
     return TrivializationResult(triv, rho, None)
 
 

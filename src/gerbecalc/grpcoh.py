@@ -18,6 +18,9 @@ from itertools import product
 from .intlinalg import smith_normal_form
 from .rootsys import build_root_system
 
+# the work bound of group_cohomology_U1: largest group order and degree
+MAX_ORDER, MAX_DEGREE = 16, 3
+
 
 class GroupCohomologyError(ValueError):
     pass
@@ -90,15 +93,14 @@ def _coboundary(orders, k):
     return mat
 
 
-def group_cohomology_U1(group: FiniteAbelianGroup, n: int,
-                        max_order: int = 16, max_degree: int = 3):
+def group_cohomology_U1(group: FiniteAbelianGroup, n: int):
     """Invariant factors of H^n(Z, U(1)) (empty tuple = trivial group)."""
     if n < 1:
         raise GroupCohomologyError("degree must be >= 1")
-    if group.order > max_order or n > max_degree:
+    if group.order > MAX_ORDER or n > MAX_DEGREE:
         raise ResourceBoundError(
             f"group of order {group.order} in degree {n} exceeds the configured "
-            f"bound (|Z| <= {max_order}, n <= {max_degree})"
+            f"bound (|Z| <= {MAX_ORDER}, n <= {MAX_DEGREE})"
         )
     # H^n(Z, U(1)) = torsion of H^{n+1}(Z; Z) = invariant factors > 1 of
     # the coboundary C^n -> C^{n+1}

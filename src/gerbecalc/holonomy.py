@@ -61,6 +61,9 @@ from .deligne import (
 )
 from .nerve import CoveredComplex, cached
 
+# largest |dB_i - H| that stokes_check accepts on a tetrahedron
+EXACTNESS_TOL = 1e-9
+
 
 class HolonomyError(ValueError):
     pass
@@ -240,7 +243,6 @@ def stokes_check(
     H: dict,
     asg: ChartAssignment,
     tol: float = 1e-6,
-    exactness_tol: float = 1e-9,
 ):
     """Compare boundary holonomy against exp(2pi i sum_tet H).
 
@@ -249,7 +251,7 @@ def stokes_check(
     each tetrahedron and must equal dB chart-wise: for each chart i and
     each tetrahedron of ``ball`` carried by i, as
     :func:`~gerbecalc.deligne.chartwise_db` lists them, |dB_i - H| may not
-    pass ``exactness_tol``.  The first tetrahedron that fails raises
+    pass EXACTNESS_TOL.  The first tetrahedron that fails raises
     :class:`HolonomyError`, and a B slot that ``c`` lacks raises the
     layout's ``DeligneError``.  Returns (boundary holonomy, bulk phase,
     whether they agree within ``tol``).
@@ -260,7 +262,7 @@ def stokes_check(
     if missing is not None:
         raise HolonomyError(f"no field value on tetrahedron {missing}")
     for _, tet, db in chartwise_db(ball, c):
-        if abs(db - H[tet]) > exactness_tol:
+        if abs(db - H[tet]) > EXACTNESS_TOL:
             raise HolonomyError(f"B is not a chart-wise primitive of H at {tet}")
     boundary, cb = restrict_to_boundary(ball, c)
     hol_boundary = surface_holonomy(boundary, cb, asg)

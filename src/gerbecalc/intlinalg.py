@@ -3,16 +3,18 @@ and rational linear solves, and cohomology of integer cochain complexes.
 
 One dense Smith-form kernel, :func:`smith_normal_form`, serves every
 integer caller: invariant factors, cochain cohomology, obstruction
-classes and group cohomology all read its diagonal or its transforms.
+classes, both layers of a trivialization and group cohomology all read
+its diagonal or its transforms.
 It clears each entry beside a pivot by one 2x2 unimodular step, a Bezout
 step onto the gcd where the pivot does not divide it (Kannan and Bachem,
 SIAM J. Comput. 8, 1979; Cohen, GTM 138, Alg. 2.4.14), so U and V stay
 small.
 
-:func:`solve_rational` eliminates on integers (Bareiss, Math. Comp. 22,
-1968): each row of [A | B] is scaled by the lcm of its denominators, the
-forward pass divides every update exactly by the previous pivot, and only
-the back-substitution builds ``Fraction``s, one per pivot variable.
+:func:`solve_rational` (the alcove vertices) eliminates on integers
+(Bareiss, Math. Comp. 22, 1968): each row of [A | B] is scaled by the lcm
+of its denominators, the forward pass divides every update exactly by the
+previous pivot, and only the back-substitution builds ``Fraction``s, one
+per pivot variable.
 
 All matrices are lists of lists of Python ints (arbitrary precision) or
 ``fractions.Fraction``.  Nothing here touches floating point.

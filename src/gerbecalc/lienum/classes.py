@@ -106,7 +106,7 @@ def eigenvalue_gap(h):
     return min(abs(lam[i] - lam[j]) for i in range(n) for j in range(i + 1, n))
 
 
-def omega_lambda(h, x1, x2, kappa: float, gram_scale: float = 1.0) -> float:
+def omega_lambda(h, x1, x2, kappa: float) -> float:
     """The invariant 2-form on the conjugacy class of h, on the tangents
     V_i = X_i h - h X_i."""
     h = check_group(h, 1e-8)
@@ -120,7 +120,7 @@ def omega_lambda(h, x1, x2, kappa: float, gram_scale: float = 1.0) -> float:
     a2 = hinv @ np.asarray(x2) @ h
     # explicit antisymmetrization: exact zero on equal arguments
     pairing = 0.5 * (inner(a1 - x1, a2 + x2) - inner(a2 - x2, a1 + x1))
-    return kappa * gram_scale * pairing
+    return kappa * pairing
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ def theta_su2(q, vq):
     return pure_part(quat_mul(quat_conj(np.asarray(q)), np.asarray(vq)))
 
 
-def eval_H(g, v1, v2, v3, kappa: float, gram_scale: float = 1.0):
+def eval_H(g, v1, v2, v3, kappa: float):
     """Calibrated 3-form H on ambient tangent matrices v_i at g in SU(n).
 
     Explicitly antisymmetrized so the identity survives finite-difference
@@ -90,10 +90,10 @@ def eval_H(g, v1, v2, v3, kappa: float, gram_scale: float = 1.0):
     total = 0.0
     for p in permutations(range(3)):
         total += perm_sign(p) * inner(xs[p[0]], bracket(xs[p[1]], xs[p[2]]))
-    return kappa * gram_scale * total / 6.0
+    return kappa * total / 6.0
 
 
-def calibrate_H(gram_scale: float = 1.0) -> float:
+def calibrate_H() -> float:
     """kappa making the SU(2) integral of H exactly 1.
 
     By bi-invariance the integral equals the frame value at the identity on
@@ -102,12 +102,11 @@ def calibrate_H(gram_scale: float = 1.0) -> float:
     """
     e, i, j, k = np.eye(4)
     # <M(a), [M(b), M(c)]> = 4 det[a b c] under the quaternion dictionary
-    frame_value = gram_scale * 4.0 * float(theta_volume(e, i, j, k))
+    frame_value = 4.0 * float(theta_volume(e, i, j, k))
     return 1.0 / (frame_value * 2.0 * np.pi**2)
 
 
-def integrate_H_SU2(resolution: int, kappa: float | None = None,
-                    gram_scale: float = 1.0) -> float:
+def integrate_H_SU2(resolution: int) -> float:
     """Midpoint quadrature of the calibrated H over SU(2); converges to 1.
 
     The grid is the midpoint grid on hyperspherical angles,
@@ -125,8 +124,6 @@ def integrate_H_SU2(resolution: int, kappa: float | None = None,
         raise LieNumError("resolution below 8 per angle is too coarse")
     bound_work(resolution**3, "grid points",
                f"integrate_H_SU2 at resolution {resolution}")
-    if kappa is None:
-        kappa = calibrate_H(gram_scale)
     res = resolution
     chi = (np.arange(res) + 0.5) * np.pi / res
     th = (np.arange(res) + 0.5) * np.pi / res
@@ -145,7 +142,7 @@ def integrate_H_SU2(resolution: int, kappa: float | None = None,
         # theta(t_ph)] per point, as one triple product (theta_volume)
         dens[i * n:(i + 1) * n] = 4.0 * theta_volume(q, t_chi, t_th, t_ph)
     cell = (np.pi / res) * (np.pi / res) * (2 * np.pi / res)
-    return float(kappa * gram_scale * np.sum(dens) * cell)
+    return float(calibrate_H() * np.sum(dens) * cell)
 
 
 def fd_exterior_derivative(sampler, point, directions, step: float = FD_STEP_NESTED):

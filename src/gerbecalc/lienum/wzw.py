@@ -118,10 +118,10 @@ def _check_unit_quaternions(q, what):
         raise LieNumError(f"{what} does not land on unit quaternions")
 
 
-def _pullback_block(phi, quad, lo, hi, step, dens):
+def _pullback_block(phi, quad, lo, hi, dens):
     """Write the densities of triangles lo..hi-1, in every layer, into their
     slots of ``dens`` (layer by layer, triangle-major within a layer)."""
-    n = len(quad.centroids)
+    n, step = len(quad.centroids), FD_STEP_MAP
     centroids = quad.centroids[lo:hi]
     ab, ac = (e[lo:hi] for e in quad.edges)
     for layer, r in enumerate(quad.radii):
@@ -136,8 +136,7 @@ def _pullback_block(phi, quad, lo, hi, step, dens):
         dens[layer * n + lo:layer * n + hi] = 4.0 * theta_volume(q.T, *dqs)
 
 
-def pullback_H_integral(phi, quad: BallQuadrature, kappa: float | None = None,
-                        step: float = FD_STEP_MAP) -> float:
+def pullback_H_integral(phi, quad: BallQuadrature) -> float:
     """Q = integral over the ball of the calibrated Phi*H.
 
     The mesh triangles are split into contiguous blocks, one per usable
@@ -150,8 +149,6 @@ def pullback_H_integral(phi, quad: BallQuadrature, kappa: float | None = None,
     must not keep state between calls.  If blocks fail, the error of the
     lowest-numbered one is raised.
     """
-    if kappa is None:
-        kappa = calibrate_H()
     n = len(quad.centroids)
     dens = np.empty(len(quad.radii) * n)
     blocks = max(1, min(_usable_cpus(), n // MIN_BLOCK_TRIANGLES))
@@ -160,7 +157,7 @@ def pullback_H_integral(phi, quad: BallQuadrature, kappa: float | None = None,
 
     def run(i):
         try:
-            _pullback_block(phi, quad, bounds[i], bounds[i + 1], step, dens)
+            _pullback_block(phi, quad, bounds[i], bounds[i + 1], dens)
         except BaseException as exc:  # re-raised by the calling thread
             errors[i] = exc
 
@@ -173,14 +170,14 @@ def pullback_H_integral(phi, quad: BallQuadrature, kappa: float | None = None,
         for worker in workers:
             worker.start()
             started.append(worker)
-        _pullback_block(phi, quad, 0, bounds[1], step, dens)
+        _pullback_block(phi, quad, 0, bounds[1], dens)
     finally:
         for worker in started:
             worker.join()
     for exc in errors:
         if exc is not None:
             raise exc
-    return float(kappa * np.sum(dens) * quad.weight)
+    return float(calibrate_H() * np.sum(dens) * quad.weight)
 
 
 def term_amplitude(q: float, level: int) -> complex:
@@ -189,13 +186,12 @@ def term_amplitude(q: float, level: int) -> complex:
     return cmath.exp(2j * cmath.pi * level * q)
 
 
-def wzw_amplitude(phi, level: int, quad: BallQuadrature | None = None,
-                  kappa: float | None = None) -> complex:
+def wzw_amplitude(phi, level: int, quad: BallQuadrature | None = None) -> complex:
     """exp(2 pi i k Q) for the topological term Q of the map phi."""
     check_level(level)
     if quad is None:
         quad = BallQuadrature()
-    return term_amplitude(pullback_H_integral(phi, quad, kappa=kappa), level)
+    return term_amplitude(pullback_H_integral(phi, quad), level)
 
 
 def check_shared_boundary(phi1, phi2, quad: BallQuadrature) -> None:

@@ -281,6 +281,21 @@ def test_solve_trivialization_obstructed_cases():
     assert res.obstruction.is_zero
     assert "class" in res.reason
 
+    # a circle of three charts: A with nonzero holonomy has a real class
+    circle = make_nerve(range(3), [(0, 1), (1, 2), (0, 2)])
+    zero = zero_cochain(circle, 2, 2)
+    a = {**zero.components[1], (0, 1): Fraction(1, 3)}
+    c = DeligneCochain(circle, 2, 2, (zero.components[0], a, zero.components[2]))
+    res = solve_trivialization(c)
+    assert (res.ok, res.reason) == (False, "form layer has nonzero real class; no trivialization")
+    # two disjoint charts: B is closed but differs between them
+    two = make_nerve(range(2), [(0,), (1,)])
+    zero = zero_cochain(two, 2, 2)
+    b = {(0,): Fraction(0), (1,): Fraction(1, 2)}
+    res = solve_trivialization(DeligneCochain(two, 2, 2, (*zero.components[:2], b)))
+    assert (res.ok, res.reason) == (False, "curvature component is not globally constant")
+    assert res.obstruction.is_zero
+
 
 def test_solve_trivialization_requires_cocycle():
     nerve = simplex_nerve(4)

@@ -789,7 +789,7 @@ def _stokes_verdict(check, *args):
         return type(exc), str(exc)
 
 
-def test_stokes_primitive_check_matches_the_value_loop(ball_setup):
+def test_stokes_primitive_check_matches_the_value_loop(ball_setup, monkeypatch):
     ball, nerve = ball_setup
     rng = random.Random(24)
     boundary = ball.boundary_surface()
@@ -836,4 +836,5 @@ def test_stokes_primitive_check_matches_the_value_loop(ball_setup):
     db = {tet: reduce(add, ((-1) ** j * c.value(2, (tet[0],), tet[:j] + tet[j + 1 :])
                             for j in range(4)), 0) for tet in ball.tet_keys}
     assert len(set(db.values())) > 1
-    stokes_check(ball, c, db, asg, tol=2, exactness_tol=0)
+    monkeypatch.setattr(gerbecalc.holonomy, "EXACTNESS_TOL", 0)
+    stokes_check(ball, c, db, asg, tol=2)

@@ -52,7 +52,8 @@ class Turns:
 
 
 holonomy.cmath = Turns
-print("stokes", repr(holonomy.stokes_check(ball, c, H, asg, exactness_tol=math.inf)[1].imag))
+holonomy.EXACTNESS_TOL = math.inf
+print("stokes", repr(holonomy.stokes_check(ball, c, H, asg)[1].imag))
 holonomy.cmath = cmath
 
 c = deligne.random_cochain(simplex_nerve(6), 2, 2, random.Random(7))

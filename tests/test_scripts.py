@@ -94,3 +94,80 @@ def test_only_deligne_reads_the_values_of_a_cochain():
     }
     assert len(found) > 10
     assert found == {name: [] for name in found}
+
+
+def _numeric(node):
+    """A numeric literal, signed or not, or an UPPER_CASE constant."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    return getattr(node, "id", getattr(node, "attr", "")).isupper()
+
+
+def numeric_knobs(source):
+    """(function, parameter, position) of each parameter of a def in
+    ``source`` with a numeric default; the position counts the arguments a
+    call passes, past a method's ``self``, and is None for keyword-only."""
+    tree = ast.parse(source)
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    knobs = []
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        args, defaults = f.args.posonlyargs + f.args.args, f.args.defaults
+        static = any(getattr(d, "id", "") == "staticmethod" for d in f.decorator_list)
+        skip = int(id(f) in methods and not static)
+        knobs += [(f.name, a.arg, i - skip)
+                  for i, (a, d) in enumerate(zip(args, [None] * (len(args) - len(defaults))
+                                                 + defaults)) if d and _numeric(d)]
+        knobs += [(f.name, a.arg, None)
+                  for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d and _numeric(d)]
+    return knobs
+
+
+def sets_knob(tree, function, param, position):
+    """Whether a call in ``tree`` to a function of that name (a plain or an
+    attribute call) passes ``param``: by keyword, by position, or through a
+    ``*`` or ``**`` argument."""
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) != function:
+            continue
+        if any(k.arg in (None, param) for k in call.keywords):
+            return True
+        if position is not None and (len(call.args) > position or any(
+                isinstance(a, ast.Starred) for a in call.args)):
+            return True
+    return False
+
+
+# numeric defaults that no call sets, each kept for its reason
+UNSET_KNOBS = {
+    ("deligne.py", "random_cochain", "denominator"): "test-data generator",
+    ("deligne.py", "random_u1_cocycle", "denominator"): "test-data generator",
+    ("lienum/classes.py", "varpi", "tol"): "optional input validation",
+    ("lienum/forms.py", "maurer_cartan", "step"): "test-only function",
+}
+
+
+def test_every_numeric_default_is_set_by_some_call():
+    # a knob that no caller turns is a constant: it belongs in the module
+    source = ("class A:\n    def m(self, x, n=2, *, tol=1e-9, s=STEP, name='a'):\n        pass\n"
+              "def f(y, k=-1, flag=True, seed=None):\n    return A().m(y, 3)\n")
+    assert numeric_knobs(source) == [("f", "k", 1), ("m", "n", 1), ("m", "tol", None),
+                                     ("m", "s", None)]
+    tree = ast.parse(source)
+    assert [sets_knob(tree, *k) for k in numeric_knobs(source)] == [False, True, False, False]
+    assert sets_knob(ast.parse("g.m(**opts)"), "m", "tol", None)
+    package = ROOT / "src" / "gerbecalc"
+    trees = [ast.parse(path.read_text()) for top in ("src", "scripts", "perfbench")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    unset = {
+        (str(path.relative_to(package)), function, param)
+        for path in sorted(package.rglob("*.py"))
+        for function, param, position in numeric_knobs(path.read_text())
+        if not any(sets_knob(tree, function, param, position) for tree in trees)
+    }
+    assert unset == set(UNSET_KNOBS)
