@@ -8,7 +8,8 @@ its diagonal or its transforms.
 It clears each entry beside a pivot by one 2x2 unimodular step, a Bezout
 step onto the gcd where the pivot does not divide it (Kannan and Bachem,
 SIAM J. Comput. 8, 1979; Cohen, GTM 138, Alg. 2.4.14), so U and V stay
-small.
+small.  Their products with a vector run over the nonzeros of each row
+(:func:`sparse_rows`, :func:`sparse_matvec`).
 
 :func:`solve_rational` (the alcove vertices) eliminates on integers
 (Bareiss, Math. Comp. 22, 1968): each row of [A | B] is scaled by the lcm
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def _identity(n):
@@ -198,8 +200,18 @@ def solve_rational(mat, rhs):
     return xs[0] if single else xs
 
 
-def matvec(mat, vec):
-    return [sum(r * x for r, x in zip(row, vec)) for row in mat]
+def sparse_rows(mat):
+    """The nonzero (columns, values) of each row of ``mat``."""
+    rows = []
+    for row in mat:
+        cols = [j for j, x in enumerate(row) if x]
+        rows.append((cols, [row[j] for j in cols]))
+    return rows
+
+
+def sparse_matvec(rows, vec):
+    """mat * vec for ``rows = sparse_rows(mat)``, summed over the nonzeros."""
+    return [sum(map(mul, vals, map(vec.__getitem__, cols))) for cols, vals in rows]
 
 
 def cochain_cohomology(d_prev, d_next, n_k):

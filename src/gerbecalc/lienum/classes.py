@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..rootsys import build_root_system
 from .core import (
     LieNumError,
     algebra_from_coords,

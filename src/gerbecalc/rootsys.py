@@ -1,92 +1,91 @@
 """Exact root-system and fundamental-alcove data for the simple Lie types.
 
-Everything is exact.  The roots are generated over the integers, in
-simple-root coordinates with the Cartan matrix, and then realized in a
-standard orthonormal ambient space; the inner product is a rational
-multiple of the dot product, scaled so that long roots have squared
-length 2 (the "basic" normalization).  Alcove vertices are stored as
-coweight-side vectors and paired with roots/coroots through that inner
-product.
+Everything is exact, and computed on Python ints.  The simple roots are
+integer rows over one denominator (2 for E and F, 1 otherwise) in a
+standard orthonormal ambient space.  The Cartan matrix comes from their
+integer dot products, the roots are generated over the integers in
+simple-root coordinates, and the ambient vectors, the alcove vertices and
+k0 are integer sums over one denominator per vector.  ``Fraction``s are made
+only for the returned tuples, one object per distinct value within a build.
+The inner product is a rational multiple of the dot product, scaled so that
+long roots have squared length 2 (the "basic" normalization).  Alcove
+vertices are stored as coweight-side vectors and paired with roots/coroots
+through that inner product.
 
 The integer coordinates are kept beside the ambient roots.  The alcove
 vertices satisfy <alpha_j, mu_i> = delta_ij / a_i (a_i the marks, mu_0 = 0),
 so a root r = sum_j c_j alpha_j pairs with the barycenter of a face F of
 m vertices as <r, bary(F)> = (1/m) sum_{i in F, i >= 1} c_i / a_i, and face
 centralizers are read off the coordinates on integers.
+
+:func:`build_root_system` refuses, before any work, a type with more than
+``MAX_ROOTS`` roots: the build and the alcove grow with the rank.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
-from math import lcm
+from math import gcd, lcm
+from operator import mul, neg
 
 Vector = tuple  # tuple of Fraction
 
-FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+# the work bound of build_root_system: largest number of roots of a type
+MAX_ROOTS = 4200
 
 
 class RootSystemError(ValueError):
     pass
 
 
-def _frac_vec(entries):
-    return tuple(Fraction(x) for x in entries)
+def _fractions(vectors, den):
+    """Each integer vector over ``den`` as a tuple of ``Fraction``s, one
+    object per distinct value."""
+    values = {x for v in vectors for x in v}
+    get = dict(zip(values, (Fraction(x, den) for x in values))).__getitem__
+    return [tuple(map(get, v)) for v in vectors]
 
 
-def _simple_root_coords(family, rank):
-    """Simple roots in the standard orthonormal realization (unscaled)."""
-    e = lambda i, d: _frac_vec([1 if j == i else 0 for j in range(d)])
+@lru_cache(maxsize=None)
+def _simple_numerators(family, rank):
+    """(den, rows, norms): the simple roots in the standard orthonormal
+    realization (unscaled) are the integer ``rows`` over ``den``, and
+    ``norms`` are their squared lengths times den^2."""
 
-    def sub(u, v):
-        return tuple(a - b for a, b in zip(u, v))
+    def e(d, *entries):
+        row = [0] * d
+        for i, x in entries:
+            row[i] = x
+        return tuple(row)
 
+    def chain(d, n):  # e_i - e_{i+1} for i < n
+        return [e(d, (i, 1), (i + 1, -1)) for i in range(n)]
+
+    den = 1
     if family == "A":
-        d = rank + 1
-        return [sub(e(i, d), e(i + 1, d)) for i in range(rank)]
-    if family == "B":
-        d = rank
-        roots = [sub(e(i, d), e(i + 1, d)) for i in range(rank - 1)]
-        roots.append(e(rank - 1, d))
-        return roots
-    if family == "C":
-        d = rank
-        roots = [sub(e(i, d), e(i + 1, d)) for i in range(rank - 1)]
-        roots.append(tuple(2 * x for x in e(rank - 1, d)))
-        return roots
-    if family == "D":
-        d = rank
-        roots = [sub(e(i, d), e(i + 1, d)) for i in range(rank - 1)]
-        roots.append(tuple(a + b for a, b in zip(e(rank - 2, d), e(rank - 1, d))))
-        return roots
-    if family == "G":
+        rows = chain(rank + 1, rank)
+    elif family == "B":
+        rows = chain(rank, rank - 1) + [e(rank, (rank - 1, 1))]
+    elif family == "C":
+        rows = chain(rank, rank - 1) + [e(rank, (rank - 1, 2))]
+    elif family == "D":
+        rows = chain(rank, rank - 1) + [e(rank, (rank - 2, 1), (rank - 1, 1))]
+    elif family == "G":
         # Bourbaki: alpha_1 = e1 - e2 (short), alpha_2 = -2e1 + e2 + e3 (long)
-        return [
-            _frac_vec([1, -1, 0]),
-            _frac_vec([-2, 1, 1]),
-        ]
-    if family == "F":
-        half = Fraction(1, 2)
-        return [
-            _frac_vec([0, 1, -1, 0]),
-            _frac_vec([0, 0, 1, -1]),
-            _frac_vec([0, 0, 0, 1]),
-            (half, -half, -half, -half),
-        ]
-    if family == "E":
-        half = Fraction(1, 2)
-        a1 = (half, -half, -half, -half, -half, -half, -half, half)
-        a2 = _frac_vec([1, 1, 0, 0, 0, 0, 0, 0])
-        rest = [
-            _frac_vec([-1 if j == i - 1 else (1 if j == i else 0) for j in range(8)])
-            for i in range(1, 7)
-        ]
-        # a_{k} = e_{k-2} - e_{k-3} for k = 3..8 in Bourbaki's E8 numbering
-        roots = [a1, a2] + rest
-        return roots[:rank]
-    raise RootSystemError(f"unknown family {family!r}")
+        rows = [(1, -1, 0), (-2, 1, 1)]
+    elif family == "F":
+        den, rows = 2, [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
+    else:
+        # E8 in Bourbaki's numbering: alpha_1 = (e1 - e2 - ... - e7 + e8)/2,
+        # alpha_2 = e1 + e2 and alpha_k = e_{k-2} - e_{k-3} for k = 3..8
+        den = 2
+        rows = [(1, -1, -1, -1, -1, -1, -1, 1), e(8, (0, 2), (1, 2))]
+        rows += [e(8, (i - 1, -2), (i, 2)) for i in range(1, 7)]
+        rows = rows[:rank]
+    return den, tuple(rows), tuple(sum(map(mul, a, a)) for a in rows)
 
 
 def _validate(family, rank):
@@ -94,6 +93,13 @@ def _validate(family, rank):
     if family in limits:
         if rank < limits[family]:
             raise RootSystemError(f"invalid simple type ({family}, {rank})")
+        count = {"A": rank * (rank + 1), "D": 2 * rank * (rank - 1)}.get(
+            family, 2 * rank * rank)
+        if count > MAX_ROOTS:
+            raise RootSystemError(
+                f"type {family}{rank} has {count} roots, above the bound "
+                f"MAX_ROOTS = {MAX_ROOTS}"
+            )
         return
     if family == "E" and rank in (6, 7, 8):
         return
@@ -145,21 +151,25 @@ class RootSystem:
         return 2 * self.inner(v, alpha) / self.inner(alpha, alpha)
 
 
-def _roots_in_simple_coords(cartan):
-    """All roots as integer coefficient tuples in the simple-root basis.
+def _positive_roots(cartan):
+    """The positive roots as integer coefficient tuples in the simple-root
+    basis.
 
     Closes the simple roots under s_i(beta) = beta - <beta, alpha_i^vee> e_i,
-    where <beta, alpha_i^vee> = sum_j beta_j C[j][i].
+    where <beta, alpha_i^vee> = sum_j beta_j C[j][i], the i-th column of C.
+    s_i permutes the positive roots other than alpha_i, and every positive
+    root is reached from a simple one, so only s_i(alpha_i) is skipped.
     """
     r = len(cartan)
     simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    cols = list(enumerate(zip(*cartan)))
     roots = set(simple)
     frontier = list(simple)
     while frontier:
         beta = frontier.pop()
-        for i in range(r):
-            p = sum(b * row[i] for b, row in zip(beta, cartan))
-            if p:
+        for i, col in cols:
+            p = sum(map(mul, beta, col))
+            if p and p <= beta[i]:
                 refl = beta[:i] + (beta[i] - p,) + beta[i + 1:]
                 if refl not in roots:
                     roots.add(refl)
@@ -173,41 +183,37 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
     The roots are generated in simple-root coordinates with the integer
     Cartan matrix; the highest root is the root of maximum height, and its
-    coordinates are the marks.  The ambient vectors are derived at the end.
+    coordinates are the marks.  The ambient vectors are integer sums over
+    the simple roots' common denominator, made ``Fraction``s at the end.
+    A type with more than ``MAX_ROOTS`` roots is refused before any work.
     """
     family = family.upper()
     _validate(family, rank)
-    simple = _simple_root_coords(family, rank)
-    dim = len(simple[0])
-
-    dot = lambda u, v: sum(a * b for a, b in zip(u, v))
-    norms = [dot(a, a) for a in simple]
-    scale = Fraction(2) / max(norms)  # long roots -> squared length 2
+    den, simple, norms = _simple_numerators(family, rank)
     cartan = tuple(
-        tuple(int(2 * dot(a, b) / n) for b, n in zip(simple, norms)) for a in simple
+        tuple(2 * sum(map(mul, a, b)) // n for b, n in zip(simple, norms))
+        for a in simple
     )
-
-    coords = list(_roots_in_simple_coords(cartan))
-    marks = max(coords, key=sum)
-
-    # ambient vectors over one common denominator; sorting the integer
-    # numerators gives the same order as sorting the Fraction vectors
-    den = lcm(*(x.denominator for a in simple for x in a))
-    num = [[int(x * den) for x in a] for a in simple]
-    ambient = lambda c: tuple(sum(k * a[d] for k, a in zip(c, num)) for d in range(dim))
-    as_frac = lambda v: tuple(Fraction(x, den) for x in v)
-    vecs = [ambient(c) for c in coords]
-    order = sorted(range(len(vecs)), key=vecs.__getitem__)
+    positive = _positive_roots(cartan)
+    marks = max(positive, key=sum)
+    cols = list(zip(*simple))
+    ambient = lambda c: tuple(sum(map(mul, c, col)) for col in cols)
+    pairs = [(ambient(c), c) for c in positive]
+    pairs += [(tuple(map(neg, v)), tuple(map(neg, c))) for v, c in pairs]
+    # the ambient numerators over den are distinct, so sorting them sorts
+    # the Fraction vectors and never compares the coordinates
+    vecs, coords = zip(*sorted(pairs))
+    fracs = _fractions([*vecs, *simple, ambient(marks)], den)
     return RootSystem(
         family=family,
         rank=rank,
-        simple_roots=tuple(simple),
-        gram_scale=scale,
+        simple_roots=tuple(fracs[len(vecs):-1]),
+        gram_scale=Fraction(2 * den * den, max(norms)),
         cartan=cartan,
-        roots=tuple(as_frac(vecs[i]) for i in order),
-        highest_root=as_frac(ambient(marks)),
+        roots=tuple(fracs[:len(vecs)]),
+        highest_root=fracs[-1],
         marks=marks,
-        root_coords=tuple(coords[i] for i in order),
+        root_coords=coords,
     )
 
 
@@ -219,21 +225,30 @@ class Alcove:
 
 @lru_cache(maxsize=None)
 def alcove(rs: RootSystem) -> Alcove:
-    """Fundamental-alcove vertices mu_0 = 0 and mu_i = omega_i^vee / a_i."""
-    r = rs.rank
-    coroots = [rs.coroot(a) for a in rs.simple_roots]
-    # omega_i^vee = sum_k (C^{-1})_{ki} alpha_k^vee, where C is the Cartan matrix
-    from .intlinalg import solve_rational
+    """Fundamental-alcove vertices mu_0 = 0 and mu_i = omega_i^vee / a_i.
 
-    cols = solve_rational(rs.cartan, [[int(i == j) for i in range(r)] for j in range(r)])
-    vertices = [tuple(Fraction(0) for _ in range(rs.dim))]
-    for i in range(r):
-        x = cols[i]  # coefficients of omega_i^vee in the coroot basis
-        omega = tuple(
-            sum(x[k] * coroots[k][d] for k in range(r)) for d in range(rs.dim)
-        )
-        vertices.append(tuple(c / rs.marks[i] for c in omega))
-    return Alcove(root_system=rs, vertices=tuple(vertices))
+    omega_i^vee = sum_k (C^{-1})_{ki} alpha_k^vee, C the Cartan matrix,
+    and alpha_k^vee = (N / n_k) alpha_k with n_k the integer squared length
+    of alpha_k and N the long one's.  The vertices are summed on integers
+    over one common denominator.
+    """
+    from .intlinalg import over_common_denominator, solve_rational
+
+    r = rs.rank
+    den, simple, norms = _simple_numerators(rs.family, r)
+    scales = [max(norms) // n for n in norms]
+    # (q, x) with x / q the coefficients of omega_i^vee in the coroot basis
+    inverse = [
+        over_common_denominator(x)
+        for x in solve_rational(rs.cartan, [[int(i == j) for i in range(r)] for j in range(r)])
+    ]
+    big = den * lcm(*(q * m for (q, _), m in zip(inverse, rs.marks)))
+    cols = list(zip(*simple))
+    vertices = [(0,) * rs.dim]
+    for (q, x), mark in zip(inverse, rs.marks):
+        coef = [n * s * (big // (q * den * mark)) for n, s in zip(x, scales)]
+        vertices.append(tuple(sum(map(mul, coef, col)) for col in cols))
+    return Alcove(root_system=rs, vertices=tuple(_fractions(vertices, big)))
 
 
 def is_weight(rs: RootSystem, v) -> bool:
@@ -254,11 +269,12 @@ def mu_ij(alc: Alcove, i: int, j: int):
 def minimal_level_k0(rs: RootSystem) -> int:
     """Least k >= 1 with k * mu_i a weight for every alcove vertex mu_i.
 
-    <mu_i, alpha_j^vee> = delta_ij (2 / |alpha_i|^2) / a_i, so k0 is the lcm
-    of the denominators of (2 / |alpha_i|^2) / a_i.
+    <mu_i, alpha_j^vee> = delta_ij (2 / |alpha_i|^2) / a_i, and
+    2 / |alpha_i|^2 = N / n_i on the integer squared lengths, so k0 is the
+    lcm of the denominators a_i / gcd(N / n_i, a_i).
     """
-    pairs = zip(rs.simple_roots, rs.marks)
-    return lcm(*((2 / rs.inner(a, a) / m).denominator for a, m in pairs))
+    norms = _simple_numerators(rs.family, rs.rank)[2]
+    return lcm(*(m // gcd(max(norms) // n, m) for n, m in zip(norms, rs.marks)))
 
 
 @dataclass(frozen=True)
@@ -320,12 +336,9 @@ def face_centralizer(alc: Alcove, face) -> RootSubsystem:
 
 
 def parse_type(text: str):
-    """Parse strings like "A3", "E8", "g2" into (family, rank)."""
+    """Parse strings like "A3", "E8", "g2" into (family, rank): one ASCII
+    family letter, then ASCII decimal digits only."""
     text = text.strip()
-    if len(text) < 2 or text[0].upper() not in FAMILIES:
+    if not re.fullmatch(r"[A-Ga-g][0-9]+", text):
         raise RootSystemError(f"cannot parse simple type {text!r}")
-    try:
-        rank = int(text[1:])
-    except ValueError as exc:
-        raise RootSystemError(f"cannot parse simple type {text!r}") from exc
-    return text[0].upper(), rank
+    return text[0].upper(), int(text[1:])

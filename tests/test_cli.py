@@ -18,7 +18,7 @@ from gerbecalc.deligne import (
     random_cochain,
     zero_cochain,
 )
-from gerbecalc import lienum
+from gerbecalc import lienum, rootsys
 from gerbecalc.holonomy import random_assignment
 from gerbecalc.nerve import (
     coned_ball, icosahedron, simplex_nerve, sphere_nerve, subdivide_sphere,
@@ -137,6 +137,28 @@ def test_bad_type_is_domain_error(capsys):
     code, _, err = run_cli(capsys, "k0", "Z9")
     assert code == 2
     assert "error:" in err
+    # int() alone reads "A1_0" as A10, and the full-width and Arabic-Indic
+    # digits as 8 and 3
+    for text in ("A1_0", "E 8", "A+3", "A\uff18", "B\u0663"):
+        code, out, err = run_cli(capsys, "--json", "k0", text)
+        assert code == 2 and out == ""
+        assert err == f"error: cannot parse simple type {text!r}\n"
+
+
+def test_types_above_the_root_bound_exit_2_before_any_work(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no root data may be built")
+
+    monkeypatch.setattr(rootsys, "_simple_numerators", refuse)
+    for argv, name, count in [
+        (["k0", "A100000"], "A100000", 100000 * 100001),
+        (["alcove", "D10000000000"], "D10000000000", 2 * 10**10 * (10**10 - 1)),
+        (["centralizer", "B46", "--face", "0"], "B46", 2 * 46 * 46),
+        (["grpcoh", "center", "C", "46"], "C46", 2 * 46 * 46),
+    ]:
+        code, out, err = run_cli(capsys, "--json", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: type {name} has {count} roots, above the bound MAX_ROOTS = 4200\n"
 
 
 def test_alcove_and_centralizer(capsys):

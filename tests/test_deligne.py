@@ -31,7 +31,7 @@ from gerbecalc.deligne import (
     zero_cochain,
 )
 from gerbecalc import intlinalg
-from gerbecalc.intlinalg import cochain_cohomology, matvec, solve_rational
+from gerbecalc.intlinalg import cochain_cohomology, solve_rational
 from gerbecalc.nerve import icosahedron, make_nerve, simplex_nerve, sphere_nerve
 
 from filing import carried

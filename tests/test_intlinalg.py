@@ -11,11 +11,14 @@ from gerbecalc.deligne import _coboundary_matrix
 from gerbecalc.intlinalg import (
     cochain_cohomology,
     invariant_factors,
-    matvec,
     smith_normal_form,
     solve_rational,
+    sparse_matvec,
+    sparse_rows,
 )
 from gerbecalc.nerve import simplex_nerve
+
+from dense import matvec
 
 small_matrices = st.integers(1, 5).flatmap(
     lambda m: st.integers(1, 5).flatmap(
@@ -125,6 +128,15 @@ def test_invariant_factors_match_snf_diagonal(mat):
     d, _, _ = smith_normal_form(mat)
     expect = sorted(abs(x) for x in d if x != 0)
     assert invariant_factors(mat) == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices, st.lists(st.integers(-9, 9), min_size=5, max_size=5))
+def test_sparse_matvec_matches_the_dense_product(mat, vec):
+    vec = vec[:len(mat[0])]
+    rows = sparse_rows(mat)
+    assert all(0 not in vals for _, vals in rows)
+    assert sparse_matvec(rows, vec) == matvec(mat, vec)
 
 
 def test_known_smith_forms():

@@ -1,15 +1,19 @@
 """Exact checks of root data, alcove geometry, and minimal levels."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 import pytest
 
+from gerbecalc.intlinalg import solve_rational
 from gerbecalc.rootsys import (
+    MAX_ROOTS,
     Alcove,
     RootSubsystem,
+    RootSystem,
     RootSystemError,
     alcove,
     build_root_system,
@@ -50,6 +54,103 @@ BOURBAKI_MARKS = {
     ("F", 4): (2, 3, 4, 2),
     ("G", 2): (3, 2),
 }
+
+
+def reference_simple_roots(family, rank):
+    """The simple roots as Fraction vectors in the standard orthonormal
+    realization (unscaled)."""
+    e = lambda i, d: tuple(Fraction(int(j == i)) for j in range(d))
+    sub = lambda u, v: tuple(a - b for a, b in zip(u, v))
+    chain = lambda d, n: [sub(e(i, d), e(i + 1, d)) for i in range(n)]
+    half = Fraction(1, 2)
+    if family == "A":
+        return chain(rank + 1, rank)
+    if family == "B":
+        return chain(rank, rank - 1) + [e(rank - 1, rank)]
+    if family == "C":
+        return chain(rank, rank - 1) + [tuple(2 * x for x in e(rank - 1, rank))]
+    if family == "D":
+        return chain(rank, rank - 1) + [tuple(map(sum, zip(e(rank - 2, rank), e(rank - 1, rank))))]
+    if family == "G":
+        return [tuple(map(Fraction, (1, -1, 0))), tuple(map(Fraction, (-2, 1, 1)))]
+    if family == "F":
+        return [*(tuple(map(Fraction, r)) for r in [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1)]),
+                (half, -half, -half, -half)]
+    a1 = (half, -half, -half, -half, -half, -half, -half, half)
+    a2 = tuple(map(Fraction, (1, 1, 0, 0, 0, 0, 0, 0)))
+    rest = [tuple(Fraction(-1 if j == i - 1 else int(j == i)) for j in range(8)) for i in range(1, 7)]
+    return ([a1, a2] + rest)[:rank]
+
+
+def reference_build_root_system(family, rank):
+    """Root data built on Fraction vectors throughout: the Cartan matrix
+    from Fraction dot products, the roots closed under the simple
+    reflections in simple-root coordinates, and each ambient root a
+    Fraction sum; the oracle of the integer build."""
+    simple = reference_simple_roots(family, rank)
+    dot = lambda u, v: sum(a * b for a, b in zip(u, v))
+    norms = [dot(a, a) for a in simple]
+    cartan = tuple(tuple(int(2 * dot(a, b) / n) for b, n in zip(simple, norms)) for a in simple)
+    coords = {tuple(int(i == j) for j in range(rank)) for i in range(rank)}
+    frontier = list(coords)
+    while frontier:
+        beta = frontier.pop()
+        for i in range(rank):
+            p = sum(b * row[i] for b, row in zip(beta, cartan))
+            refl = beta[:i] + (beta[i] - p,) + beta[i + 1:]
+            if p and refl not in coords:
+                coords.add(refl)
+                frontier.append(refl)
+    ambient = lambda c: tuple(sum(k * a[d] for k, a in zip(c, simple)) for d in range(len(simple[0])))
+    roots = sorted((ambient(c), c) for c in coords)
+    marks = max(coords, key=sum)
+    return RootSystem(
+        family=family, rank=rank, simple_roots=tuple(simple), gram_scale=Fraction(2) / max(norms),
+        cartan=cartan, roots=tuple(r for r, _ in roots), highest_root=ambient(marks),
+        marks=marks, root_coords=tuple(c for _, c in roots),
+    )
+
+
+def reference_alcove(rs):
+    """mu_i = omega_i^vee / a_i with omega_i^vee = sum_k (C^-1)_ki alpha_k^vee,
+    summed in Fractions over the Fraction coroots."""
+    r = rs.rank
+    coroots = [rs.coroot(a) for a in rs.simple_roots]
+    cols = solve_rational(rs.cartan, [[int(i == j) for i in range(r)] for j in range(r)])
+    vertices = [tuple(Fraction(0) for _ in range(rs.dim))]
+    for x, mark in zip(cols, rs.marks):
+        omega = tuple(sum(x[k] * coroots[k][d] for k in range(r)) for d in range(rs.dim))
+        vertices.append(tuple(c / mark for c in omega))
+    return Alcove(rs, tuple(vertices))
+
+
+def field_values(obj):
+    """The field values of a dataclass instance, in field order."""
+    return [getattr(obj, f.name) for f in fields(obj)]
+
+
+CLASSICAL_TO_12 = sorted(
+    {(f, n) for f, least in [("A", 1), ("B", 2), ("C", 2), ("D", 3)] for n in range(least, 13)}
+    - set(ALL_TYPES)
+)
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES + CLASSICAL_TO_12)
+def test_integer_build_matches_the_fraction_oracle(family, rank):
+    rs = build_root_system(family, rank)
+    want = reference_build_root_system(family, rank)
+    for got, expected in zip(field_values(rs), field_values(want), strict=True):
+        assert got == expected and type(got) is type(expected)
+    vectors = [*rs.simple_roots, *rs.roots, rs.highest_root]
+    assert all(type(x) is Fraction for v in vectors for x in v)
+    assert type(rs.gram_scale) is Fraction
+    assert all(type(x) is int for c in (rs.marks, *rs.root_coords, *rs.cartan) for x in c)
+    alc, expected = alcove(rs), reference_alcove(want)
+    assert alc.vertices == expected.vertices
+    assert all(type(x) is Fraction for v in alc.vertices for x in v)
+    assert minimal_level_k0(rs) == lcm(*(
+        (2 / want.inner(a, a) / m).denominator for a, m in zip(want.simple_roots, want.marks)
+    ))
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
@@ -105,6 +206,18 @@ def test_invalid_types_rejected():
     for family, rank in [("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 2)]:
         with pytest.raises(RootSystemError):
             build_root_system(family, rank)
+
+
+def test_types_above_the_root_bound_are_refused():
+    # for each family with unbounded rank, the largest admitted rank and
+    # the next, which is refused before any work
+    for family, least in [("A", 1), ("B", 2), ("C", 2), ("D", 3)]:
+        count = ROOT_COUNTS[family]
+        rank = max(n for n in range(least, 100) if count(n) <= MAX_ROOTS)
+        assert count(rank + 1) > MAX_ROOTS
+        with pytest.raises(RootSystemError, match=f"type {family}{rank + 1} has {count(rank + 1)} roots"):
+            build_root_system(family, rank + 1)
+    assert len(build_root_system("D", 20).roots) == 760
 
 
 def test_a1_data():
@@ -366,3 +479,8 @@ def test_parse_type():
         parse_type("X2")
     with pytest.raises(RootSystemError):
         parse_type("Aq")
+    # only ASCII digits: int() alone reads "A1_0" as A10, and the
+    # full-width and Arabic-Indic digits as 8 and 3
+    for text in ["A1_0", "E 8", "A+3", "A-3", "A\uff18", "B\u0663", "A\u00b2", "\uff213"]:
+        with pytest.raises(RootSystemError, match="cannot parse"):
+            parse_type(text)

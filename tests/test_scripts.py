@@ -70,6 +70,17 @@ def test_package_modules_import_only_public_names_of_other_modules():
     assert found == {name: [] for name in found}
 
 
+def test_lienum_does_not_load_the_root_systems():
+    # no lienum code uses rootsys, so importing lienum (as the numeric
+    # commands do) must not pay for it, nor for fractions and decimal
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, gerbecalc.lienum; print('gerbecalc.rootsys' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "False\n")
+
+
 def values_reads(source):
     """The lines where ``source`` reads a ``.values`` attribute other than
     as the function of a call (``d.values()``)."""

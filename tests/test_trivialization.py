@@ -9,6 +9,8 @@ import pytest
 from gerbecalc import deligne, intlinalg
 from gerbecalc.deligne import (
     DeligneCochain,
+    _smith_coords,
+    _smith_rows,
     _snf_of_coboundary,
     dd_class,
     deligne_differential,
@@ -16,9 +18,10 @@ from gerbecalc.deligne import (
     trivialization_defect,
     zero_cochain,
 )
-from gerbecalc.intlinalg import matvec, over_common_denominator, solve_rational
+from gerbecalc.intlinalg import over_common_denominator, solve_rational, sparse_matvec
 from gerbecalc.nerve import icosahedron, make_nerve, simplex_nerve, sphere_nerve, subdivide_sphere
 
+from dense import matvec
 from test_deligne import suspension_nerve
 
 
@@ -167,6 +170,17 @@ def test_smith_form_solve_on_the_subdivided_icosahedron():
         if res.ok:
             assert_solves(c, res)
     assert any(res.ok for _, res in results)
+    # the sparse Smith-transform rows the solves read, against the dense
+    # U and V (V over the pivot columns)
+    rng = random.Random(29)
+    for degree in (0, 1, 2):
+        d, u, v = _snf_of_coboundary(nerve, degree)[3]
+        pivots, _, v_rows = _smith_rows(nerve, degree)
+        assert pivots == tuple(x for x in d if x)
+        vec = [rng.randrange(-9, 10) for _ in u]
+        z = [rng.randrange(-9, 10) for _ in pivots]
+        assert _smith_coords(nerve, degree, vec) == (matvec(u, vec), pivots)
+        assert sparse_matvec(v_rows, z) == matvec(v, z)
 
 
 def test_cached_smith_forms_solve_the_whole_trivialization(monkeypatch):
