@@ -14,6 +14,7 @@ import cmath
 import hashlib
 import json
 import random
+import re
 import sys
 import time
 
@@ -22,6 +23,25 @@ from .report import Check
 
 class CliError(ValueError):
     pass
+
+
+def _ascii_int(text):
+    """Read an integer argument as ``int`` would, but from ASCII decimal
+    digits only: no underscores and no other script's digits, the rule of
+    ``rootsys.parse_type``.  An optional sign and outer whitespace stay."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise argparse.ArgumentTypeError(f"expected an ASCII integer, got {text!r}")
+    return int(text)
+
+
+def _ascii_ints(text):
+    """A comma-separated list of ``_ascii_int``s."""
+    return tuple(map(_ascii_int, text.split(",")))
+
+
+def _cyclic_orders(text):
+    """``_ascii_ints`` with empty entries, as of a trailing comma, skipped."""
+    return tuple(_ascii_int(x) for x in text.split(",") if x)
 
 
 def _digest(path):
@@ -112,9 +132,8 @@ def cmd_centralizer(args, report):
     from .rootsys import alcove, build_root_system, face_centralizer, parse_type
 
     fam, rank = parse_type(args.type)
-    face = tuple(int(x) for x in args.face.split(","))
-    sub = face_centralizer(alcove(build_root_system(fam, rank)), face)
-    report.results["face"] = list(face)
+    sub = face_centralizer(alcove(build_root_system(fam, rank)), args.face)
+    report.results["face"] = list(args.face)
     report.results["centralizer root count"] = len(sub.roots)
     report.results["roots"] = sorted(
         "(" + ", ".join(str(x) for x in r) + ")" for r in sub.roots
@@ -404,14 +423,16 @@ def cmd_grpcoh(args, report):
     if args.rest and args.rest[0] == "center":
         if len(args.rest) != 3:
             raise CliError("usage: grpcoh center <family> <rank>")
-        family, rank = args.rest[1], int(args.rest[2])
-        center = center_of(family, rank)
+        try:
+            rank = _ascii_int(args.rest[2])
+        except argparse.ArgumentTypeError as exc:
+            raise CliError(f"argument rank: {exc}") from None
+        center = center_of(args.rest[1], rank)
         report.results["center"] = center.describe()
         return report
     if args.group is None:
         raise CliError("usage: grpcoh --group 2,2 [--degree 3] | grpcoh center A 3")
-    orders = tuple(int(x) for x in args.group.split(",") if x)
-    facs = group_cohomology_U1(FiniteAbelianGroup(orders), args.degree)
+    facs = group_cohomology_U1(FiniteAbelianGroup(args.group), args.degree)
     report.results["cohomology"] = (
         " x ".join(f"Z/{f}" for f in facs) if facs else "trivial"
     )
@@ -441,7 +462,8 @@ def build_parser():
 
     p = sub.add_parser("centralizer", help="root subsystem fixing an alcove face")
     p.add_argument("type")
-    p.add_argument("--face", required=True, help="comma-separated vertex indices")
+    p.add_argument("--face", required=True, type=_ascii_ints,
+                   help="comma-separated vertex indices")
     p.set_defaults(func=cmd_centralizer)
 
     deligne = sub.add_parser("deligne", help="cochain complex operations").add_subparsers(
@@ -490,34 +512,35 @@ def build_parser():
         dest="subcommand", required=True
     )
     p = lie.add_parser("integrate-h", help="integral of the calibrated 3-form")
-    p.add_argument("--resolution", type=int, default=32)
+    p.add_argument("--resolution", type=_ascii_int, default=32)
     p.set_defaults(func=cmd_lienum_integrate_h)
     p = lie.add_parser("verify-omega", help="d(omega) = restricted H")
     p.add_argument("--group", default="su3")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_ascii_int, default=20)
+    p.add_argument("--seed", type=_ascii_int, default=0)
     p.add_argument("--step", type=float, default=1e-3)
     p.set_defaults(func=cmd_lienum_verify_omega)
     p = lie.add_parser("verify-varpi", help="H difference = d(varpi)")
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--level", type=_ascii_int, default=1)
+    p.add_argument("--samples", type=_ascii_int, default=20)
+    p.add_argument("--seed", type=_ascii_int, default=0)
     p.add_argument("--step", type=float, default=1e-3)
     p.set_defaults(func=cmd_lienum_verify_varpi)
     p = lie.add_parser("wzw", help="extension independence of the amplitude")
     p.add_argument("--ball", default=None, help="quadrature spec JSON")
-    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--level", type=_ascii_int, default=1)
     p.set_defaults(func=cmd_lienum_wzw)
     p = lie.add_parser("project", help="alcove projection of a group element")
     p.add_argument("--group", choices=("su2", "su3"), default="su2")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_ascii_int, default=0)
     p.add_argument("--matrix", default=None, help="matrix JSON file")
     p.set_defaults(func=cmd_lienum_project)
 
     p = sub.add_parser("grpcoh", help="finite abelian group cohomology")
     p.add_argument("rest", nargs="*", help="'center <family> <rank>' form")
-    p.add_argument("--group", default=None, help="cyclic orders, e.g. 2,2")
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--group", default=None, type=_cyclic_orders,
+                   help="cyclic orders, e.g. 2,2")
+    p.add_argument("--degree", type=_ascii_int, default=3)
     p.set_defaults(func=cmd_grpcoh)
     return parser
 

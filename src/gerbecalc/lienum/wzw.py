@@ -10,11 +10,14 @@ any memory order, and the map must not assume C order: the quadrature
 passes column-contiguous (Fortran-order) arrays.  The quadrature calls it
 one radial layer of cells at a time, so memory beyond one density per cell
 stays constant, and a ball past MAX_QUAD_POINTS cells is refused before
-its mesh is built.  On a large ball the map may be called from several
-threads at once, each on its own disjoint block of points, so it must not
-keep state between calls.  H on each cell's frame is one triple product of
-pure quaternions (``core.theta_volume``).  The kinetic term is deliberately
-excluded: only exp(2 pi i k Q) with Q = integral of Phi*H is computed.
+its mesh is built.  The geodesic sphere mesh is refined on numpy arrays;
+it equals the mesh of ``nerve.refine_sphere_mesh``, which stays numpy-free
+for ``CoveredComplex`` and is the tests' reference.  On a large ball the
+map may be called from several threads at once, each on its own disjoint
+block of points, so it must not keep state between calls.  H on each
+cell's frame is one triple product of pure quaternions
+(``core.theta_volume``).  The kinetic term is deliberately excluded: only
+exp(2 pi i k Q) with Q = integral of Phi*H is computed.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nerve import icosahedron_mesh, refine_sphere_mesh
+from ..nerve import icosahedron_mesh
 from .core import LieNumError, bound_work, check_level, theta_volume
 from .forms import calibrate_H
 
@@ -52,6 +55,38 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _sphere_mesh(subdivisions):
+    """The icosahedron after ``subdivisions`` 1-to-4 splits, as (V, 3) unit
+    points (row v is vertex v) and (T, 3) vertex ids.
+
+    Each split numbers its midpoints V, V + 1, ... in the order a loop over
+    the triangles first meets their edges ab, bc, ca, and folds each norm
+    left to right, so the arrays equal ``nerve.refine_sphere_mesh``'s mesh
+    bit for bit.
+    """
+    coords, tris = icosahedron_mesh()
+    points = np.array([coords[v] for v in range(len(coords))])
+    tris = np.array(tris, dtype=np.intp)
+    for _ in range(subdivisions):
+        n = len(points)
+        ends = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2)
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        # unique sorts stably, so ``first`` is each edge's first occurrence
+        _, first, edge = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ids = (n + rank[edge]).reshape(-1, 3)
+        first = first[order]
+        # (p + q) / 2 rounds alike in either order of the two ends
+        mid = (points[lo[first]] + points[hi[first]]) / 2
+        norm = np.sqrt((mid[:, 0] * mid[:, 0] + mid[:, 1] * mid[:, 1]) + mid[:, 2] * mid[:, 2])
+        points = np.concatenate([points, mid / norm[:, None]])
+        (a, b, c), (ab, bc, ca) = tris.T, ids.T
+        tris = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    return points, tris
+
+
 @dataclass(frozen=True)
 class BallQuadrature:
     """Prism cells over a geodesic sphere mesh: triangles x radial layers.
@@ -62,13 +97,17 @@ class BallQuadrature:
     r (c - a), with the unit-triangle area 1/2 as the (s, t) cell measure.
     ``radii`` holds the layer mid-radii, and ``centroids`` and ``edges``
     the per-triangle (a + b + c) / 3 and (b - a, c - a); the cell centres
-    are ``radii[l] * centroids``, one layer at a time.
+    are ``radii[l] * centroids``, one layer at a time.  No cell array is
+    stored: ``centers`` allocates all ``len(radii) * len(centroids)`` rows
+    of 3 floats on every read, 15.7 MB for the default ball.
 
     ``centroids`` and both ``edges`` have shape (T, 3) but are stored
     component-major, as the transpose of a C-ordered (3, T) array, so each
     coordinate is one contiguous column.  They come from one gather of
     ``boundary_points`` (row v is mesh vertex v) at the triangles' vertex
-    ids, and every layer's points inherit their order.
+    ids, and every layer's points inherit their order.  The mesh is the
+    icosahedron refined ``subdivisions`` times on arrays, bit for bit the
+    mesh of ``nerve.refine_sphere_mesh``.
     """
 
     subdivisions: int = 5
@@ -86,14 +125,10 @@ class BallQuadrature:
         # past the bound already, as a huge s would make the power slow
         cells = 20 * 4**s * layers if s <= 32 else math.inf
         bound_work(cells, "cells", f"a ball of {s} subdivisions and {layers} layers")
-        coords, triangles = icosahedron_mesh()
-        for _ in range(s):
-            coords, triangles = refine_sphere_mesh(coords, triangles)
-        # the mesh numbers its vertices 0..V-1, so row v of this array is
-        # vertex v, and one gather reads every corner of every triangle,
-        # component-major: a[k, t] is component k of triangle t's first corner
-        points = np.array([coords[v] for v in sorted(coords)])
-        a, b, c = np.take(points.T, np.array(triangles).T, axis=1).transpose(1, 0, 2)
+        points, triangles = _sphere_mesh(s)
+        # one gather reads every corner of every triangle, component-major:
+        # a[k, t] is component k of triangle t's first corner
+        a, b, c = np.take(points.T, triangles.T, axis=1).transpose(1, 0, 2)
         r_mid = (np.arange(layers) + 0.5) / layers
         object.__setattr__(self, "radii", r_mid)
         object.__setattr__(self, "centroids", ((a + b + c) / 3.0).T)

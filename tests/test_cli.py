@@ -161,6 +161,39 @@ def test_types_above_the_root_bound_exit_2_before_any_work(capsys, monkeypatch):
         assert err == f"error: type {name} has {count} roots, above the bound MAX_ROOTS = 4200\n"
 
 
+# int() alone reads Arabic-Indic digits and "2_0"; every integer argument
+# of the CLI takes ASCII digits only
+@pytest.mark.parametrize("name, argv", [
+    ("--face", ["centralizer", "A3", "--face", "0,{}"]),
+    ("rank", ["grpcoh", "center", "A", "{}"]),
+    ("--group", ["grpcoh", "--group", "2,{}"]),
+    ("--degree", ["grpcoh", "--group", "2,2", "--degree", "{}"]),
+    ("--resolution", ["lienum", "integrate-h", "--resolution", "{}"]),
+    ("--samples", ["lienum", "verify-omega", "--samples", "{}"]),
+    ("--seed", ["lienum", "verify-omega", "--seed", "{}"]),
+    ("--level", ["lienum", "verify-varpi", "--level", "{}"]),
+    ("--samples", ["lienum", "verify-varpi", "--samples", "{}"]),
+    ("--seed", ["lienum", "verify-varpi", "--seed", "{}"]),
+    ("--level", ["lienum", "wzw", "--level", "{}"]),
+    ("--seed", ["lienum", "project", "--seed", "{}"]),
+])
+@pytest.mark.parametrize("text", ["\u0663", "2_0", "\uff12", "0x2", " "])
+def test_integer_arguments_are_ascii(capsys, name, argv, text):
+    code, out, err = run_cli(capsys, "--json", *(a.format(text) for a in argv))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith(
+        f"error: argument {name}: expected an ASCII integer, got {text!r}"
+    )
+
+
+def test_integer_arguments_keep_sign_and_outer_whitespace(capsys):
+    plain = run_cli(capsys, "--json", "grpcoh", "--group", "2,2", "--degree", "2")[1]
+    code, out, _ = run_cli(capsys, "--json", "grpcoh", "--group", " 2,+2,", "--degree", " +2\t")
+    assert code == 0 and json.loads(out)["results"] == json.loads(plain)["results"]
+    code, out, _ = run_cli(capsys, "--json", "grpcoh", "center", "A", "+3 ")
+    assert code == 0 and json.loads(out)["results"]["center"] == "Z/4"
+
+
 def test_alcove_and_centralizer(capsys):
     code, out, _ = run_cli(capsys, "alcove", "A2")
     assert code == 0 and "vertex 0" in out

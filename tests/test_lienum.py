@@ -621,7 +621,8 @@ def whole_array_theta_volume_integrate_H_SU2(res):
 
 
 def whole_array_ball(subdivisions, layers):
-    """(centers, frame, weight, boundary points) from the chart-covered mesh."""
+    """(centers, frame, weight, boundary points, (centroids, b - a, c - a))
+    from the chart-covered mesh."""
     cc = icosahedron()
     for _ in range(subdivisions):
         cc = subdivide_sphere(cc)
@@ -635,11 +636,11 @@ def whole_array_ball(subdivisions, layers):
     t_t = r_mid[:, None, None] * (c - a)[None]
     frame = tuple(t.reshape(-1, 3) for t in (t_r, t_s, t_t))
     boundary = np.array([cc.coords[v] for v in sorted(cc.coords)])
-    return centers, frame, 0.5 / layers, boundary
+    return centers, frame, 0.5 / layers, boundary, (centroid, b - a, c - a)
 
 
 def whole_array_pullback(phi, ball, step=1e-5):
-    x, frame, weight, _ = ball
+    x, frame, weight, *_ = ball
     q = np.asarray(phi(x), dtype=float)
     qbar = quat_conj(q)
     us = []
@@ -651,7 +652,7 @@ def whole_array_pullback(phi, ball, step=1e-5):
 
 
 def whole_array_theta_volume_pullback(phi, ball, step=1e-5):
-    x, frame, weight, _ = ball
+    x, frame, weight, *_ = ball
     q = np.asarray(phi(x), dtype=float)
     dqs = [((np.asarray(phi(x + step * w)) - np.asarray(phi(x - step * w))) / (2 * step)).T
            for w in frame]
@@ -670,10 +671,10 @@ def test_sliced_su2_integral_matches_whole_array(res):
     assert_close_to_oracle(value, whole_array_integrate_H_SU2(res))
 
 
-@pytest.mark.parametrize("subdivisions", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("subdivisions", [0, 1, 2, 3, 4, 5])
 def test_sliced_pullback_matches_whole_array(subdivisions, monkeypatch):
     # subdivision 5 has 20,480 triangles, so with two CPUs it takes the
-    # split path
+    # split path; the array-refined mesh must equal the nerve's dict mesh
     on_cpus(monkeypatch, 2)
     for layers in (1, 2) if subdivisions == 5 else (1, 7, 16):
         quad = BallQuadrature(subdivisions=subdivisions, layers=layers)
@@ -681,6 +682,9 @@ def test_sliced_pullback_matches_whole_array(subdivisions, monkeypatch):
         assert np.array_equal(quad.centers, ball[0])
         assert np.array_equal(quad.boundary_points, ball[3])
         assert quad.weight == ball[2]
+        for got, want in zip((quad.centroids, *quad.edges), ball[4]):
+            assert got.flags.f_contiguous and not got.flags.c_contiguous
+            assert np.array_equal(got, want)
         for phi in (northern_extension, southern_extension, constant_map):
             value = pullback_H_integral(phi, quad)
             assert value == whole_array_theta_volume_pullback(phi, ball)
@@ -688,14 +692,16 @@ def test_sliced_pullback_matches_whole_array(subdivisions, monkeypatch):
 
 
 def test_ball_quadrature_holds_no_cell_array():
-    # the stored centres of the default ball took 15.7 MB
+    # the stored centres of the default ball took 15.7 MB, and building
+    # its mesh with the nerve's dicts peaked at 6.8 MB
     tracemalloc.start()
     try:
         quad = BallQuadrature(5, 32)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert held < 4e6
+    assert peak < 5e6
     assert quad.centers.shape == (655_360, 3)
 
 
