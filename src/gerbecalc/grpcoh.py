@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .intlinalg import smith_normal_form
+from .intlinalg import invariant_factors
 from .rootsys import build_root_system
 
 # the work bound of group_cohomology_U1: largest group order and degree
@@ -104,8 +104,7 @@ def group_cohomology_U1(group: FiniteAbelianGroup, n: int):
         )
     # H^n(Z, U(1)) = torsion of H^{n+1}(Z; Z) = invariant factors > 1 of
     # the coboundary C^n -> C^{n+1}
-    d, _, _ = smith_normal_form(_coboundary(group.orders, n))
-    return tuple(f for f in d if f > 1)
+    return tuple(f for f in invariant_factors(_coboundary(group.orders, n)) if f > 1)
 
 
 def center_of(family: str, rank: int) -> FiniteAbelianGroup:
@@ -115,5 +114,5 @@ def center_of(family: str, rank: int) -> FiniteAbelianGroup:
     normal form; the order equals the Cartan determinant.
     """
     rs = build_root_system(family, rank)
-    d, _, _ = smith_normal_form([list(row) for row in rs.cartan])
-    return FiniteAbelianGroup(tuple(x for x in d if x > 1))
+    facs = invariant_factors([list(row) for row in rs.cartan])
+    return FiniteAbelianGroup(tuple(x for x in facs if x > 1))

@@ -1,21 +1,27 @@
 """Exact integer and rational linear algebra: Smith normal form, integer
 and rational linear solves, and cohomology of integer cochain complexes.
 
-One dense Smith-form kernel, :func:`smith_normal_form`, serves every
-integer caller: invariant factors, cochain cohomology, obstruction
-classes, both layers of a trivialization and group cohomology all read
-its diagonal or its transforms.
+One Smith elimination serves every integer caller: invariant factors,
+cochain cohomology, obstruction classes, both layers of a trivialization
+and group cohomology all read its diagonal or its transforms.
 It clears each entry beside a pivot by one 2x2 unimodular step, a Bezout
 step onto the gcd where the pivot does not divide it (Kannan and Bachem,
 SIAM J. Comput. 8, 1979; Cohen, GTM 138, Alg. 2.4.14), so U and V stay
-small.  Their products with a vector run over the nonzeros of each row
-(:func:`sparse_rows`, :func:`sparse_matvec`).
+small.  The elimination touches only nonzeros: U and V^T are sparse rows
+until :func:`smith_normal_form` returns them dense, rows are combined
+from the pivot column on, rows found zero are skipped by the pivot
+search, and a column step that is a plain subtraction sweeps no rows
+while the pivot column is clean.  :func:`invariant_factors` runs the same
+elimination with no transforms at all.  Products of U and V with a
+vector run over the nonzeros of each row (:func:`sparse_rows`,
+:func:`sparse_matvec`).
 
 :func:`solve_rational` (the alcove vertices) eliminates on integers
 (Bareiss, Math. Comp. 22, 1968): each row of [A | B] is scaled by the lcm
-of its denominators, the forward pass divides every update exactly by the
-previous pivot, and only the back-substitution builds ``Fraction``s, one
-per pivot variable.
+of its denominators, each update divides exactly, and only the
+back-substitution builds ``Fraction``s, one per pivot variable.  A row is
+rescaled to the current pivot lazily, only when it is next combined or
+becomes the pivot row.
 
 All matrices are lists of lists of Python ints (arbitrary precision) or
 ``fractions.Fraction``.  Nothing here touches floating point.
@@ -26,10 +32,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _step(x, y):
@@ -47,14 +49,124 @@ def _step(x, y):
 
 
 def _combine(x, y, s, r, p, q):
-    """Rows x and y become s*x + r*y and p*x + q*y, in place."""
+    """Sparse rows ({column: value}, no zeros) x and y become s*x + r*y and
+    p*x + q*y, in place."""
     if r:
-        for k, (b, c) in enumerate(zip(x, y)):
-            x[k], y[k] = s * b + r * c, p * b + q * c
+        for k in x.keys() | y.keys():
+            b, c = x.get(k, 0), y.get(k, 0)
+            e, f = s * b + r * c, p * b + q * c
+            if e:
+                x[k] = e
+            elif b:
+                del x[k]
+            if f:
+                y[k] = f
+            elif c:
+                del y[k]
     else:  # a plain subtraction (s = q = 1): y changes where x is nonzero
-        for k, b in enumerate(x):
-            if b:
-                y[k] += p * b
+        for k, b in x.items():
+            c = y.get(k, 0) + p * b
+            if c:
+                y[k] = c
+            else:
+                del y[k]
+
+
+def _eliminate(mat, transforms):
+    """The Smith elimination of ``mat``: (d, U, V transposed), with the rows
+    of U and V^T as sparse dicts, or (d, None, None) without transforms."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    a = [row[:] for row in mat]
+    live = [True] * m  # False once a row is found zero: no step changes it
+    u = [{i: 1} for i in range(m)] if transforms else None
+    # V transposed, so a column step is a row step here
+    vt = [{j: 1} for j in range(n)] if transforms else None
+    for t in range(min(m, n)):
+        # the pivot: the first smallest nonzero entry in row-major order,
+        # so the first unit if there is one; rows from t on are zero left
+        # of column t, so whole rows are searched, and zero rows skipped
+        for i in range(t, m):
+            if live[i]:
+                row = a[i]
+                if 1 in row or -1 in row:
+                    j = min(row.index(x) for x in (1, -1) if x in row)
+                    break
+                live[i] = any(row)
+        else:
+            rest = [
+                (abs(x), i, j)
+                for i in range(t, m) if live[i]
+                for j, x in enumerate(a[i]) if x
+            ]
+            if not rest:
+                break
+            _, i, j = min(rest)
+        a[t], a[i] = a[i], a[t]
+        live[t], live[i] = live[i], live[t]
+        for row in a[t:]:  # rows above t are zero from column t on
+            row[t], row[j] = row[j], row[t]
+        if transforms:
+            u[t], u[i] = u[i], u[t]
+            vt[t], vt[j] = vt[j], vt[t]
+        top = a[t]
+        while True:
+            # every row from t on is zero left of column t, so rows are
+            # combined from column t on
+            cols = None  # the nonzero columns of the pivot row
+            for i in range(t + 1, m):
+                row = a[i]
+                if row[t]:
+                    s, r, p, q = _step(top[t], row[t])
+                    if r:
+                        for k in range(t, n):
+                            b, c = top[k], row[k]
+                            top[k], row[k] = s * b + r * c, p * b + q * c
+                        cols = None
+                    else:
+                        if cols is None:
+                            cols = [k for k in range(t, n) if top[k]]
+                        for k in cols:
+                            row[k] += p * top[k]
+                    if transforms:
+                        _combine(u[t], u[i], s, r, p, q)
+            # column t is now zero below the pivot, so a plain subtraction
+            # on the columns only zeroes top[j]; a Bezout step refills
+            # column t, and every later column step sweeps all rows
+            clean = True
+            for j in range(t + 1, n):
+                if top[j]:
+                    s, r, p, q = _step(top[t], top[j])
+                    if clean and not r:
+                        top[j] = 0
+                    else:
+                        clean = False
+                        for row in a[t:]:
+                            b, c = row[t], row[j]
+                            if b or c:
+                                row[t], row[j] = s * b + r * c, p * b + q * c
+                    if transforms:
+                        _combine(vt[t], vt[j], s, r, p, q)
+            if not clean and any(a[i][t] for i in range(t + 1, m)):
+                continue
+            x = top[t]
+            if abs(x) == 1:
+                break
+            missed = (i for i in range(t + 1, m) if any(y % x for y in a[i][t + 1 :]))
+            i = next(missed, None)
+            if i is None:
+                break
+            row = a[i]
+            for k in range(t + 1, n):  # row t += row i
+                if row[k]:
+                    top[k] += row[k]
+            if transforms:
+                _combine(u[i], u[t], 1, 0, 1, 1)
+        if top[t] < 0:  # the rest of row t is zero
+            top[t] = -top[t]
+            if transforms:
+                u[t] = {k: -x for k, x in u[t].items()}
+    return [a[i][i] for i in range(min(m, n))], u, vt
 
 
 def smith_normal_form(mat):
@@ -70,69 +182,38 @@ def smith_normal_form(mat):
     an entry it misses and is cleared again.  So each pivot divides every
     later one, with no second pass.
 
+    Only nonzeros are touched.  U and V^T are held as rows of nonzeros
+    during the elimination and made dense once, on return.  Once the row
+    pass has cleared column t below the pivot, a plain subtraction on the
+    columns changes only the pivot row's entry; all rows are swept only
+    after a Bezout column step has refilled column t.  Rows are combined
+    from column t on, since every row left is zero before it, and the
+    pivot search skips the rows it has found zero, since no step changes
+    a zero row.
+
     Bound: no step coefficient exceeds the larger entry of its pair, and
     each Bezout step at least halves the pivot.  On dense 6 x 6 matrices
     with entries in [-20, 20] (the tests' seeds 1-8), no U or V entry
     reached 150 bits.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    a = [row[:] for row in mat]
-    u = _identity(m)
-    vt = _identity(n)  # V transposed, so a column step is a row step here
-    for t in range(min(m, n)):
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = abs(a[i][j])
-                if x and (piv is None or x < piv[0]):
-                    piv = (x, i, j)
-            if piv and piv[0] == 1:
-                break
-        if piv is None:
-            break
-        _, i, j = piv
-        a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
-        for row in a:
-            row[t], row[j] = row[j], row[t]
-        vt[t], vt[j] = vt[j], vt[t]
-        while True:
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    step = _step(a[t][t], a[i][t])
-                    _combine(a[t], a[i], *step)
-                    _combine(u[t], u[i], *step)
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    s, r, p, q = _step(a[t][t], a[t][j])
-                    for row in a[t:]:
-                        b, c = row[t], row[j]
-                        if b or c:
-                            row[t], row[j] = s * b + r * c, p * b + q * c
-                    _combine(vt[t], vt[j], s, r, p, q)
-            # a Bezout step on the columns refills column t
-            if any(a[i][t] for i in range(t + 1, m)):
-                continue
-            x = a[t][t]
-            if abs(x) == 1:
-                break
-            missed = (i for i in range(t + 1, m) if any(y % x for y in a[i][t + 1 :]))
-            i = next(missed, None)
-            if i is None:
-                break
-            for w in (a, u):
-                _combine(w[i], w[t], 1, 0, 1, 1)  # row t += row i
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-    d = [a[i][i] for i in range(min(m, n))]
-    return d, u, [list(col) for col in zip(*vt)]
+    d, u, vt = _eliminate(mat, True)
+    m, n = len(u), len(vt)
+    dense_u = [[0] * m for _ in u]
+    for row, dense in zip(u, dense_u):
+        for k, x in row.items():
+            dense[k] = x
+    v = [[0] * n for _ in vt]
+    for j, row in enumerate(vt):
+        for i, x in row.items():
+            v[i][j] = x
+    return d, dense_u, v
 
 
 def invariant_factors(mat):
-    """Nonzero diagonal of the Smith normal form, in divisibility order."""
-    d, _, _ = smith_normal_form(mat)
-    return [x for x in d if x != 0]
+    """Nonzero diagonal of the Smith normal form, in divisibility order.
+
+    The elimination of :func:`smith_normal_form`, with no transforms."""
+    return [x for x in _eliminate(mat, False)[0] if x != 0]
 
 
 def over_common_denominator(vec):
@@ -147,6 +228,18 @@ def solve_rational(mat, rhs):
 
     ``rhs`` may be a vector or a list of vectors (columns).  Entries are
     Fractions in the result, with every free variable 0.
+
+    Fraction-free Gaussian elimination (Bareiss).  After the step at pivot
+    p_k, a row below the pivots equals the minors of [A | B] (the leading
+    pivot rows and columns bordered by that row), up to the factor that
+    relates the pivot it was last brought to, p_l, and p_k.  Eagerly,
+    each step would rescale every row whose entry in the pivot column is
+    0 by p_k / p_{k-1}; those rescalings compose to p_k / p_l, so each
+    row keeps p_l and is rescaled once, when it is next combined (the
+    update (p x - f y) / p_l folds it in) or becomes the pivot row
+    (x p_{k-1} / p_l).  Both divide exactly, since the result is a minor,
+    and a rescaling keeps zeros zero, so the pivot search reads unscaled
+    rows.  The result is the eager elimination's, bit for bit.
     """
     single = not rhs or not isinstance(rhs[0], (list, tuple))
     bs = [rhs] if single else rhs
@@ -156,8 +249,7 @@ def solve_rational(mat, rhs):
         over_common_denominator([*row, *(b[i] for b in bs)])[1]
         for i, row in enumerate(mat)
     ]
-    # Bareiss: after the step at pivot p, every entry below the pivot rows is
-    # a minor of [A | B], so dividing by the previous pivot is exact
+    level = [1] * m  # the pivot each row was last brought to
     pivots = []
     prev = 1
     for col in range(n):
@@ -166,15 +258,18 @@ def solve_rational(mat, rhs):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
+        level[r], level[piv] = level[piv], level[r]
+        if level[r] != prev:
+            a[r][col:] = [x * prev // level[r] for x in a[r][col:]]
         top = a[r][col:]
         p = top[0]
         for i in range(r + 1, m):
             row = a[i]
             f = row[col]
             if f:
-                row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], top)]
-            elif p != prev:
-                row[col:] = [p * x // prev for x in row[col:]]
+                q = level[i]
+                row[col:] = [(p * x - f * y) // q for x, y in zip(row[col:], top)]
+                level[i] = p
         prev = p
         pivots.append(col)
         if len(pivots) == m:

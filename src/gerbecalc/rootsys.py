@@ -310,15 +310,19 @@ class RootSubsystem:
 def face_centralizer(alc: Alcove, face) -> RootSubsystem:
     """Root subsystem of the centralizer of exp(xi), xi interior to a face.
 
-    ``face`` is a nonempty subset of {0, ..., rank}; the barycenter of the
-    face's m vertices is used as the interior point.  A root with
+    ``face`` is a nonempty subset of {0, ..., rank}, with no index
+    repeated; the barycenter of the face's m vertices is used as the
+    interior point.  A root with
     simple-root coordinates c pairs with it as (1/m) sum_{i in F, i >= 1}
     c_i / a_i, which is an integer iff sum_i c_i (L / a_i) = 0 mod m L,
     with L the lcm of the face's marks; the test runs on integers.
     """
-    face = sorted(set(face))
+    face = sorted(face)
     if not face:
         raise RootSystemError("face index set must be nonempty")
+    repeated = sorted({i for i, j in zip(face, face[1:]) if i == j})
+    if repeated:
+        raise RootSystemError(f"repeated face indices: {repeated}")
     rs = alc.root_system
     if any(i < 0 or i > rs.rank for i in face):
         raise RootSystemError(f"face indices out of range: {face}")

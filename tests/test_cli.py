@@ -201,6 +201,13 @@ def test_alcove_and_centralizer(capsys):
     assert code == 0 and "centralizer root count" in out
 
 
+def test_centralizer_refuses_a_repeated_face_index(capsys):
+    for face, repeated in (("0,0", "[0]"), ("1,0,1", "[1]")):
+        code, out, err = run_cli(capsys, "--json", "centralizer", "A3", "--face", face)
+        assert code == 2 and out == ""
+        assert err == f"error: repeated face indices: {repeated}\n"
+
+
 def test_grpcoh_forms(capsys):
     code, out, _ = run_cli(capsys, "grpcoh", "--group", "2,2", "--degree", "2")
     assert code == 0 and "Z/2" in out

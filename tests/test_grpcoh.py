@@ -5,6 +5,7 @@ from math import gcd, lcm, prod
 
 import pytest
 
+from gerbecalc import grpcoh, intlinalg
 from gerbecalc.grpcoh import (
     FiniteAbelianGroup,
     GroupCohomologyError,
@@ -14,6 +15,10 @@ from gerbecalc.grpcoh import (
     group_cohomology_U1,
 )
 from gerbecalc.intlinalg import smith_normal_form
+from gerbecalc.rootsys import build_root_system
+
+import dense
+from test_intlinalg import EXACT_GROUPS
 
 
 def test_group_arithmetic():
@@ -161,10 +166,17 @@ def test_center_isomorphism_types(key, expected):
     assert center_of(*key).orders == expected
 
 
+TYPES = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
 def test_center_order_equals_cartan_determinant():
     from fractions import Fraction
-
-    from gerbecalc.rootsys import build_root_system
 
     def det(mat):
         a = [[Fraction(x) for x in row] for row in mat]
@@ -184,13 +196,23 @@ def test_center_order_equals_cartan_determinant():
                     a[i][j] -= f * a[c][j]
         return d
 
-    types = (
-        [("A", n) for n in range(1, 9)]
-        + [("B", n) for n in range(2, 9)]
-        + [("C", n) for n in range(2, 9)]
-        + [("D", n) for n in range(3, 9)]
-        + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-    )
-    for family, rank in types:
+    for family, rank in TYPES:
         rs = build_root_system(family, rank)
         assert center_of(family, rank).order == det(rs.cartan)
+
+
+def test_diagonal_only_callers_build_no_transforms(monkeypatch):
+    # the answers of the dense kernel, which built U and V for them
+    diagonal = lambda mat: tuple(x for x in dense.smith_normal_form(mat)[0] if x > 1)
+    groups = {(o, n): diagonal(_coboundary(o, n)) for o, n in EXACT_GROUPS}
+    centers = {t: diagonal([list(r) for r in build_root_system(*t).cartan]) for t in TYPES}
+
+    def refuse(mat):
+        raise AssertionError("a diagonal-only caller asked for U and V")
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(grpcoh, "smith_normal_form", refuse, raising=False)
+    for (orders, n), want in groups.items():
+        assert group_cohomology_U1(FiniteAbelianGroup(orders), n) == want
+    for t, want in centers.items():
+        assert center_of(*t).orders == want

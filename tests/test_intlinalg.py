@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gerbecalc.deligne import _coboundary_matrix
+from gerbecalc.grpcoh import _coboundary
 from gerbecalc.intlinalg import (
     cochain_cohomology,
     invariant_factors,
@@ -16,9 +18,12 @@ from gerbecalc.intlinalg import (
     sparse_matvec,
     sparse_rows,
 )
-from gerbecalc.nerve import simplex_nerve
+from gerbecalc.nerve import icosahedron, simplex_nerve, subdivide_sphere
+from gerbecalc.rootsys import RootSystemError, _simple_numerators, _validate, build_root_system
 
+import dense
 from dense import matvec
+from test_deligne import suspension_nerve
 
 small_matrices = st.integers(1, 5).flatmap(
     lambda m: st.integers(1, 5).flatmap(
@@ -126,8 +131,7 @@ def test_snf_of_dense_matrices_stays_bounded(m, n, seed):
 @given(small_matrices)
 def test_invariant_factors_match_snf_diagonal(mat):
     d, _, _ = smith_normal_form(mat)
-    expect = sorted(abs(x) for x in d if x != 0)
-    assert invariant_factors(mat) == expect
+    assert invariant_factors(mat) == [x for x in d if x != 0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -268,6 +272,16 @@ def test_solve_rational_edge_systems():
     assert _assert_matches_reference([[1, 1, 1]], [1]) == [1, 0, 0]
 
 
+def _scrambled(mat, rng):
+    """Rows and columns permuted, columns negated: the same Smith diagonal."""
+    rows = [list(r) for r in mat]
+    rng.shuffle(rows)
+    cols = list(range(len(rows[0])))
+    rng.shuffle(cols)
+    signs = [rng.choice((-1, 1)) for _ in cols]
+    return [[s * row[c] for c, s in zip(cols, signs)] for row in rows]
+
+
 @pytest.mark.parametrize("charts", [4, 5, 6, 7, 8])
 def test_solve_rational_matches_gauss_jordan_on_scrambled_coboundaries(charts):
     # the rank-deficient integer systems of Deligne trivialization, with
@@ -275,14 +289,8 @@ def test_solve_rational_matches_gauss_jordan_on_scrambled_coboundaries(charts):
     rng = random.Random(charts)
     nerve = simplex_nerve(charts)
     for degree in range(min(4, charts - 1)):
-        _, _, delta = _coboundary_matrix(nerve, degree)
-        rows = [list(r) for r in delta]
-        rng.shuffle(rows)
-        cols = list(range(len(rows[0])))
-        rng.shuffle(cols)
-        signs = [rng.choice((-1, 1)) for _ in cols]
-        mat = [[s * row[c] for c, s in zip(cols, signs)] for row in rows]
-        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in cols]
+        mat = _scrambled(_coboundary_matrix(nerve, degree)[2], rng)
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in mat[0]]
         b = matvec(mat, x)
         got = _assert_matches_reference(mat, b)
         assert matvec(mat, got) == b
@@ -305,3 +313,125 @@ def test_cochain_cohomology_torsion():
     # Z --2--> Z gives Z/2 in the target degree
     free, tors = cochain_cohomology([[2]], [], 1)
     assert (free, tors) == (0, [2])
+
+
+# The dense oracles: every family of matrices the integer kernels serve,
+# against the kernels they replaced (tests/dense.py), which held U, V^T
+# and every row of [A | B] densely.  Both must give the same (d, U, V)
+# and the same solutions, None included.
+
+
+def assert_matches_the_dense_kernels(mat, rng, rational=True):
+    """Equal Smith forms and diagonals, and equal solutions of A x = b for
+    a random x, and of b with a unit added as a second column.  With
+    ``rational``, x is rational, and b pushed off alone and a third, random
+    column are solved too.  Returns how many solves had no solution."""
+    d, u, v = smith_normal_form(mat)
+    assert (d, u, v) == dense.smith_normal_form(mat)
+    assert invariant_factors(mat) == [x for x in d if x]
+    x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3) if rational else 1) for _ in mat[0]]
+    b = matvec(mat, x)
+    off = [y + (i == 0) for i, y in enumerate(b)]
+    systems = [b, [b, off]]
+    if rational:
+        systems += [off, [b, off, [rng.randint(-3, 3) for _ in mat]]]
+    none = 0
+    for rhs in systems:
+        got = solve_rational(mat, rhs)
+        assert got == dense.solve_rational(mat, rhs)
+        none += got is None
+    return none
+
+
+def test_kernels_match_the_dense_oracles_on_scrambled_coboundaries():
+    rng = random.Random(31)
+    none = 0
+    for charts in range(4, 9):
+        nerve = simplex_nerve(charts)
+        for degree in range(charts - 1):
+            mat = _coboundary_matrix(nerve, degree)[2]
+            none += assert_matches_the_dense_kernels(_scrambled(mat, rng), rng)
+    # the suspension of RP^2: 2-torsion, so a non-unit pivot
+    delta = _coboundary_matrix(suspension_nerve(), 2)[2]
+    assert 2 in invariant_factors(delta)
+    for mat in (delta, _scrambled(delta, rng), _scrambled(delta, rng)):
+        none += assert_matches_the_dense_kernels(mat, rng)
+    assert none > 10
+
+
+EXACT_GROUPS = (
+    [((m,), n) for m in range(2, 10) for n in (1, 2, 3)]
+    + [(orders, n) for orders in ((2, 4), (3, 3)) for n in (1, 2, 3)]
+    + [((2, 2, 2), n) for n in (1, 2)]
+)
+
+
+def test_kernels_match_the_dense_oracles_on_group_coboundaries():
+    rng = random.Random(32)
+    for orders, n in EXACT_GROUPS:
+        assert_matches_the_dense_kernels(_coboundary(orders, n), rng)
+
+
+def _admitted_types():
+    """Every type that build_root_system admits: ranks up to MAX_ROOTS roots."""
+    for family, rank in [("A", 1), ("B", 2), ("C", 2), ("D", 3)]:
+        while True:
+            try:
+                _validate(family, rank)
+            except RootSystemError:
+                break
+            yield family, rank
+            rank += 1
+    yield from [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+def _cartan(family, rank):
+    """The Cartan matrix of build_root_system, without building the roots."""
+    _, simple, norms = _simple_numerators(family, rank)
+    return [[2 * sum(map(mul, a, b)) // n for b, n in zip(simple, norms)] for a in simple]
+
+
+def test_kernels_match_the_dense_oracles_on_cartan_matrices():
+    rng = random.Random(33)
+    types = list(_admitted_types())
+    assert ("A", 64) in types and ("A", 65) not in types and len(types) == 201
+    for family, rank in types:
+        mat = _cartan(family, rank)
+        if rank <= 8:
+            assert mat == [list(row) for row in build_root_system(family, rank).cartan]
+        # above rank 16, integral systems only: they keep the dense solves short
+        assert_matches_the_dense_kernels(mat, rng, rational=rank <= 16)
+        if rank <= 16:  # the alcove's solve: the columns of the inverse
+            eye = [[int(i == j) for i in range(rank)] for j in range(rank)]
+            assert solve_rational(mat, eye) == dense.solve_rational(mat, eye)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_kernels_match_the_dense_oracles_on_dense_matrices(seed):
+    rng = random.Random(seed)
+    mat = [[rng.randint(-20, 20) for _ in range(6)] for _ in range(6)]
+    assert_matches_the_dense_kernels(mat, rng)
+
+
+def test_kernels_match_the_dense_oracles_on_sparse_rectangular_matrices():
+    # no unit entries, so non-unit pivots, Bezout steps on rows and columns
+    # and rows taken in by a pivot that misses an entry
+    rng = random.Random(34)
+    values = [x for x in range(-12, 13) if abs(x) > 1]
+    none = 0
+    for _ in range(150):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.uniform(0.1, 0.6)
+        mat = [[rng.choice(values) if rng.random() < density else 0 for _ in range(n)]
+               for _ in range(m)]
+        none += assert_matches_the_dense_kernels(mat, rng)
+    assert none > 50
+
+
+def test_kernels_match_the_dense_oracles_on_the_subdivided_icosahedron():
+    # delta_1 of the once-subdivided icosahedron's nerve: 890 x 330
+    nerve = subdivide_sphere(icosahedron()).nerve()
+    mat = _coboundary_matrix(nerve, 1)[2]
+    assert (len(mat), len(mat[0])) == (890, 330)
+    # an integral x: the dense solve of a rational one alone takes seconds
+    assert assert_matches_the_dense_kernels(mat, random.Random(35), rational=False) == 1

@@ -1,6 +1,7 @@
 """Exact checks of root data, alcove geometry, and minimal levels."""
 
 import random
+import re
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
@@ -433,6 +434,16 @@ def test_face_centralizer_extremes():
     assert face_centralizer(alc, (0,)).roots == frozenset(rs.roots)
     with pytest.raises(RootSystemError):
         face_centralizer(alc, ())
+
+
+@pytest.mark.parametrize("face, repeated", [
+    ((0, 0), [0]), ((2, 1, 2), [2]), ((3, 0, 3, 0, 1), [0, 3]),
+])
+def test_face_centralizer_refuses_repeated_indices(face, repeated):
+    # a face is a set of vertices: the barycenter of (0, 0) is not a face's
+    alc = alcove(build_root_system("B", 3))
+    with pytest.raises(RootSystemError, match=rf"^repeated face indices: {re.escape(str(repeated))}$"):
+        face_centralizer(alc, face)
 
 
 def test_face_centralizer_antitone():
